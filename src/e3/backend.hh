@@ -37,13 +37,13 @@ class EvalBackend
                                  EnergyBreakdownInput &energy) const = 0;
 
     /**
-     * True when the platform should run functional evaluation through
-     * the SoA population batch engine (nn/batch_eval) instead of
-     * per-genome Network::activate. Functional results are
-     * bit-identical either way — this selects the host execution
-     * substrate, not the semantics.
+     * Whether functional evaluation runs on the SoA population batch
+     * engine (nn/batch_eval). Always true: the platform compiles every
+     * plain feed-forward population through it, whatever the backend.
+     * Kept for callers that still ask before compiling, such as
+     * hostbench/evolve.cc.
      */
-    virtual bool batchedFunctionalInference() const { return false; }
+    bool batchedFunctionalInference() const { return true; }
 };
 
 } // namespace e3

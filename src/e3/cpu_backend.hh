@@ -37,26 +37,6 @@ class CpuBackend : public EvalBackend
     CpuTimingModel model_;
 };
 
-/**
- * E3-CPU-BATCH: the CPU baseline's timing model with functional
- * inference routed through the SoA population batch engine
- * (nn/batch_eval). Functional results and modeled time are identical
- * to E3-CPU — only host wall-clock changes — so it slots into every
- * comparison as a drop-in faster evaluator.
- */
-class CpuBatchBackend : public CpuBackend
-{
-  public:
-    explicit CpuBatchBackend(CpuTimingModel model = {})
-        : CpuBackend(model)
-    {
-    }
-
-    std::string name() const override { return "E3-CPU-BATCH"; }
-
-    bool batchedFunctionalInference() const override { return true; }
-};
-
 } // namespace e3
 
 #endif // E3_E3_CPU_BACKEND_HH

@@ -5,6 +5,7 @@
 #include "neat/config_io.hh"
 #include "e3/gpu_backend.hh"
 #include "e3/inax_backend.hh"
+#include "nn/batch_eval.hh"
 
 namespace e3 {
 
@@ -32,11 +33,6 @@ BackendRegistry::instance()
             "cpu", "E3-CPU",
             [](const ExperimentOptions &, const EnvSpec &) {
                 return std::make_unique<CpuBackend>();
-            });
-        r.registerBackend(
-            "cpu-batch", "E3-CPU-BATCH",
-            [](const ExperimentOptions &, const EnvSpec &) {
-                return std::make_unique<CpuBatchBackend>();
             });
         r.registerBackend(
             "gpu", "E3-GPU",
@@ -181,7 +177,8 @@ namespace {
  * Shared evolution loop for the workload-extraction helpers: evaluate
  * with one episode per individual per generation, stop at the
  * generation cap (or, if stopAtSolved, at the fitness threshold) with
- * the final generation evaluated.
+ * the final generation evaluated. Rollout runs through the platform's
+ * compile pipeline and evaluation runtime, serially.
  */
 Population
 evolveAgainstEnv(const EnvSpec &spec, int generations,
@@ -192,34 +189,27 @@ evolveAgainstEnv(const EnvSpec &spec, int generations,
         spec.numInputs, spec.numOutputs, spec.requiredFitness);
     cfg.populationSize = populationSize;
     Population pop(cfg, seed);
+    runtime::ParallelEval runtime{runtime::RuntimeConfig{}};
 
     for (int gen = 0;; ++gen) {
-        const size_t n = pop.genomes().size();
-        std::vector<int> keys;
-        std::vector<FeedForwardNetwork> nets;
-        for (const auto &[key, genome] : pop.genomes()) {
-            keys.push_back(key);
-            nets.push_back(FeedForwardNetwork::create(
-                genome.toNetworkDef(cfg)));
-        }
-        VectorEnv venv(spec, n,
-                       seed ^ (0x51ED270BULL *
-                               (static_cast<uint64_t>(gen) + 1)));
-        venv.resetAll();
-        while (!venv.allDone()) {
-            std::vector<Action> actions(n);
-            for (size_t i = 0; i < n; ++i) {
-                if (venv.done(i)) {
-                    actions[i] = Action(spec.numOutputs, 0.0);
-                    continue;
-                }
-                actions[i] = decodeAction(
-                    spec, nets[i].activate(venv.observation(i)));
-            }
-            venv.stepAll(actions);
-        }
-        for (size_t i = 0; i < n; ++i)
-            pop.genomes().at(keys[i]).fitness = venv.fitness(i);
+        // Lane i is the i-th genome in key order, in both loops.
+        std::vector<NetworkDef> defs;
+        defs.reserve(pop.genomes().size());
+        for (const auto &[key, genome] : pop.genomes())
+            defs.push_back(genome.toNetworkDef(cfg));
+        const std::unique_ptr<BatchNetwork> batch =
+            compilePopulation(defs).value();
+
+        runtime::EvalPlan plan;
+        plan.spec = &spec;
+        plan.lanes = defs.size();
+        plan.episodeSeeds = {
+            seed ^ (0x51ED270BULL * (static_cast<uint64_t>(gen) + 1))};
+        plan.policy = rolloutPolicy(*batch, spec);
+        const runtime::EvalOutcome outcome = runtime.evaluate(plan);
+        size_t lane = 0;
+        for (auto &[key, genome] : pop.genomes())
+            genome.fitness = outcome.fitness[lane++];
 
         if (gen >= generations - 1 ||
             (stopAtSolved && pop.solved()))

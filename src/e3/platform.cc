@@ -4,11 +4,13 @@
 #include <optional>
 #include <sstream>
 
+#include "common/hot.hh"
 #include "common/logging.hh"
 #include "e3/inax_backend.hh"
 #include "nn/batch_eval.hh"
 #include "obs/trace.hh"
 #include "persist/checkpoint.hh"
+#include "runtime/lane_buffer.hh"
 #include "verify/verify.hh"
 
 namespace e3 {
@@ -90,7 +92,30 @@ fromTraceRow(const persist::TraceRow &row)
     return p;
 }
 
+/** One policy step of a lane, through its output slot @p out. */
+E3_HOT void
+policyStep(BatchNetwork &batch, const EnvSpec &spec, size_t lane,
+           const double *obs, double *out, double *action)
+{
+    batch.activateLane(lane, obs, out);
+    decodeActionInto(spec, out, action);
+}
+
 } // namespace
+
+runtime::EvalPlan::Policy
+rolloutPolicy(BatchNetwork &batch, const EnvSpec &spec)
+{
+    // Distinct lanes touch disjoint value regions and output slots, so
+    // out-of-lockstep parallel rollout stays safe.
+    auto outputs =
+        std::make_shared<runtime::LaneBuffer>(batch.lanes(),
+                                              batch.numOutputs());
+    return [&batch, &spec, outputs](size_t lane, const double *obs,
+                                    double *action) {
+        policyStep(batch, spec, lane, obs, outputs->lane(lane), action);
+    };
+}
 
 E3Platform::E3Platform(const PlatformConfig &cfg,
                        std::unique_ptr<EvalBackend> backend)
@@ -113,10 +138,10 @@ E3Platform::evaluateFunctional(Population &pop, GenerationTrace &trace,
 
     // CreateNet: decode every genome once per generation, then compile
     // the whole population through the one population-compile entry
-    // point (nn/batch_eval). A batch-capable backend routes this to
-    // the SoA engine; everything else gets the loop-over-Network
-    // adapter — functional results are bit-identical either way. With
-    // quantized deployment enabled, the adapter hands back fixed-point
+    // point (nn/batch_eval). Plain feed-forward populations run on the
+    // SoA engine under every backend — backends are timing models and
+    // do not pick the host substrate. With quantized deployment
+    // enabled, the loop-over-Network adapter hands back fixed-point
     // evaluators (the accelerator's datapath view).
     std::vector<int> keys;
     std::vector<NetworkDef> defs;
@@ -157,11 +182,8 @@ E3Platform::evaluateFunctional(Population &pop, GenerationTrace &trace,
         }
     }
 
-    const BatchEngine engine = backend_->batchedFunctionalInference()
-                                   ? BatchEngine::Auto
-                                   : BatchEngine::PerGenome;
     Result<std::unique_ptr<BatchNetwork>> compiled =
-        compilePopulation(defs, compileOpts, engine);
+        compilePopulation(defs, compileOpts);
     // Evolved genomes satisfy the structural invariants by
     // construction, so a compile failure here is an evolution-loop bug.
     e3_assert(compiled.ok(),
@@ -202,14 +224,7 @@ E3Platform::evaluateFunctional(Population &pop, GenerationTrace &trace,
             (0x9E3779B97F4A7C15ULL *
              (static_cast<uint64_t>(generation) * 31 + e + 1)));
     }
-    // Lanes hand observations straight to the batch engine; distinct
-    // lanes touch disjoint value regions, so out-of-lockstep parallel
-    // rollout stays safe.
-    plan.act = [&](size_t i, const Observation &obs) {
-        std::vector<double> out(batch->numOutputs());
-        batch->activateLane(i, obs.data(), out.data());
-        return decodeAction(spec_, out);
-    };
+    plan.policy = rolloutPolicy(*batch, spec_);
 
     // Async overlap: one lane group per species, so the evolve phase's
     // per-species summaries (fitness mean/extrema, member ranking) are

@@ -29,6 +29,18 @@
 
 namespace e3 {
 
+class BatchNetwork;
+
+/**
+ * The rollout policy core of a compiled population: lane i activates
+ * its network into a lane-owned output slot and decodes the outputs
+ * into the lane's action buffer. Allocates its output scratch once,
+ * here; a step allocates nothing. @p batch and @p spec must outlive
+ * the returned policy.
+ */
+runtime::EvalPlan::Policy rolloutPolicy(BatchNetwork &batch,
+                                        const EnvSpec &spec);
+
 /** Run configuration of one E3 learning session. */
 struct PlatformConfig
 {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/hot.hh"
 #include "common/logging.hh"
 
 namespace e3 {
@@ -49,7 +50,9 @@ Acrobot::reset(Rng &rng)
     for (auto &s : state_)
         s = rng.uniform(-0.1, 0.1);
     done_ = false;
-    return observe();
+    Observation obs(6);
+    observeInto(obs.data());
+    return obs;
 }
 
 std::array<double, 4>
@@ -109,11 +112,10 @@ Acrobot::rk4(const std::array<double, 4> &s, double torque, double step)
     return out;
 }
 
-StepResult
-Acrobot::step(const Action &action)
+E3_HOT StepOutcome
+Acrobot::stepInto(const double *action, double *observation)
 {
     e3_assert(!done_, "step() on a finished acrobot episode");
-    e3_assert(!action.empty(), "acrobot expects one action element");
 
     const int a = std::clamp(static_cast<int>(action[0]), 0, 2);
     const double torque = static_cast<double>(a - 1); // {-1, 0, +1}
@@ -128,19 +130,19 @@ Acrobot::step(const Action &action)
     // Free end above the bar: -cos(t1) - cos(t1 + t2) > 1.
     done_ = -std::cos(state_[0]) - std::cos(state_[0] + state_[1]) > 1.0;
 
-    StepResult result;
-    result.observation = observe();
-    result.reward = done_ ? 0.0 : -1.0;
-    result.done = done_;
-    return result;
+    observeInto(observation);
+    return {done_ ? 0.0 : -1.0, done_};
 }
 
-Observation
-Acrobot::observe() const
+void
+Acrobot::observeInto(double *obs) const
 {
-    return {std::cos(state_[0]), std::sin(state_[0]),
-            std::cos(state_[1]), std::sin(state_[1]),
-            state_[2], state_[3]};
+    obs[0] = std::cos(state_[0]);
+    obs[1] = std::sin(state_[0]);
+    obs[2] = std::cos(state_[1]);
+    obs[3] = std::sin(state_[1]);
+    obs[4] = state_[2];
+    obs[5] = state_[3];
 }
 
 } // namespace e3

@@ -26,7 +26,8 @@ class Acrobot : public Environment
     const Space &observationSpace() const override { return obsSpace_; }
     const Space &actionSpace() const override { return actSpace_; }
     Observation reset(Rng &rng) override;
-    StepResult step(const Action &action) override;
+    StepOutcome stepInto(const double *action,
+                         double *observation) override;
     int maxEpisodeSteps() const override { return 500; }
 
   private:
@@ -35,7 +36,7 @@ class Acrobot : public Environment
     std::array<double, 4> state_{}; ///< theta1, theta2, dtheta1, dtheta2
     bool done_ = true;
 
-    Observation observe() const;
+    void observeInto(double *obs) const;
 
     /** Equations of motion (Sutton's book formulation). */
     static std::array<double, 4> dsdt(const std::array<double, 4> &s,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/hot.hh"
 #include "common/logging.hh"
 
 namespace e3 {
@@ -21,6 +22,11 @@ constexpr double strideGain = 2.5;   ///< stance sweep -> forward speed
 constexpr double torqueCost = 0.008; ///< per unit |action| per step
 constexpr double progressGain = 6.0; ///< reward per unit forward travel
 constexpr int lidarRays = 10;
+
+// Hull (4) + two legs (5 each) + lidar: observeInto writes exactly the
+// 24 values the observation space declares.
+static_assert(4 + 2 * 5 + lidarRays == 24,
+              "bipedal observation must be 24-dim");
 
 } // namespace
 
@@ -55,14 +61,15 @@ BipedalWalker::reset(Rng &rng)
         leg.contact = false;
     }
     done_ = false;
-    return observe();
+    Observation obs(24);
+    observeInto(obs.data());
+    return obs;
 }
 
-StepResult
-BipedalWalker::step(const Action &action)
+E3_HOT StepOutcome
+BipedalWalker::stepInto(const double *action, double *observation)
 {
     e3_assert(!done_, "step() on a finished bipedal_walker episode");
-    e3_assert(action.size() >= 4, "bipedal_walker expects four actions");
 
     std::array<double, 4> a;
     for (size_t i = 0; i < 4; ++i)
@@ -125,39 +132,33 @@ BipedalWalker::step(const Action &action)
         reward = -100.0;
     }
 
-    StepResult result;
-    result.observation = observe();
-    result.reward = reward;
-    result.done = done_;
-    return result;
+    observeInto(observation);
+    return {reward, done_};
 }
 
-Observation
-BipedalWalker::observe() const
+void
+BipedalWalker::observeInto(double *obs) const
 {
-    Observation obs;
-    obs.reserve(24);
-    obs.push_back(hullAngle_);
-    obs.push_back(hullAngVel_);
-    obs.push_back(vx_);
-    obs.push_back(vy_);
+    size_t n = 0;
+    obs[n++] = hullAngle_;
+    obs[n++] = hullAngVel_;
+    obs[n++] = vx_;
+    obs[n++] = vy_;
     for (const Leg &leg : legs_) {
-        obs.push_back(leg.hip);
-        obs.push_back(leg.hipVel / jointSpeed);
-        obs.push_back(leg.knee);
-        obs.push_back(leg.kneeVel / jointSpeed);
-        obs.push_back(leg.contact ? 1.0 : 0.0);
+        obs[n++] = leg.hip;
+        obs[n++] = leg.hipVel / jointSpeed;
+        obs[n++] = leg.knee;
+        obs[n++] = leg.kneeVel / jointSpeed;
+        obs[n++] = leg.contact ? 1.0 : 0.0;
     }
     // Flat terrain: each lidar ray reports the distance at which it meets
     // the ground, a function of ray angle and hull pitch only.
     for (int i = 0; i < lidarRays; ++i) {
         const double rayAngle =
             hullAngle_ + 0.15 * static_cast<double>(i);
-        obs.push_back(std::clamp(1.0 / std::max(std::cos(rayAngle), 0.1),
-                                 0.0, 5.0));
+        obs[n++] = std::clamp(1.0 / std::max(std::cos(rayAngle), 0.1),
+                              0.0, 5.0);
     }
-    e3_assert(obs.size() == 24, "bipedal observation must be 24-dim");
-    return obs;
 }
 
 } // namespace e3

@@ -34,7 +34,8 @@ class BipedalWalker : public Environment
     const Space &observationSpace() const override { return obsSpace_; }
     const Space &actionSpace() const override { return actSpace_; }
     Observation reset(Rng &rng) override;
-    StepResult step(const Action &action) override;
+    StepOutcome stepInto(const double *action,
+                         double *observation) override;
     int maxEpisodeSteps() const override { return 1600; }
 
   private:
@@ -58,7 +59,7 @@ class BipedalWalker : public Environment
     std::array<Leg, 2> legs_;
     bool done_ = true;
 
-    Observation observe() const;
+    void observeInto(double *obs) const;
 
     /** Height of a foot below the hip joint for the given leg pose. */
     static double footDrop(const Leg &leg);

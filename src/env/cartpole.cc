@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "common/hot.hh"
 #include "common/logging.hh"
 
 namespace e3 {
@@ -37,14 +38,15 @@ CartPole::reset(Rng &rng)
     for (auto &s : state_)
         s = rng.uniform(-0.05, 0.05);
     done_ = false;
-    return observe();
+    Observation obs(4);
+    observeInto(obs.data());
+    return obs;
 }
 
-StepResult
-CartPole::step(const Action &action)
+E3_HOT StepOutcome
+CartPole::stepInto(const double *action, double *observation)
 {
     e3_assert(!done_, "step() on a finished cartpole episode");
-    e3_assert(!action.empty(), "cartpole expects one action element");
 
     const int a = static_cast<int>(action[0]);
     const double force = a == 1 ? forceMag : -forceMag;
@@ -78,17 +80,15 @@ CartPole::step(const Action &action)
     done_ = x < -xLimit || x > xLimit || theta < -thetaLimit ||
             theta > thetaLimit;
 
-    StepResult result;
-    result.observation = observe();
-    result.reward = 1.0;
-    result.done = done_;
-    return result;
+    observeInto(observation);
+    return {1.0, done_};
 }
 
-Observation
-CartPole::observe() const
+void
+CartPole::observeInto(double *obs) const
 {
-    return {state_[0], state_[1], state_[2], state_[3]};
+    for (size_t i = 0; i < state_.size(); ++i)
+        obs[i] = state_[i];
 }
 
 } // namespace e3

@@ -26,7 +26,8 @@ class CartPole : public Environment
     const Space &observationSpace() const override { return obsSpace_; }
     const Space &actionSpace() const override { return actSpace_; }
     Observation reset(Rng &rng) override;
-    StepResult step(const Action &action) override;
+    StepOutcome stepInto(const double *action,
+                         double *observation) override;
     int maxEpisodeSteps() const override { return 500; }
 
   private:
@@ -35,7 +36,7 @@ class CartPole : public Environment
     std::array<double, 4> state_{}; ///< x, x_dot, theta, theta_dot
     bool done_ = true;
 
-    Observation observe() const;
+    void observeInto(double *obs) const;
 };
 
 } // namespace e3

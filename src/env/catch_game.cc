@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/hot.hh"
 #include "common/logging.hh"
 
 namespace e3 {
@@ -31,14 +32,15 @@ CatchGame::reset(Rng &rng)
     ballsPlayed_ = 0;
     done_ = false;
     spawnBall();
-    return observe();
+    Observation obs(static_cast<size_t>(width) * height);
+    observeInto(obs.data());
+    return obs;
 }
 
-StepResult
-CatchGame::step(const Action &action)
+E3_HOT StepOutcome
+CatchGame::stepInto(const double *action, double *observation)
 {
     e3_assert(!done_, "step() on a finished catch episode");
-    e3_assert(!action.empty(), "catch expects one action element");
 
     const int a = std::clamp(static_cast<int>(action[0]), 0, 2);
     paddleX_ = std::clamp(paddleX_ + (a - 1), 0,
@@ -67,24 +69,20 @@ CatchGame::step(const Action &action)
             spawnBall();
     }
 
-    StepResult result;
-    result.observation = observe();
-    result.reward = reward;
-    result.done = done_;
-    return result;
+    observeInto(observation);
+    return {reward, done_};
 }
 
-Observation
-CatchGame::observe() const
+void
+CatchGame::observeInto(double *pixels) const
 {
-    Observation pixels(static_cast<size_t>(width) * height, 0.0);
+    std::fill(pixels, pixels + static_cast<size_t>(width) * height, 0.0);
     const int by = std::min(ballY_, height - 1);
     pixels[static_cast<size_t>(by * width + ballX_)] = 1.0;
     for (int p = 0; p < paddleWidth; ++p) {
         pixels[static_cast<size_t>((height - 1) * width + paddleX_ +
                                    p)] = 1.0;
     }
-    return pixels;
 }
 
 } // namespace e3

@@ -34,7 +34,8 @@ class CatchGame : public Environment
     const Space &observationSpace() const override { return obsSpace_; }
     const Space &actionSpace() const override { return actSpace_; }
     Observation reset(Rng &rng) override;
-    StepResult step(const Action &action) override;
+    StepOutcome stepInto(const double *action,
+                         double *observation) override;
     int maxEpisodeSteps() const override
     {
         return (height + 2) * ballsPerEpisode;
@@ -53,7 +54,7 @@ class CatchGame : public Environment
     Rng spawnRng_{0}; ///< private stream split from reset()'s rng
 
     void spawnBall();
-    Observation observe() const;
+    void observeInto(double *obs) const;
 };
 
 } // namespace e3

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/hot.hh"
 #include "common/logging.hh"
 #include "env/acrobot.hh"
 #include "env/bipedal_walker.hh"
@@ -138,16 +139,14 @@ envNames()
     return names;
 }
 
-Action
-decodeAction(const EnvSpec &spec, const std::vector<double> &outputs)
+E3_HOT void
+decodeActionInto(const EnvSpec &spec, const double *outputs,
+                 double *action)
 {
-    e3_assert(outputs.size() >= spec.numOutputs,
-              "need ", spec.numOutputs, " outputs for ", spec.name,
-              ", got ", outputs.size());
-
     switch (spec.decode) {
       case EnvSpec::Decode::Binary:
-        return {outputs[0] > 0.5 ? 1.0 : 0.0};
+        action[0] = outputs[0] > 0.5 ? 1.0 : 0.0;
+        return;
 
       case EnvSpec::Decode::Argmax: {
         size_t best = 0;
@@ -155,19 +154,29 @@ decodeAction(const EnvSpec &spec, const std::vector<double> &outputs)
             if (outputs[i] > outputs[best])
                 best = i;
         }
-        return {static_cast<double>(best)};
+        action[0] = static_cast<double>(best);
+        return;
       }
 
-      case EnvSpec::Decode::Continuous: {
-        Action action(spec.numOutputs);
+      case EnvSpec::Decode::Continuous:
         for (size_t i = 0; i < spec.numOutputs; ++i) {
             const double u = std::clamp(outputs[i], 0.0, 1.0);
             action[i] = spec.actionLo + u * (spec.actionHi - spec.actionLo);
         }
-        return action;
-      }
+        return;
     }
     e3_panic("unhandled decode kind");
+}
+
+Action
+decodeAction(const EnvSpec &spec, const std::vector<double> &outputs)
+{
+    e3_assert(outputs.size() >= spec.numOutputs,
+              "need ", spec.numOutputs, " outputs for ", spec.name,
+              ", got ", outputs.size());
+    Action action(spec.actionSize());
+    decodeActionInto(spec, outputs.data(), action.data());
+    return action;
 }
 
 } // namespace e3

@@ -46,6 +46,15 @@ struct EnvSpec
     /** Instantiate a fresh environment. */
     std::unique_ptr<Environment> make() const;
 
+    /**
+     * Elements of a decoded action: numOutputs for Continuous, else
+     * the single discrete index.
+     */
+    size_t actionSize() const
+    {
+        return decode == Decode::Continuous ? numOutputs : 1;
+    }
+
     /** Normalize a fitness into [0, 1] against floor/required. */
     double normalizeFitness(double fitness) const;
 };
@@ -76,6 +85,17 @@ const EnvSpec &envSpec(const std::string &name);
 
 /** All registered names. */
 std::vector<std::string> envNames();
+
+/**
+ * Decode raw network outputs into an environment action: the
+ * allocation-free core under decodeAction().
+ * @param spec the environment the action is for
+ * @param outputs spec.numOutputs network outputs, expected in [0, 1]
+ *        (sigmoid range)
+ * @param action receives spec.actionSize() elements
+ */
+void decodeActionInto(const EnvSpec &spec, const double *outputs,
+                      double *action);
 
 /**
  * Decode raw network outputs into an environment action.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/hot.hh"
 #include "common/logging.hh"
 
 namespace e3 {
@@ -54,7 +55,9 @@ LunarLander::reset(Rng &rng)
     leg1_ = leg2_ = false;
     hasPrevShaping_ = false;
     done_ = false;
-    return observe();
+    Observation obs(8);
+    observeInto(obs.data());
+    return obs;
 }
 
 double
@@ -76,11 +79,10 @@ LunarLander::updateLegContacts()
     leg2_ = nearGround && angle_ > -safeAngle;  // right leg
 }
 
-StepResult
-LunarLander::step(const Action &action)
+E3_HOT StepOutcome
+LunarLander::stepInto(const double *action, double *observation)
 {
     e3_assert(!done_, "step() on a finished lunar_lander episode");
-    e3_assert(!action.empty(), "lunar_lander expects one action element");
 
     const int a = std::clamp(static_cast<int>(action[0]), 0, 3);
 
@@ -135,18 +137,21 @@ LunarLander::step(const Action &action)
         reward += -100.0;
     }
 
-    StepResult result;
-    result.observation = observe();
-    result.reward = reward;
-    result.done = done_;
-    return result;
+    observeInto(observation);
+    return {reward, done_};
 }
 
-Observation
-LunarLander::observe() const
+void
+LunarLander::observeInto(double *obs) const
 {
-    return {x_, y_, vx_, vy_, angle_, vAngle_,
-            leg1_ ? 1.0 : 0.0, leg2_ ? 1.0 : 0.0};
+    obs[0] = x_;
+    obs[1] = y_;
+    obs[2] = vx_;
+    obs[3] = vy_;
+    obs[4] = angle_;
+    obs[5] = vAngle_;
+    obs[6] = leg1_ ? 1.0 : 0.0;
+    obs[7] = leg2_ ? 1.0 : 0.0;
 }
 
 } // namespace e3

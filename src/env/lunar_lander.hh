@@ -29,7 +29,8 @@ class LunarLander : public Environment
     const Space &observationSpace() const override { return obsSpace_; }
     const Space &actionSpace() const override { return actSpace_; }
     Observation reset(Rng &rng) override;
-    StepResult step(const Action &action) override;
+    StepOutcome stepInto(const double *action,
+                         double *observation) override;
     int maxEpisodeSteps() const override { return 1000; }
 
   private:
@@ -44,7 +45,7 @@ class LunarLander : public Environment
     bool hasPrevShaping_ = false;
     bool done_ = true;
 
-    Observation observe() const;
+    void observeInto(double *obs) const;
     double shaping() const;
     void updateLegContacts();
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/hot.hh"
 #include "common/logging.hh"
 
 namespace e3 {
@@ -34,11 +35,10 @@ MountainCar::reset(Rng &rng)
     return {position_, velocity_};
 }
 
-StepResult
-MountainCar::step(const Action &action)
+E3_HOT StepOutcome
+MountainCar::stepInto(const double *action, double *observation)
 {
     e3_assert(!done_, "step() on a finished mountain_car episode");
-    e3_assert(!action.empty(), "mountain_car expects one action element");
 
     const int a = std::clamp(static_cast<int>(action[0]), 0, 2);
 
@@ -51,11 +51,9 @@ MountainCar::step(const Action &action)
 
     done_ = position_ >= goalPosition;
 
-    StepResult result;
-    result.observation = {position_, velocity_};
-    result.reward = -1.0;
-    result.done = done_;
-    return result;
+    observation[0] = position_;
+    observation[1] = velocity_;
+    return {-1.0, done_};
 }
 
 } // namespace e3

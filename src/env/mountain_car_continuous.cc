@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/hot.hh"
 #include "common/logging.hh"
 
 namespace e3 {
@@ -33,13 +34,12 @@ MountainCarContinuous::reset(Rng &rng)
     return {position_, velocity_};
 }
 
-StepResult
-MountainCarContinuous::step(const Action &action)
+E3_HOT StepOutcome
+MountainCarContinuous::stepInto(const double *action,
+                                double *observation)
 {
     e3_assert(!done_,
               "step() on a finished mountain_car_continuous episode");
-    e3_assert(!action.empty(),
-              "mountain_car_continuous expects one action element");
 
     const double throttle = std::clamp(action[0], -1.0, 1.0);
 
@@ -52,11 +52,9 @@ MountainCarContinuous::step(const Action &action)
 
     done_ = position_ >= goalPosition;
 
-    StepResult result;
-    result.observation = {position_, velocity_};
-    result.reward = -0.1 * throttle * throttle + (done_ ? 100.0 : 0.0);
-    result.done = done_;
-    return result;
+    observation[0] = position_;
+    observation[1] = velocity_;
+    return {-0.1 * throttle * throttle + (done_ ? 100.0 : 0.0), done_};
 }
 
 } // namespace e3

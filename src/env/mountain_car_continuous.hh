@@ -25,7 +25,8 @@ class MountainCarContinuous : public Environment
     const Space &observationSpace() const override { return obsSpace_; }
     const Space &actionSpace() const override { return actSpace_; }
     Observation reset(Rng &rng) override;
-    StepResult step(const Action &action) override;
+    StepOutcome stepInto(const double *action,
+                         double *observation) override;
     int maxEpisodeSteps() const override { return 999; }
 
   private:

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/hot.hh"
 #include "common/logging.hh"
 
 namespace e3 {
@@ -39,13 +40,14 @@ Pendulum::reset(Rng &rng)
 {
     theta_ = rng.uniform(-M_PI, M_PI);
     thetaDot_ = rng.uniform(-1.0, 1.0);
-    return observe();
+    Observation obs(3);
+    observeInto(obs.data());
+    return obs;
 }
 
-StepResult
-Pendulum::step(const Action &action)
+E3_HOT StepOutcome
+Pendulum::stepInto(const double *action, double *observation)
 {
-    e3_assert(!action.empty(), "pendulum expects one action element");
     const double u = std::clamp(action[0], -maxTorque, maxTorque);
 
     const double th = theta_;
@@ -62,17 +64,16 @@ Pendulum::step(const Action &action)
     theta_ = th + newThetaDot * dt;
     thetaDot_ = newThetaDot;
 
-    StepResult result;
-    result.observation = observe();
-    result.reward = -cost;
-    result.done = false; // pendulum only truncates at the step cap
-    return result;
+    observeInto(observation);
+    return {-cost, false}; // pendulum only truncates at the step cap
 }
 
-Observation
-Pendulum::observe() const
+void
+Pendulum::observeInto(double *obs) const
 {
-    return {std::cos(theta_), std::sin(theta_), thetaDot_};
+    obs[0] = std::cos(theta_);
+    obs[1] = std::sin(theta_);
+    obs[2] = thetaDot_;
 }
 
 } // namespace e3

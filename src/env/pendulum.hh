@@ -24,7 +24,8 @@ class Pendulum : public Environment
     const Space &observationSpace() const override { return obsSpace_; }
     const Space &actionSpace() const override { return actSpace_; }
     Observation reset(Rng &rng) override;
-    StepResult step(const Action &action) override;
+    StepOutcome stepInto(const double *action,
+                         double *observation) override;
     int maxEpisodeSteps() const override { return 200; }
 
   private:
@@ -33,7 +34,7 @@ class Pendulum : public Environment
     double theta_ = 0.0;
     double thetaDot_ = 0.0;
 
-    Observation observe() const;
+    void observeInto(double *obs) const;
 };
 
 } // namespace e3

@@ -1,5 +1,7 @@
 #include "env/vector_env.hh"
 
+#include <algorithm>
+
 #include "common/hot.hh"
 #include "common/logging.hh"
 
@@ -11,8 +13,14 @@ VectorEnv::VectorEnv(const EnvSpec &spec, size_t lanes, uint64_t seed)
     e3_assert(lanes > 0, "VectorEnv needs at least one lane");
     Rng master(seed);
     lanes_.reserve(lanes);
-    for (size_t i = 0; i < lanes; ++i)
-        lanes_.emplace_back(spec.make(), master.split());
+    for (size_t i = 0; i < lanes; ++i) {
+        std::unique_ptr<Environment> env = spec.make();
+        e3_assert(env->observationSpace().size() == spec.numInputs &&
+                      env->actionSpace().size() == spec.actionSize(),
+                  spec.name, " spec disagrees with its env's spaces");
+        lanes_.emplace_back(std::move(env), master.split(),
+                            spec.numInputs);
+    }
 }
 
 void
@@ -31,7 +39,9 @@ VectorEnv::stepAll(const std::vector<Action> &actions)
     for (size_t i = 0; i < lanes_.size(); ++i) {
         if (lanes_[i].done)
             continue;
-        if (!stepLane(i, actions[i]))
+        e3_assert(actions[i].size() >= spec_.actionSize(), "lane ", i,
+                  " needs ", spec_.actionSize(), " action element(s)");
+        if (!stepLane(i, actions[i].data()))
             ++live;
     }
     return live;
@@ -41,19 +51,21 @@ void
 VectorEnv::resetLane(size_t lane)
 {
     Lane &l = lanes_.at(lane);
-    l.observation = l.env->reset(l.rng);
+    const Observation first = l.env->reset(l.rng);
+    e3_assert(first.size() == l.observation.size(), spec_.name,
+              " reset returned ", first.size(), " observation elements");
+    std::copy(first.begin(), first.end(), l.observation.begin());
     l.fitness = 0.0;
     l.steps = 0;
     l.done = false;
 }
 
 E3_HOT bool
-VectorEnv::stepLane(size_t lane, const Action &action)
+VectorEnv::stepLane(size_t lane, const double *action)
 {
-    Lane &l = lanes_.at(lane);
+    Lane &l = lanes_[lane];
     e3_assert(!l.done, "stepLane(", lane, ") on a finished episode");
-    StepResult r = l.env->step(action);
-    l.observation = std::move(r.observation);
+    const StepOutcome r = l.env->stepInto(action, l.observation.data());
     l.fitness += r.reward;
     ++l.steps;
     l.done = r.done || l.steps >= l.env->maxEpisodeSteps();

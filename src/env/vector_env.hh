@@ -53,15 +53,21 @@ class VectorEnv
     void resetLane(size_t lane);
 
     /**
-     * Step one live lane. @pre !done(lane).
+     * Step one live lane, writing the next observation into the
+     * lane's own buffer (no allocation). @pre !done(lane).
+     * @param action spec().actionSize() elements
      * @return true once the lane's episode has ended
      */
-    [[nodiscard]] bool stepLane(size_t lane, const Action &action);
+    [[nodiscard]] bool stepLane(size_t lane, const double *action);
 
     size_t size() const { return lanes_.size(); }
     const EnvSpec &spec() const { return spec_; }
 
-    /** Latest observation of a lane (valid while the lane is live). */
+    /**
+     * Latest observation of a lane (valid while the lane is live). The
+     * buffer is the lane's own, sized once at construction and
+     * overwritten in place by every reset and step.
+     */
     const Observation &observation(size_t lane) const;
 
     /** Whether a lane's episode has ended (terminated or truncated). */
@@ -98,8 +104,8 @@ class VectorEnv
         int steps = 0;
         bool done = true;
 
-        Lane(std::unique_ptr<Environment> e, Rng r)
-            : env(std::move(e)), rng(r)
+        Lane(std::unique_ptr<Environment> e, Rng r, size_t obsSize)
+            : env(std::move(e)), rng(r), observation(obsSize)
         {
         }
     };

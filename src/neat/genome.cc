@@ -1,6 +1,8 @@
 #include "neat/genome.hh"
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
 
 #include "common/logging.hh"
@@ -66,60 +68,54 @@ Genome::toNetworkDef(const NeatConfig &cfg) const
     return def;
 }
 
+namespace {
+
+/**
+ * Compatibility distance between two key-sorted gene maps, in one merge
+ * walk: matching genes add their weighted gene distance in key order,
+ * every unmatched gene counts as disjoint, and the sum is normalized by
+ * the larger map's size.
+ */
+template <typename GeneMap>
+double
+geneMapDistance(const GeneMap &a, const GeneMap &b, const NeatConfig &cfg)
+{
+    if (a.empty() && b.empty())
+        return 0.0;
+    const auto less = a.key_comp();
+    size_t disjoint = 0;
+    double d = 0.0;
+    auto ia = a.begin();
+    auto ib = b.begin();
+    while (ia != a.end() && ib != b.end()) {
+        if (less(ia->first, ib->first)) {
+            ++disjoint;
+            ++ia;
+        } else if (less(ib->first, ia->first)) {
+            ++disjoint;
+            ++ib;
+        } else {
+            d += ia->second.distance(ib->second) *
+                 cfg.compatibilityWeightCoefficient;
+            ++ia;
+            ++ib;
+        }
+    }
+    disjoint += static_cast<size_t>(std::distance(ia, a.end()) +
+                                    std::distance(ib, b.end()));
+    const double maxGenes = static_cast<double>(std::max(a.size(), b.size()));
+    return (d + cfg.compatibilityDisjointCoefficient *
+                    static_cast<double>(disjoint)) /
+           maxGenes;
+}
+
+} // namespace
+
 double
 Genome::distance(const Genome &other, const NeatConfig &cfg) const
 {
-    double nodeDistance = 0.0;
-    if (!nodes.empty() || !other.nodes.empty()) {
-        size_t disjoint = 0;
-        double d = 0.0;
-        for (const auto &[id, gene] : other.nodes) {
-            if (!nodes.count(id))
-                ++disjoint;
-        }
-        for (const auto &[id, gene] : nodes) {
-            auto it = other.nodes.find(id);
-            if (it == other.nodes.end()) {
-                ++disjoint;
-            } else {
-                d += gene.distance(it->second) *
-                     cfg.compatibilityWeightCoefficient;
-            }
-        }
-        const double maxNodes = static_cast<double>(
-            std::max(nodes.size(), other.nodes.size()));
-        nodeDistance =
-            (d + cfg.compatibilityDisjointCoefficient *
-                     static_cast<double>(disjoint)) /
-            maxNodes;
-    }
-
-    double connDistance = 0.0;
-    if (!conns.empty() || !other.conns.empty()) {
-        size_t disjoint = 0;
-        double d = 0.0;
-        for (const auto &[key, gene] : other.conns) {
-            if (!conns.count(key))
-                ++disjoint;
-        }
-        for (const auto &[key, gene] : conns) {
-            auto it = other.conns.find(key);
-            if (it == other.conns.end()) {
-                ++disjoint;
-            } else {
-                d += gene.distance(it->second) *
-                     cfg.compatibilityWeightCoefficient;
-            }
-        }
-        const double maxConns = static_cast<double>(
-            std::max(conns.size(), other.conns.size()));
-        connDistance =
-            (d + cfg.compatibilityDisjointCoefficient *
-                     static_cast<double>(disjoint)) /
-            maxConns;
-    }
-
-    return nodeDistance + connDistance;
+    return geneMapDistance(nodes, other.nodes, cfg) +
+           geneMapDistance(conns, other.conns, cfg);
 }
 
 std::pair<size_t, size_t>

@@ -1,7 +1,11 @@
 #include "runtime/parallel_eval.hh"
 
+#include <algorithm>
+
+#include "common/hot.hh"
 #include "common/logging.hh"
 #include "obs/trace.hh"
+#include "runtime/lane_buffer.hh"
 #include "runtime/task_graph.hh"
 
 namespace e3::runtime {
@@ -14,23 +18,27 @@ ParallelEval::ParallelEval(const RuntimeConfig &cfg) : cfg_(cfg)
 
 ParallelEval::~ParallelEval() = default;
 
-void
-ParallelEval::runLane(const EvalPlan &plan,
+E3_HOT void
+ParallelEval::runLane(const EvalPlan::Policy &policy,
                       std::vector<std::unique_ptr<VectorEnv>> &venvs,
-                      EvalOutcome &out, size_t lane) const
+                      double *action, EvalOutcome &out, size_t lane) const
 {
     // Episode rounds run in order within the lane, exactly like the
     // lockstep path: reset consumes the lane's private stream, then
     // the policy drives the episode to termination or the step cap.
+    // Observation and action live in lane-owned buffers, so a step
+    // touches no allocator.
     obs::TraceSpan span("lane", obs::TraceDetail::Task);
     double sum = 0.0;
     for (size_t e = 0; e < venvs.size(); ++e) {
         VectorEnv &venv = *venvs[e];
         venv.resetLane(lane);
+        const double *observation = venv.observation(lane).data();
         bool finished = venv.done(lane);
-        while (!finished)
-            finished = venv.stepLane(
-                lane, plan.act(lane, venv.observation(lane)));
+        while (!finished) {
+            policy(lane, observation, action);
+            finished = venv.stepLane(lane, action);
+        }
         out.episodeLengths[e][lane] = venv.steps(lane);
         sum += venv.fitness(lane);
     }
@@ -42,7 +50,7 @@ EvalOutcome
 ParallelEval::evaluate(const EvalPlan &plan)
 {
     e3_assert(plan.spec, "evaluation plan needs an environment spec");
-    e3_assert(plan.act, "evaluation plan needs a policy");
+    e3_assert(plan.policy || plan.act, "evaluation plan needs a policy");
     e3_assert(!plan.episodeSeeds.empty(),
               "evaluation plan needs at least one episode round");
     for (const auto &group : plan.groups) {
@@ -67,6 +75,31 @@ ParallelEval::evaluate(const EvalPlan &plan)
     for (uint64_t seed : plan.episodeSeeds)
         venvs.push_back(
             std::make_unique<VectorEnv>(*plan.spec, plan.lanes, seed));
+
+    // One action buffer per lane, written by the policy core and read
+    // by the env's stepInto on every step of every episode round.
+    const size_t actionSize = plan.spec->actionSize();
+    LaneBuffer actions(plan.lanes, actionSize);
+
+    // The vector `act` hook rides the same loop through an adapter
+    // with per-lane observation scratch.
+    EvalPlan::Policy policy = plan.policy;
+    std::vector<Observation> actObs;
+    if (!policy) {
+        actObs.assign(plan.lanes, Observation(plan.spec->numInputs));
+        policy = [&](size_t lane, const double *obs, double *action) {
+            Observation &o = actObs[lane];
+            std::copy(obs, obs + o.size(), o.begin());
+            const Action a = plan.act(lane, o);
+            e3_assert(a.size() >= actionSize, "policy of lane ", lane,
+                      " returned ", a.size(), " action element(s), need ",
+                      actionSize);
+            std::copy(a.begin(), a.begin() + actionSize, action);
+        };
+    }
+    auto runLaneAt = [&](size_t i) {
+        runLane(policy, venvs, actions.lane(i), out, i);
+    };
 
     // Determinism sentinel: fold every lane's stream digest in fixed
     // (episode round, lane) order — independent of which worker ran
@@ -96,7 +129,7 @@ ParallelEval::evaluate(const EvalPlan &plan)
 
     if (!pool_) {
         for (size_t i = 0; i < plan.lanes; ++i)
-            runLane(plan, venvs, out, i);
+            runLaneAt(i);
         if (plan.onGroupDone) {
             for (const auto &group : plan.groups) {
                 obs::TraceSpan span("species_summary",
@@ -112,9 +145,7 @@ ParallelEval::evaluate(const EvalPlan &plan)
     const bool overlap =
         cfg_.asyncOverlap && plan.onGroupDone && !plan.groups.empty();
     if (!overlap) {
-        pool_->parallelFor(plan.lanes, [&](size_t i) {
-            runLane(plan, venvs, out, i);
-        });
+        pool_->parallelFor(plan.lanes, runLaneAt);
         if (plan.onGroupDone) {
             for (const auto &group : plan.groups) {
                 obs::TraceSpan span("species_summary",
@@ -134,7 +165,7 @@ ParallelEval::evaluate(const EvalPlan &plan)
     for (size_t i = 0; i < plan.lanes; ++i) {
         laneTask[i] = graph.add(
             "lane" + std::to_string(i),
-            [&, i] { runLane(plan, venvs, out, i); });
+            [&, i] { runLaneAt(i); });
     }
     for (const auto &group : plan.groups) {
         const TaskGraph::TaskId summary = graph.add(

@@ -55,9 +55,22 @@ struct EvalPlan
     std::vector<uint64_t> episodeSeeds;
 
     /**
-     * Policy of lane i: map an observation to an env action. Called
-     * concurrently for distinct lanes; must not share mutable state
-     * across lanes.
+     * Policy core of lane i: read the lane's observation
+     * (spec->numInputs doubles) and write its env action
+     * (spec->actionSize() doubles) into @p action, a buffer the lane
+     * owns for the whole evaluation. Called once per env step,
+     * concurrently for distinct lanes; must not allocate or share
+     * mutable state across lanes.
+     */
+    using Policy =
+        std::function<void(size_t lane, const double *obs, double *action)>;
+    Policy policy;
+
+    /**
+     * Vector-returning policy hook, for callers that do not need the
+     * allocation-free core. Used only when `policy` is unset:
+     * evaluate() adapts it onto the core at entry, so both run the
+     * same rollout loop.
      */
     std::function<Action(size_t lane, const Observation &obs)> act;
 
@@ -123,9 +136,9 @@ class ParallelEval
     RngAudit auditDeterminism() const { return audit_; }
 
   private:
-    void runLane(const EvalPlan &plan,
+    void runLane(const EvalPlan::Policy &policy,
                  std::vector<std::unique_ptr<VectorEnv>> &venvs,
-                 EvalOutcome &out, size_t lane) const;
+                 double *action, EvalOutcome &out, size_t lane) const;
 
     RuntimeConfig cfg_;
     std::unique_ptr<ThreadPool> pool_; ///< null on the serial path

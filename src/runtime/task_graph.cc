@@ -113,11 +113,16 @@ TaskGraph::run(ThreadPool &pool)
             pool.submit([&execute, next] { execute(next); });
     };
 
-    size_t rootCursor = 0;
+    // Roots are dealt in contiguous blocks of insertion order, so
+    // neighbouring roots (e.g. adjacent lanes) start on one worker.
+    std::vector<TaskId> roots;
     for (TaskId id = 0; id < nodes_.size(); ++id) {
-        if (nodes_[id].indegree != 0)
-            continue;
-        pool.submitTo(rootCursor++ % pool.workerCount(),
+        if (nodes_[id].indegree == 0)
+            roots.push_back(id);
+    }
+    for (size_t r = 0; r < roots.size(); ++r) {
+        const TaskId id = roots[r];
+        pool.submitTo(r * pool.workerCount() / roots.size(),
                       [&execute, id] { execute(id); });
     }
 

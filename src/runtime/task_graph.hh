@@ -36,11 +36,13 @@ class TaskGraph
 
     /**
      * Execute every node on the pool, respecting dependencies; blocks
-     * until all nodes finished. Roots are dealt round-robin in
-     * insertion order (deterministic initial placement). If a node
-     * throws, its transitive dependents are skipped and the first
-     * exception is rethrown after the graph drains. A TaskGraph is
-     * one-shot: run() may be called once.
+     * until all nodes finished. Roots are dealt to workers in
+     * contiguous blocks of insertion order (root r of R starts on
+     * worker r * W / R), a deterministic initial placement that keeps
+     * neighbouring roots on one worker. If a node throws, its
+     * transitive dependents are skipped and the first exception is
+     * rethrown after the graph drains. A TaskGraph is one-shot: run()
+     * may be called once.
      */
     void run(ThreadPool &pool);
 

@@ -174,9 +174,11 @@ ThreadPool::parallelFor(size_t n,
     for (size_t c = 0; c < chunks; ++c) {
         const size_t lo = c * grain;
         const size_t hi = std::min(n, lo + grain);
-        // Deterministic deal: chunk c always starts on deque c % W;
-        // stealing may move it, but results are index-disjoint.
-        submitTo(c % workers_.size(), [&batch, &body, lo, hi] {
+        // Deterministic deal in contiguous blocks: chunk c always
+        // starts on deque c * W / chunks, so neighbouring iterations
+        // (and the state they write) stay on one worker. Stealing may
+        // move a chunk, but results are index-disjoint.
+        submitTo(c * workers_.size() / chunks, [&batch, &body, lo, hi] {
             std::exception_ptr error;
             if (!batch.failed.load(std::memory_order_relaxed)) {
                 try {

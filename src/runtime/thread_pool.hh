@@ -6,11 +6,13 @@
  * individual, each terminating on its own schedule (paper Sec. V-B) —
  * but episode lengths vary wildly (the irregularity of Fig. 4), so a
  * static partition of lanes leaves workers idle behind the longest
- * episodes. Each worker therefore owns a deque: tasks are dealt
- * round-robin at submit time (a deterministic initial placement),
- * owners pop oldest-first, and an idle worker steals from the back of
- * a victim's deque. Stealing only moves *where* a task executes; tasks
- * write disjoint results, so outcomes are schedule-independent.
+ * episodes. Each worker therefore owns a deque: a batch of tasks is
+ * dealt at submit time in contiguous blocks (a deterministic initial
+ * placement that keeps neighbouring tasks, and the neighbouring state
+ * they write, on one worker), owners pop oldest-first, and an idle
+ * worker steals from the back of a victim's deque. Stealing only
+ * moves *where* a task executes; tasks write disjoint results, so
+ * outcomes are schedule-independent.
  *
  * Per-worker counters (tasks run, tasks stolen, idle seconds) feed the
  * utilization accounting in common/stats — the software analogue of
@@ -67,11 +69,12 @@ class ThreadPool
     /**
      * Deterministic fan-out/fan-in: run body(i) for every i in [0, n)
      * and block until all iterations finished. Iterations are chunked
-     * by @p grain, dealt round-robin across the worker deques, and may
-     * be stolen. The caller must ensure iterations write disjoint
-     * state; then the result is identical for every worker count and
-     * schedule. The first exception thrown by an iteration is
-     * rethrown here (remaining iterations may be skipped).
+     * by @p grain and dealt to the worker deques in contiguous blocks
+     * (chunk c of C starts on worker c * W / C); they may be stolen.
+     * The caller must ensure iterations write disjoint state; then the
+     * result is identical for every worker count and schedule. The
+     * first exception thrown by an iteration is rethrown here
+     * (remaining iterations may be skipped).
      */
     void parallelFor(size_t n, const std::function<void(size_t)> &body,
                      size_t grain = 1);

@@ -247,7 +247,8 @@ namespace {
 
 /** One platform run; returns the full generation trace. */
 std::vector<GenerationPoint>
-traceOf(const std::string &env, size_t threads, bool asyncOverlap)
+traceOf(const std::string &env, size_t threads, bool asyncOverlap,
+        BackendKind backend = BackendKind::Cpu)
 {
     ExperimentOptions opt;
     opt.seed = 3;
@@ -256,7 +257,7 @@ traceOf(const std::string &env, size_t threads, bool asyncOverlap)
     opt.maxGenerations = 20;
     opt.threads = threads;
     opt.asyncOverlap = asyncOverlap;
-    return runExperiment(env, BackendKind::Cpu, opt).trace;
+    return runExperiment(env, backend, opt).trace;
 }
 
 void
@@ -307,6 +308,27 @@ TEST(RuntimeDeterminism, LunarLanderTraceIdenticalAcrossThreadCounts)
     }
     expectIdenticalTraces(serial, traceOf("lunar_lander", 4, true),
                           "lunar_lander, 4 threads + async overlap");
+}
+
+TEST(RuntimeDeterminism, MountainCarBlockDealingIdenticalAcrossSchedules)
+{
+    // Lanes are dealt to workers in contiguous blocks whose boundaries
+    // move with the worker count; mountain_car's lanes mostly run to
+    // the step cap, so every block is long and contended. Every
+    // (threads, async) schedule must replay the serial trace.
+    const auto serial =
+        traceOf("mountain_car", 1, false, BackendKind::Inax);
+    ASSERT_FALSE(serial.empty());
+    for (size_t threads : {1u, 2u, 4u, 8u}) {
+        for (bool async : {false, true}) {
+            expectIdenticalTraces(
+                serial,
+                traceOf("mountain_car", threads, async,
+                        BackendKind::Inax),
+                "mountain_car/inax, " + std::to_string(threads) +
+                    " threads" + (async ? " + async overlap" : ""));
+        }
+    }
 }
 
 TEST(RuntimeDeterminism, RngAuditIdenticalAcrossFullRuns)

@@ -43,11 +43,13 @@
  */
 
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cinttypes>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -69,7 +71,31 @@ using namespace e3;
 
 namespace {
 
-/** Tiny --key value parser; fatal() on unknown keys. */
+/** Exit code of a command-line usage error (BSD sysexits EX_USAGE). */
+constexpr int kExitUsage = 64;
+
+void usage(std::FILE *out);
+
+/** Report a bad command line with the usage text and exit 64. */
+template <typename... Parts>
+[[noreturn]] void
+usageError(const Parts &...parts)
+{
+    std::fprintf(stderr, "e3_cli: %s\n",
+                 e3::detail::format(parts...).c_str());
+    usage(stderr);
+    std::exit(kExitUsage);
+}
+
+/** Bounds of the integer options. */
+constexpr long kMaxSeed = std::numeric_limits<long>::max();
+constexpr long kMaxPopulation = 1'000'000;
+constexpr long kMaxEpisodes = 100'000;
+constexpr long kMaxGenerations = 1'000'000;
+constexpr long kMaxThreads = 1024;
+constexpr long kMaxHardwareUnits = 1 << 16;
+
+/** Tiny --key value parser; unknown keys are usage errors. */
 class Args
 {
   public:
@@ -78,7 +104,7 @@ class Args
         for (int i = first; i < argc; ++i) {
             std::string key = argv[i];
             if (key.rfind("--", 0) != 0)
-                e3_fatal("expected --option, got '", key, "'");
+                usageError("expected --option, got '", key, "'");
             key = key.substr(2);
             // A key followed by another --option (or nothing) is a
             // boolean flag, stored as "1": e.g. --quiet.
@@ -102,23 +128,44 @@ class Args
         return fallback;
     }
 
+    /**
+     * An integer option in [lo, hi]. A value that is not a whole
+     * decimal integer, or lies outside the range, is a usage error.
+     */
     long
-    getInt(const std::string &key, long fallback) const
+    getInt(const std::string &key, long fallback, long lo, long hi) const
     {
         auto it = values_.find(key);
         if (it == values_.end())
             return fallback;
         used_.insert(it->first);
-        return std::stol(it->second);
+        const std::string &text = it->second;
+        const char *const end = text.data() + text.size();
+        long value = 0;
+        const auto [stop, error] =
+            std::from_chars(text.data(), end, value);
+        if (error != std::errc() || stop != end || value < lo ||
+            value > hi) {
+            usageError("--", key, " expects an integer in [", lo, ", ",
+                       hi, "], got '", text, "'");
+        }
+        return value;
     }
 
-    /** fatal() on any unconsumed option (catches typos). */
+    /** A 0/1 switch; given bare (`--quiet`) it reads as 1. */
+    bool
+    getFlag(const std::string &key) const
+    {
+        return getInt(key, 0, 0, 1) != 0;
+    }
+
+    /** Usage error on any unconsumed option (catches typos). */
     void
     checkAllUsed() const
     {
         for (const auto &[key, value] : values_) {
             if (!used_.count(key))
-                e3_fatal("unknown option --", key);
+                usageError("unknown option --", key);
         }
     }
 
@@ -176,24 +223,26 @@ cmdRun(const Args &args)
     const std::string backend = parseBackend(args.get("backend", "inax"));
 
     ExperimentOptions options;
-    options.seed = static_cast<uint64_t>(args.getInt("seed", 1));
-    options.populationSize =
-        static_cast<size_t>(args.getInt("pop", 200));
-    options.episodesPerEval =
-        static_cast<size_t>(args.getInt("episodes", 3));
+    options.seed =
+        static_cast<uint64_t>(args.getInt("seed", 1, 0, kMaxSeed));
+    options.populationSize = static_cast<size_t>(
+        args.getInt("pop", 200, 2, kMaxPopulation));
+    options.episodesPerEval = static_cast<size_t>(
+        args.getInt("episodes", 3, 1, kMaxEpisodes));
     options.maxGenerations = static_cast<int>(
-        args.getInt("generations", suiteGenerationBudget(envName)));
-    options.threads =
-        static_cast<size_t>(args.getInt("threads", 1));
-    options.asyncOverlap = args.getInt("async", 0) != 0;
-    options.verifyGenomes = args.getInt("verify", 0) != 0;
+        args.getInt("generations", suiteGenerationBudget(envName), 0,
+                    kMaxGenerations));
+    options.threads = static_cast<size_t>(
+        args.getInt("threads", 1, 1, kMaxThreads));
+    options.asyncOverlap = args.getFlag("async");
+    options.verifyGenomes = args.getFlag("verify");
 
     const EnvSpec &spec = requireEnvSpec(envName);
     InaxConfig inaxCfg = InaxConfig::paperDefault(spec.numOutputs);
-    inaxCfg.numPUs =
-        static_cast<size_t>(args.getInt("pu", inaxCfg.numPUs));
-    inaxCfg.numPEs =
-        static_cast<size_t>(args.getInt("pe", inaxCfg.numPEs));
+    inaxCfg.numPUs = static_cast<size_t>(args.getInt(
+        "pu", static_cast<long>(inaxCfg.numPUs), 1, kMaxHardwareUnits));
+    inaxCfg.numPEs = static_cast<size_t>(args.getInt(
+        "pe", static_cast<long>(inaxCfg.numPEs), 1, kMaxHardwareUnits));
     if (Status valid = inaxCfg.validate(); !valid.ok())
         e3_fatal(valid.message());
     options.inaxConfig = inaxCfg;
@@ -203,11 +252,11 @@ cmdRun(const Args &args)
         options.neatConfigPath = neatConfigPath;
 
     options.checkpointDir = args.get("checkpoint-dir", "");
-    options.checkpointEvery =
-        static_cast<int>(args.getInt("checkpoint-every", 10));
-    options.checkpointKeep =
-        static_cast<int>(args.getInt("checkpoint-keep", 3));
-    options.resume = args.getInt("resume", 0) != 0;
+    options.checkpointEvery = static_cast<int>(
+        args.getInt("checkpoint-every", 10, 0, kMaxGenerations));
+    options.checkpointKeep = static_cast<int>(
+        args.getInt("checkpoint-keep", 3, 1, kMaxGenerations));
+    options.resume = args.getFlag("resume");
     if (options.resume && options.checkpointDir.empty())
         e3_fatal("--resume needs --checkpoint-dir <dir>");
 
@@ -220,7 +269,7 @@ cmdRun(const Args &args)
     const std::string traceDetailName = args.get("trace-detail", "phase");
     const std::string metricsPath = args.get("metrics", "");
     const std::string logLevelName = args.get("log-level", "");
-    const bool quiet = args.getInt("quiet", 0) != 0;
+    const bool quiet = args.getFlag("quiet");
     args.checkAllUsed();
 
     if (!logLevelName.empty()) {
@@ -360,9 +409,10 @@ cmdReplay(const Args &args)
 {
     const std::string envName = args.get("env", "cartpole");
     const std::string genomePath = args.get("genome", "");
-    const auto episodes =
-        static_cast<size_t>(args.getInt("episodes", 3));
-    const auto seed = static_cast<uint64_t>(args.getInt("seed", 1));
+    const auto episodes = static_cast<size_t>(
+        args.getInt("episodes", 3, 1, kMaxEpisodes));
+    const auto seed =
+        static_cast<uint64_t>(args.getInt("seed", 1, 0, kMaxSeed));
     args.checkAllUsed();
     if (genomePath.empty())
         e3_fatal("replay needs --genome <file>");
@@ -523,24 +573,25 @@ cmdVerify(const Args &args)
     const std::string envName = args.get("env", "cartpole");
     const std::string genomePath = args.get("genome", "");
     const std::string checkpointDir = args.get("checkpoint-dir", "");
-    const bool recurrent = args.getInt("recurrent", 0) != 0;
-    const long bits = args.getInt("bits", 0);
-    const long frac = args.getInt("frac", 8);
-    const bool json = args.getInt("json", 0) != 0;
-    const bool strict = args.getInt("strict", 0) != 0;
-    const bool batch = args.getInt("batch", 0) != 0;
-    const long lanes = args.getInt("lanes", 1);
+    const bool recurrent = args.getFlag("recurrent");
+    const long bits = args.getInt("bits", 0, 0, 64);
+    const long frac = args.getInt("frac", 8, 0, 64);
+    const bool json = args.getFlag("json");
+    const bool strict = args.getFlag("strict");
+    const bool batch = args.getFlag("batch");
+    const long lanes = args.getInt("lanes", 1, 1, kMaxPopulation);
     const std::string planPath = args.get("plan", "");
     const std::string dumpPlanPath = args.get("dump-plan", "");
 
     const EnvSpec &spec = requireEnvSpec(envName);
     InaxConfig inaxCfg = InaxConfig::paperDefault(spec.numOutputs);
-    inaxCfg.numPUs =
-        static_cast<size_t>(args.getInt("pu", inaxCfg.numPUs));
-    inaxCfg.numPEs =
-        static_cast<size_t>(args.getInt("pe", inaxCfg.numPEs));
+    inaxCfg.numPUs = static_cast<size_t>(args.getInt(
+        "pu", static_cast<long>(inaxCfg.numPUs), 1, kMaxHardwareUnits));
+    inaxCfg.numPEs = static_cast<size_t>(args.getInt(
+        "pe", static_cast<long>(inaxCfg.numPEs), 1, kMaxHardwareUnits));
     inaxCfg.maxSupportedNodes = static_cast<size_t>(
-        args.getInt("max-nodes", inaxCfg.maxSupportedNodes));
+        args.getInt("max-nodes", static_cast<long>(inaxCfg.maxSupportedNodes),
+                    1, kMaxHardwareUnits));
     if (Status valid = inaxCfg.validate(); !valid.ok())
         e3_fatal(valid.message());
     args.checkAllUsed();
@@ -552,8 +603,6 @@ cmdVerify(const Args &args)
         if (genomePath.empty() && planPath.empty())
             e3_fatal("verify --batch needs --genome <file> and/or "
                      "--plan <file>");
-        if (lanes < 1)
-            e3_fatal("--lanes must be >= 1");
         if (lanes > 1 && genomePath.empty())
             e3_fatal("--lanes needs --genome to replicate");
         return cmdVerifyBatch(spec, verify::interfaceFor(spec, !recurrent),
@@ -716,26 +765,27 @@ cmdServe(const Args &args)
 {
     serve::ServeOptions options;
     options.sources = parseChampionSources(args);
-    options.cacheCapacity =
-        static_cast<size_t>(args.getInt("cache", 8));
-    options.maxBatchSize =
-        static_cast<size_t>(args.getInt("batch", 16));
-    options.maxBatchDelay =
-        std::chrono::microseconds(args.getInt("batch-delay-us", 200));
-    options.maxQueueDepth =
-        static_cast<size_t>(args.getInt("queue", 256));
-    options.threads = static_cast<size_t>(args.getInt("threads", 1));
-    options.strictVerify = args.getInt("strict", 0) != 0;
+    options.cacheCapacity = static_cast<size_t>(
+        args.getInt("cache", 8, 1, kMaxHardwareUnits));
+    options.maxBatchSize = static_cast<size_t>(
+        args.getInt("batch", 16, 1, kMaxHardwareUnits));
+    options.maxBatchDelay = std::chrono::microseconds(
+        args.getInt("batch-delay-us", 200, 0, 10'000'000));
+    options.maxQueueDepth = static_cast<size_t>(
+        args.getInt("queue", 256, 1, kMaxPopulation));
+    options.threads = static_cast<size_t>(
+        args.getInt("threads", 1, 1, kMaxThreads));
+    options.strictVerify = args.getFlag("strict");
 
-    const long port = args.getInt("port", 0);
+    const long port = args.getInt("port", 0, 0, 65535);
     const std::string portFile = args.get("port-file", "");
-    const double serveSeconds =
-        static_cast<double>(args.getInt("serve-seconds", 0));
+    const double serveSeconds = static_cast<double>(
+        args.getInt("serve-seconds", 0, 0, kMaxGenerations));
     const std::string metricsPath = args.get("metrics", "");
     const std::string tracePath = args.get("trace", "");
     const std::string traceDetailName =
         args.get("trace-detail", "task");
-    const bool quiet = args.getInt("quiet", 0) != 0;
+    const bool quiet = args.getFlag("quiet");
     args.checkAllUsed();
 
     if (quiet)
@@ -839,12 +889,13 @@ cmdServe(const Args &args)
 }
 
 void
-usage()
+usage(std::FILE *out)
 {
-    std::printf(
+    std::fprintf(
+        out,
         "usage:\n"
         "  e3_cli list-envs\n"
-        "  e3_cli run --env <name> --backend cpu|cpu-batch|gpu|inax\n"
+        "  e3_cli run --env <name> --backend cpu|gpu|inax\n"
         "         [--pu N] [--pe N] [--pop N] [--generations N]\n"
         "         [--episodes N] [--seed N] [--csv file]\n"
         "         [--threads N] [--async 0|1] [--audit file]\n"
@@ -881,7 +932,7 @@ int
 main(int argc, char **argv)
 {
     if (argc < 2) {
-        usage();
+        usage(stdout);
         return 1;
     }
     const std::string command = argv[1];
@@ -895,6 +946,6 @@ main(int argc, char **argv)
         return cmdVerify(Args(argc, argv, 2));
     if (command == "serve")
         return cmdServe(Args(argc, argv, 2));
-    usage();
+    usage(stdout);
     return 1;
 }
