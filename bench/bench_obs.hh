@@ -3,7 +3,7 @@
  * Shared --trace/--trace-detail/--metrics plumbing for the fig*
  * benches. Header-only so each bench stays one translation unit.
  *
- *   BenchObs bo(argc, argv);      // fatal()s on unknown options
+ *   BenchObs bo(argc, argv);      // usage error (exit 64) on a bad option
  *   bo.start();                   // arm tracing if --trace was given
  *   ...run the bench...
  *   bo.finishTrace();             // write the trace file
@@ -17,6 +17,7 @@
 #include <fstream>
 #include <string>
 
+#include "bench_args.hh"
 #include "common/logging.hh"
 #include "obs/trace.hh"
 
@@ -27,29 +28,23 @@ class BenchObs
   public:
     BenchObs(int argc, char **argv)
     {
-        for (int i = 1; i < argc; ++i) {
-            const std::string key = argv[i];
-            auto value = [&]() -> std::string {
-                if (i + 1 >= argc)
-                    e3_fatal(key, " needs a value");
-                return argv[++i];
-            };
+        ArgReader args(argc, argv,
+                       "[--trace f.json] [--trace-detail phase|task|hw] "
+                       "[--metrics f.csv] [--json f.json]");
+        while (args.next()) {
+            const std::string &key = args.key();
             if (key == "--trace") {
-                tracePath_ = value();
+                tracePath_ = args.value();
             } else if (key == "--trace-detail") {
-                const std::string name = value();
+                const std::string name = args.value();
                 if (!obs::parseTraceDetail(name, detail_))
-                    e3_fatal("unknown trace detail '", name,
-                             "' (phase|task|hw)");
+                    args.fail("unknown trace detail '", name, "'");
             } else if (key == "--metrics") {
-                metricsPath_ = value();
+                metricsPath_ = args.value();
             } else if (key == "--json") {
-                jsonPath_ = value();
+                jsonPath_ = args.value();
             } else {
-                e3_fatal("unknown option ", key,
-                         " (--trace f.json | --trace-detail "
-                         "phase|task|hw | --metrics f.csv | "
-                         "--json f.json)");
+                args.unknown();
             }
         }
     }

@@ -35,6 +35,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "bench_args.hh"
 #include "common/logging.hh"
 #include "common/thread_annotations.hh"
 #include "env/env_registry.hh"
@@ -64,31 +65,27 @@ LoadOptions
 parseArgs(int argc, char **argv)
 {
     LoadOptions opt;
-    for (int i = 1; i < argc; ++i) {
-        const std::string key = argv[i];
-        auto value = [&]() -> std::string {
-            if (i + 1 >= argc)
-                e3_fatal(key, " needs a value");
-            return argv[++i];
-        };
+    ArgReader args(argc, argv,
+                   "[--seconds s] [--rate r] [--connections n] "
+                   "[--batch n] [--threads n] [--cache n] [--out f]");
+    while (args.next()) {
+        const std::string &key = args.key();
         if (key == "--seconds")
-            opt.seconds = std::stod(value());
+            opt.seconds = args.number(0.001, 86400.0);
         else if (key == "--rate")
-            opt.ratePerConnection = std::stod(value());
+            opt.ratePerConnection = args.number(1.0, 1e7);
         else if (key == "--connections")
-            opt.connections = std::stoul(value());
+            opt.connections = args.number<size_t>(1, 1024);
         else if (key == "--batch")
-            opt.batch = std::stoul(value());
+            opt.batch = args.number<size_t>(1, 4096);
         else if (key == "--threads")
-            opt.threads = std::stoul(value());
+            opt.threads = args.number<size_t>(1, 1024);
         else if (key == "--cache")
-            opt.cache = std::stoul(value());
+            opt.cache = args.number<size_t>(1, 1 << 20);
         else if (key == "--out")
-            opt.out = value();
+            opt.out = args.value();
         else
-            e3_fatal("unknown option ", key,
-                     " (--seconds s | --rate r | --connections n | "
-                     "--batch n | --threads n | --cache n | --out f)");
+            args.unknown();
     }
     return opt;
 }

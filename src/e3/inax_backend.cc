@@ -50,10 +50,16 @@ InaxBackend::evaluateSeconds(const GenerationTrace &trace)
     trace.validate();
     e3_assert(!trace.episodes.empty(), "trace without episodes");
 
+    // Each individual's cost comes from the NetStats CreateNet already
+    // computed for it; nothing here re-analyzes a definition.
     std::vector<IndividualCost> costs;
     costs.reserve(trace.defs.size());
-    for (const auto &def : trace.defs)
-        costs.push_back(puIndividualCost(def, cfg_));
+    for (size_t i = 0; i < trace.defs.size(); ++i) {
+        costs.push_back(puIndividualCost(trace.individuals[i],
+                                         trace.defs[i].inputIds.size(),
+                                         trace.defs[i].outputIds.size(),
+                                         cfg_));
+    }
 
     InaxReport generation;
     for (size_t start = 0; start < costs.size(); start += cfg_.numPUs) {
@@ -64,28 +70,12 @@ InaxBackend::evaluateSeconds(const GenerationTrace &trace)
             costs.begin() + static_cast<long>(end));
         debugVerifyBatch(batch, cfg_, trace);
         AcceleratorSession session(cfg_);
-        session.loadBatch(batch);
+        session.loadBatch(std::move(batch));
 
         // Weights stay resident in the PU buffers, so every episode of
         // this generation reuses the one set-up phase.
-        for (const auto &episode : trace.episodes) {
-            std::vector<int> remaining(
-                episode.begin() + static_cast<long>(start),
-                episode.begin() + static_cast<long>(end));
-            bool any = true;
-            while (any) {
-                any = false;
-                std::vector<bool> live(remaining.size());
-                for (size_t i = 0; i < remaining.size(); ++i) {
-                    live[i] = remaining[i] > 0;
-                    any = any || live[i];
-                    if (remaining[i] > 0)
-                        --remaining[i];
-                }
-                if (any)
-                    session.step(live);
-            }
-        }
+        for (const auto &episode : trace.episodes)
+            session.runEpisode(episode.data() + start, end - start);
         generation.merge(session.report());
     }
 

@@ -138,17 +138,20 @@ E3Platform::evaluateFunctional(Population &pop, GenerationTrace &trace,
 
     // CreateNet: decode every genome once per generation, then compile
     // the whole population through the one population-compile entry
-    // point (nn/batch_eval). Plain feed-forward populations run on the
-    // SoA engine under every backend — backends are timing models and
-    // do not pick the host substrate. With quantized deployment
-    // enabled, the loop-over-Network adapter hands back fixed-point
-    // evaluators (the accelerator's datapath view).
+    // point (nn/batch_eval), which analyzes each def once and hands
+    // back its NetStats for the trace, the stats fold and the backend
+    // cost models. Plain feed-forward populations run on the SoA
+    // engine under every backend — backends are timing models and do
+    // not pick the host substrate. With quantized deployment enabled,
+    // the loop-over-Network adapter hands back fixed-point evaluators
+    // (the accelerator's datapath view).
     std::vector<int> keys;
     std::vector<NetworkDef> defs;
     keys.reserve(n);
     defs.reserve(n);
     NetworkCompileOptions compileOpts;
     compileOpts.quantization = cfg_.quantization;
+    std::unique_ptr<BatchNetwork> batch;
     {
         obs::TraceSpan span("createnet");
         for (const auto &[key, genome] : pop.genomes()) {
@@ -177,19 +180,17 @@ E3Platform::evaluateFunctional(Population &pop, GenerationTrace &trace,
                     verifyReport_.merge(std::move(report));
                 }
             }
-            trace.individuals.push_back(computeNetStats(def));
             defs.push_back(std::move(def));
         }
+        Result<std::unique_ptr<BatchNetwork>> compiled = compilePopulation(
+            defs, compileOpts, BatchEngine::Auto, &trace.individuals);
+        // Evolved genomes satisfy the structural invariants by
+        // construction, so a compile failure here is an evolution-loop
+        // bug.
+        e3_assert(compiled.ok(),
+                  "population compile failed: ", compiled.message());
+        batch = std::move(compiled).value();
     }
-
-    Result<std::unique_ptr<BatchNetwork>> compiled =
-        compilePopulation(defs, compileOpts);
-    // Evolved genomes satisfy the structural invariants by
-    // construction, so a compile failure here is an evolution-loop bug.
-    e3_assert(compiled.ok(),
-              "population compile failed: ", compiled.message());
-    const std::unique_ptr<BatchNetwork> batch =
-        std::move(compiled).value();
 
     if (cfg_.verifyGenomes) {
         // The --verify gate, batch side: when the SoA engine compiled
@@ -209,8 +210,7 @@ E3Platform::evaluateFunctional(Population &pop, GenerationTrace &trace,
         }
     }
 
-    for (auto &def : defs)
-        trace.defs.push_back(std::move(def));
+    trace.defs = std::move(defs);
     trace.numInputs = spec_.numInputs;
     trace.numOutputs = spec_.numOutputs;
 
@@ -438,8 +438,8 @@ E3Platform::run()
         result.modeled.add(e3_phase::evaluate, evalSeconds);
         backend_->attributeEnergy(evalSeconds, result.energyInput);
 
-        // --- per-generation stats ---
-        const GenerationStats stats = pop.stats();
+        // --- per-generation stats, from CreateNet's NetStats ---
+        const GenerationStats stats = pop.stats(trace.individuals);
         GenerationPoint point;
         point.generation = gen;
         point.bestFitness = stats.bestFitness;
@@ -456,10 +456,13 @@ E3Platform::run()
         result.generations = gen + 1;
         if (pop.best().fitness >= result.bestFitness ||
             (result.trace.size() == 1 && !bestGenome)) {
-            result.bestFitness = pop.best().fitness;
-            result.bestNetStats = computeNetStats(
-                pop.best().toNetworkDef(neatCfg_));
-            bestGenome = pop.best();
+            const Genome &best = pop.best();
+            const auto lane = std::distance(pop.genomes().begin(),
+                                            pop.genomes().find(best.key()));
+            result.bestFitness = best.fitness;
+            result.bestNetStats =
+                trace.individuals[static_cast<size_t>(lane)];
+            bestGenome = best;
         }
 
         if (pop.solved()) {

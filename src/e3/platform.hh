@@ -207,7 +207,8 @@ class E3Platform
     /**
      * Functionally evaluate the current population through the
      * parallel runtime: one episode round per episodesPerEval, fitness
-     * = mean episode reward. Fills the trace's episode lengths. In
+     * = mean episode reward. Fills the trace's definitions, their
+     * NetStats (genomes() order) and episode lengths. In
      * async-overlap mode, @p summaries receives every species'
      * evaluation summary (computed while the evaluate tail drained);
      * it is left empty otherwise.

@@ -1,8 +1,7 @@
 #include "inax/dataflow.hh"
 
 #include <algorithm>
-#include <map>
-#include <set>
+#include <utility>
 
 #include "inax/schedule.hh"
 #include "nn/layering.hh"
@@ -11,19 +10,14 @@ namespace e3 {
 
 namespace {
 
-/** Egress fan-out per producer (inputs and required nodes). */
-std::map<int, size_t>
-egressCounts(const NetworkDef &def)
+/** Egress fan-out per producer index (inputs and required nodes). */
+std::vector<size_t>
+egressCounts(const NetworkDef &def, const DefAnalysis &a)
 {
-    const std::set<int> required = requiredNodes(def);
-    const std::set<int> inputs(def.inputIds.begin(),
-                               def.inputIds.end());
-    std::map<int, size_t> egress;
-    for (const auto &c : def.conns) {
-        if (!required.count(c.to))
-            continue;
-        if (inputs.count(c.from) || required.count(c.from))
-            ++egress[c.from];
+    std::vector<size_t> egress(a.ids.size(), 0);
+    for (size_t c = 0; c < def.conns.size(); ++c) {
+        if (a.activeConn(c))
+            ++egress[a.connFrom[c]];
     }
     return egress;
 }
@@ -37,43 +31,29 @@ egressCounts(const NetworkDef &def)
  * order.
  */
 uint64_t
-peakLivePartialSums(const NetworkDef &def)
+peakLivePartialSums(const NetworkDef &def, const DefAnalysis &a)
 {
-    const std::set<int> required = requiredNodes(def);
-    const std::set<int> inputs(def.inputIds.begin(),
-                               def.inputIds.end());
-    const auto layers = feedForwardLayers(def);
-
-    // Producer processing order: inputs, then layer by layer.
-    std::vector<int> order(def.inputIds.begin(), def.inputIds.end());
-    for (const auto &layer : layers)
-        order.insert(order.end(), layer.begin(), layer.end());
-
-    std::map<int, size_t> position;
-    for (size_t i = 0; i < order.size(); ++i)
-        position[order[i]] = i;
-
-    // A destination's partial sum is live over [first producer pos,
-    // last producer pos].
-    std::map<int, std::pair<size_t, size_t>> window;
-    for (const auto &c : def.conns) {
-        if (!required.count(c.to))
+    // Producers are processed inputs first, then layer by layer — the
+    // value-slot order, so a producer's position is its slot. A
+    // destination's partial sum is live over [first producer position,
+    // last producer position].
+    constexpr uint32_t kUnfed = DefAnalysis::kNone;
+    std::vector<std::pair<uint32_t, uint32_t>> window(
+        a.ids.size(), {kUnfed, 0});
+    for (size_t c = 0; c < def.conns.size(); ++c) {
+        if (!a.activeConn(c))
             continue;
-        if (!inputs.count(c.from) && !required.count(c.from))
-            continue;
-        const size_t pos = position.at(c.from);
-        auto [it, inserted] =
-            window.try_emplace(c.to, std::make_pair(pos, pos));
-        if (!inserted) {
-            it->second.first = std::min(it->second.first, pos);
-            it->second.second = std::max(it->second.second, pos);
-        }
+        const uint32_t pos = a.slot[a.connFrom[c]];
+        auto &w = window[a.connTo[c]];
+        w.first = std::min(w.first, pos);
+        w.second = std::max(w.second, pos);
     }
 
     uint64_t peak = 0;
-    for (size_t t = 0; t < order.size(); ++t) {
+    const size_t producers = def.inputIds.size() + a.order.size();
+    for (size_t t = 0; t < producers; ++t) {
         uint64_t live = 0;
-        for (const auto &[dst, w] : window)
+        for (const auto &w : window)
             live += (w.first <= t && t <= w.second) ? 1 : 0;
         peak = std::max(peak, live);
     }
@@ -104,8 +84,9 @@ DataflowRequirements
 analyzeInputStationary(const NetworkDef &def, const InaxConfig &cfg)
 {
     assertOk(cfg.validate());
-    const auto net = FeedForwardNetwork::create(def);
-    const auto egress = egressCounts(def);
+    const DefAnalysis &analysis = analyzeDef(def);
+    const auto net = FeedForwardNetwork::create(def, analysis);
+    const std::vector<size_t> egress = egressCounts(def, analysis);
 
     DataflowRequirements req;
     req.name = "input-stationary";
@@ -114,7 +95,7 @@ analyzeInputStationary(const NetworkDef &def, const InaxConfig &cfg)
     // held, so a partial-sum slot must exist for every node the PU can
     // host — not just the ones this network uses.
     req.accumulators = cfg.maxSupportedNodes;
-    req.peakLiveAccumulators = peakLivePartialSums(def);
+    req.peakLiveAccumulators = peakLivePartialSums(def, analysis);
     // Buffer: partial sums for the full capacity plus the held values.
     req.bufferWords = cfg.maxSupportedNodes + net.valueSlots();
 
@@ -122,7 +103,7 @@ analyzeInputStationary(const NetworkDef &def, const InaxConfig &cfg)
     // numPEs partial-sum updates per cycle; activation pipeline per
     // node at the end of its window.
     uint64_t cycles = 0;
-    for (const auto &[producer, count] : egress)
+    for (size_t count : egress)
         cycles += (count + cfg.numPEs - 1) / cfg.numPEs;
     cycles += net.nodeCount() * cfg.pePipelineLatency / cfg.numPEs;
     cycles += net.layers().size() * cfg.layerSyncCycles;
@@ -134,7 +115,8 @@ DataflowRequirements
 analyzeWeightStationary(const NetworkDef &def, const InaxConfig &cfg)
 {
     assertOk(cfg.validate());
-    const auto net = FeedForwardNetwork::create(def);
+    const DefAnalysis &analysis = analyzeDef(def);
+    const auto net = FeedForwardNetwork::create(def, analysis);
 
     DataflowRequirements req;
     req.name = "weight-stationary";
@@ -143,7 +125,7 @@ analyzeWeightStationary(const NetworkDef &def, const InaxConfig &cfg)
     // exactly once per inference, so the array reloads weights
     // ceil(conns / numPEs) times.
     req.accumulators = cfg.maxSupportedNodes;
-    req.peakLiveAccumulators = peakLivePartialSums(def);
+    req.peakLiveAccumulators = peakLivePartialSums(def, analysis);
     req.bufferWords = cfg.maxSupportedNodes + net.valueSlots();
 
     const uint64_t conns = net.connectionCount();

@@ -87,7 +87,7 @@ AcceleratorSession::loadBatch(std::vector<IndividualCost> batch)
 }
 
 void
-AcceleratorSession::step(const std::vector<bool> &live)
+AcceleratorSession::step(const std::vector<bool> &live, uint64_t repeats)
 {
     e3_assert(live.size() == batch_.size(),
               "live mask size ", live.size(), " != batch ",
@@ -109,7 +109,7 @@ AcceleratorSession::step(const std::vector<bool> &live)
         maxInputs = std::max(maxInputs, batch_[i].numInputs);
         maxOutputs = std::max(maxOutputs, batch_[i].numOutputs);
     }
-    if (liveLanes == 0)
+    if (liveLanes == 0 || repeats == 0)
         return; // nothing to do; the CPU would not raise "start"
 
     const uint64_t inCycles =
@@ -117,12 +117,12 @@ AcceleratorSession::step(const std::vector<bool> &live)
     const uint64_t outCycles =
         outputTransferCycles(maxOutputs, liveLanes, cfg_);
 
-    report_.computeCycles += window;
-    report_.ioCycles += inCycles + outCycles;
-    report_.syncCycles += cfg_.stepSyncCycles;
-    ++report_.steps;
+    report_.computeCycles += window * repeats;
+    report_.ioCycles += (inCycles + outCycles) * repeats;
+    report_.syncCycles += cfg_.stepSyncCycles * repeats;
+    report_.steps += repeats;
 
-    if (tracing_) {
+    for (uint64_t r = 0; tracing_ && r < repeats; ++r) {
         // One modeled step window: scatter -> lockstep compute ->
         // gather -> handshake, laid out contiguously on the global
         // modeled-cycle axis. Each live PU's inference span starts at
@@ -163,9 +163,34 @@ AcceleratorSession::step(const std::vector<bool> &live)
 
     // Provisioning charges the whole PU array for the window, and the
     // whole PE array of every PU for the same window.
-    report_.pu.record(puActive, window * cfg_.numPUs);
-    report_.pe.record(peActive,
-                      window * cfg_.numPUs * cfg_.numPEs);
+    report_.pu.record(puActive * repeats,
+                      window * cfg_.numPUs * repeats);
+    report_.pe.record(peActive * repeats,
+                      window * cfg_.numPUs * cfg_.numPEs * repeats);
+}
+
+void
+AcceleratorSession::runEpisode(const int *lengths, size_t count)
+{
+    e3_assert(count == batch_.size(), "episode of ", count,
+              " lanes for a batch of ", batch_.size());
+    // Lane i is live at step t iff lengths[i] > t, so the live mask only
+    // changes at the distinct lengths: each run between two of them is
+    // one step() call repeated over the run.
+    runEnds_.assign(lengths, lengths + count);
+    std::sort(runEnds_.begin(), runEnds_.end());
+    runEnds_.erase(std::unique(runEnds_.begin(), runEnds_.end()),
+                   runEnds_.end());
+    live_.resize(count);
+    int runBegin = 0;
+    for (int runEnd : runEnds_) {
+        if (runEnd <= 0)
+            continue;
+        for (size_t i = 0; i < count; ++i)
+            live_[i] = lengths[i] >= runEnd;
+        step(live_, static_cast<uint64_t>(runEnd - runBegin));
+        runBegin = runEnd;
+    }
 }
 
 InaxReport
@@ -198,27 +223,15 @@ runAccelerator(const std::vector<IndividualCost> &individuals,
             std::min(start + cfg.numPUs, individuals.size());
 
         std::vector<IndividualCost> batch;
-        std::vector<int> remaining;
+        std::vector<int> lengths;
         for (size_t i = start; i < end; ++i) {
             batch.push_back(individuals[order[i]]);
-            remaining.push_back(episodeLengths[order[i]]);
+            lengths.push_back(episodeLengths[order[i]]);
         }
 
         AcceleratorSession session(cfg);
         session.loadBatch(std::move(batch));
-        bool any = true;
-        while (any) {
-            any = false;
-            std::vector<bool> live(remaining.size());
-            for (size_t i = 0; i < remaining.size(); ++i) {
-                live[i] = remaining[i] > 0;
-                any = any || live[i];
-                if (remaining[i] > 0)
-                    --remaining[i];
-            }
-            if (any)
-                session.step(live);
-        }
+        session.runEpisode(lengths.data(), lengths.size());
         total.merge(session.report());
     }
     return total;

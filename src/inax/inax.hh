@@ -80,8 +80,20 @@ class AcceleratorSession
      * One evaluate iteration: every live lane's PU computes; the window
      * closes on the slowest live PU.
      * @param live one flag per loaded lane
+     * @param repeats consecutive iterations with this same mask; the
+     *        report grows by repeats windows (exact: every field is an
+     *        integer count), and a hw-detail trace gets one window each
      */
-    void step(const std::vector<bool> &live);
+    void step(const std::vector<bool> &live, uint64_t repeats = 1);
+
+    /**
+     * One episode round of the loaded batch: lane i stays live for
+     * lengths[i] steps. Equal to calling step() once per iteration
+     * while any lane is live, but one call per run of constant
+     * liveness.
+     * @param count must equal batchSize()
+     */
+    void runEpisode(const int *lengths, size_t count);
 
     const InaxReport &report() const { return report_; }
     const InaxConfig &config() const { return cfg_; }
@@ -94,6 +106,8 @@ class AcceleratorSession
     InaxConfig cfg_;
     std::vector<IndividualCost> batch_;
     InaxReport report_;
+    std::vector<int> runEnds_; ///< runEpisode scratch
+    std::vector<bool> live_;   ///< runEpisode scratch
 
     // Modeled-timeline tracing (hw detail), latched per batch so the
     // per-step fast path is a single bool check when tracing is off.

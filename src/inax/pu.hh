@@ -14,6 +14,7 @@
 #define E3_INAX_PU_HH
 
 #include "inax/schedule.hh"
+#include "nn/net_stats.hh"
 
 namespace e3 {
 
@@ -33,9 +34,17 @@ struct IndividualCost
     uint64_t valueBufferWords = 0;
 };
 
-/** Cost of one individual on an INAX PU. */
+/** Cost of one individual on an INAX PU; panics on a cyclic def. */
 IndividualCost puIndividualCost(const NetworkDef &def,
                                 const InaxConfig &cfg);
+
+/**
+ * The same cost from an acyclic definition's NetStats and arity: the
+ * wave schedule needs only each layer's in-degrees, set-up and buffers
+ * only node and connection counts.
+ */
+IndividualCost puIndividualCost(const NetStats &stats, size_t numInputs,
+                                size_t numOutputs, const InaxConfig &cfg);
 
 } // namespace e3
 

@@ -34,9 +34,9 @@ scheduleInference(const FeedForwardNetwork &net, const InaxConfig &cfg)
 {
     assertOk(cfg.validate());
     InferenceCost cost;
+    std::vector<uint64_t> nodeCycles;
     for (const auto &layer : net.layers()) {
-        std::vector<uint64_t> nodeCycles;
-        nodeCycles.reserve(layer.size());
+        nodeCycles.clear();
         for (const auto &node : layer)
             nodeCycles.push_back(peNodeCycles(node, cfg));
         scheduleLayer(nodeCycles, cfg.numPEs, cost);
@@ -52,9 +52,9 @@ scheduleInference(
 {
     assertOk(cfg.validate());
     InferenceCost cost;
+    std::vector<uint64_t> nodeCycles;
     for (const auto &layer : layerInDegrees) {
-        std::vector<uint64_t> nodeCycles;
-        nodeCycles.reserve(layer.size());
+        nodeCycles.clear();
         for (size_t deg : layer)
             nodeCycles.push_back(peNodeCycles(deg, cfg));
         scheduleLayer(nodeCycles, cfg.numPEs, cost);

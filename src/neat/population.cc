@@ -3,7 +3,6 @@
 #include "neat/reporter.hh"
 
 #include "common/logging.hh"
-#include "nn/net_stats.hh"
 #include "obs/trace.hh"
 
 namespace e3 {
@@ -106,18 +105,32 @@ Population::addReporter(Reporter *reporter)
 GenerationStats
 Population::stats() const
 {
+    std::vector<NetStats> netStats;
+    netStats.reserve(genomes_.size());
+    for (const auto &[key, genome] : genomes_)
+        netStats.push_back(computeNetStats(genome.toNetworkDef(cfg_)));
+    return stats(netStats);
+}
+
+GenerationStats
+Population::stats(const std::vector<NetStats> &netStats) const
+{
+    e3_assert(netStats.size() == genomes_.size(), "stats for ",
+              netStats.size(), " genomes, population holds ",
+              genomes_.size());
     GenerationStats gs;
     gs.generation = generation_;
     gs.numSpecies = species_.count();
 
     double sum = 0.0;
     double best = -1e300;
+    size_t i = 0;
     for (const auto &[key, genome] : genomes_) {
         if (genome.evaluated()) {
             sum += genome.fitness;
             best = std::max(best, genome.fitness);
         }
-        const NetStats ns = computeNetStats(genome.toNetworkDef(cfg_));
+        const NetStats &ns = netStats[i++];
         gs.nodeCounts.add(static_cast<double>(ns.activeNodes));
         gs.connCounts.add(static_cast<double>(ns.activeConnections));
         gs.densities.add(ns.density);

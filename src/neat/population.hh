@@ -17,6 +17,7 @@
 #include "neat/innovation.hh"
 #include "neat/reproduction.hh"
 #include "neat/species.hh"
+#include "nn/net_stats.hh"
 
 namespace e3 {
 
@@ -106,6 +107,12 @@ class Population
 
     /** Structural summary of the current generation (Fig. 2/4 data). */
     GenerationStats stats() const;
+
+    /**
+     * The same summary from NetStats already computed for this
+     * generation, one per genome in genomes() order (CreateNet's).
+     */
+    GenerationStats stats(const std::vector<NetStats> &netStats) const;
 
     /**
      * Attach a non-owning observer, notified after evaluateAll() and

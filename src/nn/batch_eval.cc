@@ -4,6 +4,7 @@
 
 #include "common/hot.hh"
 #include "common/logging.hh"
+#include "nn/layering.hh"
 
 namespace e3 {
 
@@ -186,7 +187,8 @@ checkPlanInvariants(const BatchPlan &plan)
 
 Result<std::unique_ptr<BatchEvaluator>>
 BatchEvaluator::compile(const std::vector<NetworkDef> &defs,
-                        const NetworkCompileOptions &options)
+                        const NetworkCompileOptions &options,
+                        std::vector<NetStats> *stats)
 {
     if (defs.empty())
         return Status::error(
@@ -201,9 +203,14 @@ BatchEvaluator::compile(const std::vector<NetworkDef> &defs,
     auto eval = std::unique_ptr<BatchEvaluator>(new BatchEvaluator());
     eval->plan_.numInputs = defs.front().inputIds.size();
     eval->plan_.numOutputs = defs.front().outputIds.size();
+    if (stats) {
+        stats->clear();
+        stats->reserve(defs.size());
+    }
 
     for (size_t i = 0; i < defs.size(); ++i) {
-        if (Status invariants = checkDefInvariants(defs[i], false);
+        const DefAnalysis &analysis = analyzeDef(defs[i]);
+        if (Status invariants = checkDefInvariants(analysis);
             !invariants.ok()) {
             return Status::error("genome ", i, ": malformed NetworkDef: ",
                                  invariants.message());
@@ -213,7 +220,9 @@ BatchEvaluator::compile(const std::vector<NetworkDef> &defs,
                 eval->plan_.numInputs, eval->plan_.numOutputs);
             !arity.ok())
             return arity;
-        eval->appendLane(FeedForwardNetwork::create(defs[i]));
+        eval->appendLane(defs[i], analysis);
+        if (stats)
+            stats->push_back(netStatsOf(defs[i], analysis));
     }
     eval->plan_.arenaSize = eval->plan_.lanes.back().valueBase +
                             eval->plan_.lanes.back().slotCount;
@@ -238,7 +247,8 @@ BatchEvaluator::compileReplicated(const NetworkDef &def, size_t lanes,
             "networks; use the loop adapter for recurrent or "
             "quantized evaluation");
     }
-    if (Status invariants = checkDefInvariants(def, false);
+    const DefAnalysis &analysis = analyzeDef(def);
+    if (Status invariants = checkDefInvariants(analysis);
         !invariants.ok())
         return Status::error("malformed NetworkDef: ",
                              invariants.message());
@@ -246,7 +256,7 @@ BatchEvaluator::compileReplicated(const NetworkDef &def, size_t lanes,
     auto eval = std::unique_ptr<BatchEvaluator>(new BatchEvaluator());
     eval->plan_.numInputs = def.inputIds.size();
     eval->plan_.numOutputs = def.outputIds.size();
-    eval->appendLane(FeedForwardNetwork::create(def));
+    eval->appendLane(def, analysis);
 
     // One shared program; each further lane is just a fresh region of
     // the value arena (the output-slot table is lane-local, so it is
@@ -268,7 +278,7 @@ BatchEvaluator::compileReplicated(const NetworkDef &def, size_t lanes,
 }
 
 void
-BatchEvaluator::appendLane(const FeedForwardNetwork &net)
+BatchEvaluator::appendLane(const NetworkDef &def, const DefAnalysis &a)
 {
     BatchPlan::LaneProgram p;
     p.segBegin = static_cast<uint32_t>(plan_.segments.size());
@@ -276,44 +286,45 @@ BatchEvaluator::appendLane(const FeedForwardNetwork &net)
                       ? 0
                       : plan_.lanes.back().valueBase +
                             plan_.lanes.back().slotCount;
-    p.slotCount = static_cast<uint32_t>(net.valueSlots());
+    p.slotCount = static_cast<uint32_t>(def.inputIds.size() + a.order.size());
     p.outBase = static_cast<uint32_t>(plan_.outputSlots.size());
 
-    // Flatten in exactly FeedForwardNetwork's execution order — layer
-    // by layer, node by node, link by link — so the fold order (and
-    // thus every intermediate rounding) is preserved bit-for-bit.
-    // Segments merge across layer boundaries when (act, agg) carries
-    // over: the kernels execute in-segment nodes strictly in order, so
-    // a later-layer node reading an earlier node's destination slot is
-    // fine, and a uniform-activation lane collapses to one dispatch.
-    for (const auto &layer : net.layers()) {
-        for (const auto &node : layer) {
-            const bool openNewSegment =
-                plan_.segments.size() == p.segBegin ||
-                plan_.segments.back().act != node.act ||
-                plan_.segments.back().agg != node.agg;
-            if (openNewSegment) {
-                plan_.segments.push_back(
-                    {static_cast<uint32_t>(plan_.nodes.size()),
-                     static_cast<uint32_t>(plan_.nodes.size()),
-                     node.act, node.agg});
-            }
-            BatchPlan::NodeRun run;
-            run.dstSlot = node.slot;
-            run.opBegin = static_cast<uint32_t>(plan_.ops.size());
-            for (const auto &link : node.links)
-                plan_.ops.push_back({link.srcSlot, link.weight});
-            run.opEnd = static_cast<uint32_t>(plan_.ops.size());
-            run.bias = node.bias;
-            plan_.nodes.push_back(run);
-            plan_.segments.back().nodeEnd =
-                static_cast<uint32_t>(plan_.nodes.size());
+    // Emit in FeedForwardNetwork's execution order — layer by layer,
+    // node by node, ingress link by link in def order — so the fold
+    // order (and thus every intermediate rounding) is preserved
+    // bit-for-bit. Segments merge across layer boundaries when (act,
+    // agg) carries over: the kernels execute in-segment nodes strictly
+    // in order, so a later-layer node reading an earlier node's
+    // destination slot is fine, and a uniform-activation lane
+    // collapses to one dispatch.
+    for (uint32_t v : a.order) {
+        const NetworkDef::Node &node = def.nodes[a.nodeAt[v]];
+        const bool openNewSegment =
+            plan_.segments.size() == p.segBegin ||
+            plan_.segments.back().act != node.act ||
+            plan_.segments.back().agg != node.agg;
+        if (openNewSegment) {
+            plan_.segments.push_back(
+                {static_cast<uint32_t>(plan_.nodes.size()),
+                 static_cast<uint32_t>(plan_.nodes.size()), node.act,
+                 node.agg});
         }
+        BatchPlan::NodeRun run;
+        run.dstSlot = a.slot[v];
+        run.opBegin = static_cast<uint32_t>(plan_.ops.size());
+        a.forEachActiveIngress(v, [&](uint32_t c) {
+            plan_.ops.push_back({a.slot[a.connFrom[c]], def.conns[c].weight});
+        });
+        run.opEnd = static_cast<uint32_t>(plan_.ops.size());
+        run.bias = node.bias;
+        plan_.nodes.push_back(run);
+        plan_.segments.back().nodeEnd =
+            static_cast<uint32_t>(plan_.nodes.size());
     }
     p.segEnd = static_cast<uint32_t>(plan_.segments.size());
 
-    for (uint32_t slot : net.outputSlots())
-        plan_.outputSlots.push_back(slot);
+    for (int id : def.outputIds)
+        plan_.outputSlots.push_back(a.slot[a.indexOf(id)]);
 
     plan_.lanes.push_back(p);
 }
@@ -463,7 +474,7 @@ NetworkBatchAdapter::reset()
 Result<std::unique_ptr<BatchNetwork>>
 compilePopulation(const std::vector<NetworkDef> &defs,
                   const NetworkCompileOptions &options,
-                  BatchEngine engine)
+                  BatchEngine engine, std::vector<NetStats> *stats)
 {
     const bool soaCapable = !options.recurrent && !options.quantization;
     if (engine == BatchEngine::Soa && !soaCapable) {
@@ -472,12 +483,17 @@ compilePopulation(const std::vector<NetworkDef> &defs,
             "options");
     }
     if (engine != BatchEngine::PerGenome && soaCapable) {
-        auto soa = BatchEvaluator::compile(defs, options);
+        auto soa = BatchEvaluator::compile(defs, options, stats);
         if (!soa.ok())
             return soa.status();
         return std::unique_ptr<BatchNetwork>(std::move(soa.value()));
     }
 
+    if (stats) {
+        stats->clear();
+        for (const auto &def : defs)
+            stats->push_back(computeNetStats(def));
+    }
     std::vector<std::unique_ptr<Network>> nets;
     nets.reserve(defs.size());
     for (const auto &def : defs) {

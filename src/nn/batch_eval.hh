@@ -34,6 +34,7 @@
 
 #include "common/result.hh"
 #include "nn/compile.hh"
+#include "nn/net_stats.hh"
 #include "nn/network.hh"
 
 namespace e3 {
@@ -170,10 +171,13 @@ class BatchEvaluator : public BatchNetwork
      * Compile one program per definition (a population). All defs must
      * share input/output arity; options must be plain feed-forward
      * (no recurrence, no quantization — use the adapter for those).
+     * Each def is analyzed once; when @p stats is given it receives
+     * every def's NetStats from that same analysis, in defs order.
      */
     static Result<std::unique_ptr<BatchEvaluator>>
     compile(const std::vector<NetworkDef> &defs,
-            const NetworkCompileOptions &options = {});
+            const NetworkCompileOptions &options = {},
+            std::vector<NetStats> *stats = nullptr);
 
     /**
      * Compile one definition shared by @p lanes value lanes — the
@@ -211,8 +215,8 @@ class BatchEvaluator : public BatchNetwork
   private:
     BatchEvaluator() = default;
 
-    /** Flatten one compiled network into the SoA arrays as a lane. */
-    void appendLane(const FeedForwardNetwork &net);
+    /** Emit one analyzed definition into the SoA arrays as a lane. */
+    void appendLane(const NetworkDef &def, const DefAnalysis &analysis);
 
     /**
      * The compiled program. Op is kept as an {slot, weight} pair (one
@@ -274,12 +278,15 @@ enum class BatchEngine
  * The one population-compile entry point: turn a population of
  * definitions into a BatchNetwork. Both the platform's evaluation
  * path and serve go through here, so the batch engine can intercept
- * whole populations regardless of caller.
+ * whole populations regardless of caller. When @p stats is given it
+ * receives every def's NetStats, in defs order; the SoA engine reads
+ * them off the analysis it compiles from.
  */
 Result<std::unique_ptr<BatchNetwork>>
 compilePopulation(const std::vector<NetworkDef> &defs,
                   const NetworkCompileOptions &options = {},
-                  BatchEngine engine = BatchEngine::Auto);
+                  BatchEngine engine = BatchEngine::Auto,
+                  std::vector<NetStats> *stats = nullptr);
 
 /** Same, for one definition replicated across @p lanes lanes. */
 Result<std::unique_ptr<BatchNetwork>>

@@ -1,7 +1,5 @@
 #include "nn/compile.hh"
 
-#include <cmath>
-#include <set>
 #include <utility>
 
 #include "common/logging.hh"
@@ -10,51 +8,20 @@
 namespace e3 {
 
 Status
-checkDefInvariants(const NetworkDef &def, bool recurrent)
+checkDefInvariants(const DefAnalysis &analysis, bool recurrent)
 {
-    std::set<int> inputs;
-    for (int id : def.inputIds) {
-        if (!inputs.insert(id).second)
-            return Status::error("duplicate input id ", id);
-    }
-    std::set<int> nodes;
-    for (const auto &node : def.nodes) {
-        if (!nodes.insert(node.id).second)
-            return Status::error("duplicate node id ", node.id);
-        if (inputs.count(node.id))
-            return Status::error("input id ", node.id,
-                                 " declared as a computed node");
-        if (!std::isfinite(node.bias))
-            return Status::error("non-finite bias on node ", node.id);
-    }
-    for (int id : def.outputIds) {
-        if (!nodes.count(id))
-            return Status::error("output node ", id, " is not defined");
-    }
-    std::set<std::pair<int, int>> conns;
-    for (const auto &conn : def.conns) {
-        if (!conns.insert({conn.from, conn.to}).second)
-            return Status::error("duplicate connection ", conn.from,
-                                 "->", conn.to);
-        if (inputs.count(conn.to) || conn.to < 0)
-            return Status::error("connection ", conn.from, "->",
-                                 conn.to, " targets an input id");
-        if (!nodes.count(conn.to))
-            return Status::error("connection ", conn.from, "->",
-                                 conn.to, " targets undefined node ",
-                                 conn.to);
-        if (!inputs.count(conn.from) && !nodes.count(conn.from))
-            return Status::error("connection ", conn.from, "->",
-                                 conn.to, " reads undefined node ",
-                                 conn.from);
-        if (!std::isfinite(conn.weight))
-            return Status::error("non-finite weight on connection ",
-                                 conn.from, "->", conn.to);
-    }
-    if (!recurrent && !isAcyclic(def))
+    if (!analysis.defect.ok())
+        return analysis.defect;
+    if (!recurrent && !analysis.acyclic)
         return Status::error(
             "connections form a cycle in a feed-forward definition");
     return Status();
+}
+
+Status
+checkDefInvariants(const NetworkDef &def, bool recurrent)
+{
+    return checkDefInvariants(analyzeDef(def), recurrent);
 }
 
 Result<std::unique_ptr<Network>>

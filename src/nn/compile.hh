@@ -60,6 +60,12 @@ compileNetwork(const NetworkDef &def,
  */
 Status checkDefInvariants(const NetworkDef &def, bool recurrent = false);
 
+struct DefAnalysis;
+
+/** The same checks, read off an existing analysis of the def. */
+Status checkDefInvariants(const DefAnalysis &analysis,
+                          bool recurrent = false);
+
 } // namespace e3
 
 #endif // E3_NN_COMPILE_HH

@@ -1,7 +1,6 @@
 #include "nn/dense_equivalent.hh"
 
-#include <map>
-#include <set>
+#include <cstdint>
 
 #include "common/logging.hh"
 #include "nn/layering.hh"
@@ -22,47 +21,42 @@ DenseEquivalent::denseConnections() const
 DenseEquivalent
 denseEquivalent(const NetworkDef &def)
 {
-    const std::set<int> required = requiredNodes(def);
-    const std::set<int> inputs(def.inputIds.begin(), def.inputIds.end());
-    const auto layers = feedForwardLayers(def);
+    const DefAnalysis &a = analyzeDef(def);
+    a.assertAcyclic();
 
     // Layer index per node: inputs at 0, dependency layers at 1..k.
-    std::map<int, size_t> layerOf;
-    for (int id : def.inputIds)
-        layerOf[id] = 0;
-    for (size_t l = 0; l < layers.size(); ++l) {
-        for (int id : layers[l])
-            layerOf[id] = l + 1;
-    }
-
     DenseEquivalent eq;
-    eq.layerSizes.assign(layers.size() + 1, 0);
+    std::vector<size_t> layerOf(a.ids.size(), 0);
+    eq.layerSizes.assign(a.layerCount() + 1, 0);
     eq.layerSizes[0] = def.inputIds.size();
-    for (size_t l = 0; l < layers.size(); ++l) {
-        eq.layerSizes[l + 1] = layers[l].size();
-        eq.realNodes += layers[l].size();
+    for (size_t l = 0; l < a.layerCount(); ++l) {
+        for (uint32_t p = a.layerBegin(l); p != a.layerEnd[l]; ++p)
+            layerOf[a.order[p]] = l + 1;
+        eq.layerSizes[l + 1] = a.layerEnd[l] - a.layerBegin(l);
     }
+    eq.realNodes = a.order.size();
 
     // A value produced in layer L(u) and consumed in layer L(v) > L(u)+1
     // must be relayed by a dummy node in every intermediate layer. Each
     // producer needs at most one relay per layer, up to its furthest
     // consumer.
-    std::map<int, size_t> furthestConsumer;
-    for (const auto &c : def.conns) {
-        if (!required.count(c.to))
+    constexpr size_t kNoConsumer = SIZE_MAX;
+    std::vector<size_t> furthestConsumer(a.ids.size(), kNoConsumer);
+    for (size_t c = 0; c < def.conns.size(); ++c) {
+        if (!a.activeConn(c))
             continue;
-        if (!inputs.count(c.from) && !required.count(c.from))
-            continue;
-        const size_t lv = layerOf.at(c.to);
-        auto [it, inserted] = furthestConsumer.try_emplace(c.from, lv);
-        if (!inserted && lv > it->second)
-            it->second = lv;
+        size_t &far = furthestConsumer[a.connFrom[c]];
+        const size_t lv = layerOf[a.connTo[c]];
+        if (far == kNoConsumer || lv > far)
+            far = lv;
     }
 
-    for (const auto &[u, far] : furthestConsumer) {
-        const size_t lu = layerOf.at(u);
-        e3_assert(far > lu, "connection does not point forward");
-        for (size_t l = lu + 1; l < far; ++l) {
+    for (size_t u = 0; u < a.ids.size(); ++u) {
+        const size_t far = furthestConsumer[u];
+        if (far == kNoConsumer)
+            continue;
+        e3_assert(far > layerOf[u], "connection does not point forward");
+        for (size_t l = layerOf[u] + 1; l < far; ++l) {
             ++eq.layerSizes[l];
             ++eq.dummyNodes;
         }

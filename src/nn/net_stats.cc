@@ -1,60 +1,43 @@
 #include "nn/net_stats.hh"
 
-#include <set>
-
 #include "common/logging.hh"
 #include "nn/layering.hh"
 
 namespace e3 {
 
 NetStats
-computeNetStats(const NetworkDef &def)
+netStatsOf(const NetworkDef &def, const DefAnalysis &a)
 {
     NetStats stats;
-
-    const std::set<int> required = requiredNodes(def);
-    const std::set<int> inputs(def.inputIds.begin(), def.inputIds.end());
-
-    // Cyclic (recurrent) definitions have no dependency layering; all
-    // required nodes form one synchronous wave set per tick.
-    const bool acyclic = isAcyclic(def);
-    std::vector<std::vector<int>> layers;
-    if (acyclic) {
-        layers = feedForwardLayers(def);
+    if (a.acyclic) {
+        stats.layerSizes.reserve(a.layerCount());
+        for (size_t l = 0; l < a.layerCount(); ++l)
+            stats.layerSizes.push_back(a.layerEnd[l] - a.layerBegin(l));
+        stats.inDegrees.reserve(a.order.size());
+        for (uint32_t v : a.order)
+            stats.inDegrees.push_back(a.activeIn[v]);
     } else {
-        layers.emplace_back(required.begin(), required.end());
-    }
-
-    stats.activeNodes = 0;
-    for (const auto &layer : layers) {
-        stats.layerSizes.push_back(layer.size());
-        stats.activeNodes += layer.size();
-    }
-
-    // Count active connections and per-node in-degree.
-    std::vector<size_t> degreeOf;
-    for (const auto &layer : layers) {
-        for (int id : layer) {
-            size_t deg = 0;
-            for (const auto &c : def.conns) {
-                if (c.to != id)
-                    continue;
-                if (inputs.count(c.from) || required.count(c.from))
-                    ++deg;
-            }
-            degreeOf.push_back(deg);
-            stats.activeConnections += deg;
+        // Cyclic (recurrent) definitions have no dependency layering;
+        // all required nodes form one synchronous wave set per tick.
+        for (uint32_t i = 0; i < a.ids.size(); ++i) {
+            if (a.has(i, DefAnalysis::kRequired))
+                stats.inDegrees.push_back(a.activeIn[i]);
         }
+        stats.layerSizes.push_back(stats.inDegrees.size());
     }
-    stats.inDegrees = std::move(degreeOf);
+    stats.activeNodes = stats.inDegrees.size();
+    for (size_t deg : stats.inDegrees)
+        stats.activeConnections += deg;
 
     uint64_t dense = 0;
-    if (acyclic) {
-        std::vector<size_t> denseLayers;
-        denseLayers.push_back(def.inputIds.size());
-        for (size_t s : stats.layerSizes)
-            denseLayers.push_back(s);
-        dense = denseConnectionCount(denseLayers);
+    if (a.acyclic) {
+        // Inputs, then the dependency layers, adjacent layers fully
+        // connected.
+        uint64_t prev = def.inputIds.size();
+        for (size_t s : stats.layerSizes) {
+            dense += prev * static_cast<uint64_t>(s);
+            prev = s;
+        }
     } else {
         // Recurrent counterpart: every node may read every input and
         // every node's previous-tick value.
@@ -66,6 +49,13 @@ computeNetStats(const NetworkDef &def)
                               static_cast<double>(dense)
                         : 0.0;
     return stats;
+}
+
+NetStats
+computeNetStats(const NetworkDef &def)
+{
+    const DefAnalysis &a = analyzeDef(def);
+    return netStatsOf(def, a);
 }
 
 double

@@ -57,6 +57,11 @@ struct NetStats
 /** Compute structural statistics for a network definition. */
 NetStats computeNetStats(const NetworkDef &def);
 
+struct DefAnalysis;
+
+/** The same statistics from an existing analysis of @p def. */
+NetStats netStatsOf(const NetworkDef &def, const DefAnalysis &analysis);
+
 /**
  * Activation density: the fraction of MAC operands that are non-zero
  * when the network runs on random inputs. Sigmoid nets are ~fully

@@ -1,7 +1,5 @@
 #include "nn/network.hh"
 
-#include <map>
-
 #include "common/hot.hh"
 #include "common/logging.hh"
 #include "nn/layering.hh"
@@ -25,74 +23,28 @@ NetworkDef::empty(size_t numInputs, size_t numOutputs)
 FeedForwardNetwork
 FeedForwardNetwork::create(const NetworkDef &def)
 {
-    e3_assert(!def.inputIds.empty(), "network needs at least one input");
-    e3_assert(!def.outputIds.empty(),
-              "network needs at least one output");
+    return create(def, analyzeDef(def));
+}
 
+FeedForwardNetwork
+FeedForwardNetwork::create(const NetworkDef &def, const DefAnalysis &a)
+{
+    a.assertBuildable(def);
+    a.assertAcyclic();
+
+    // Slots: inputs first, then compiled nodes in layer order.
     FeedForwardNetwork net;
     net.numInputs_ = def.inputIds.size();
-
-    // Slot assignment: inputs first, then compiled nodes in layer order.
-    std::map<int, uint32_t> slotOf;
-    for (size_t i = 0; i < def.inputIds.size(); ++i)
-        slotOf[def.inputIds[i]] = static_cast<uint32_t>(i);
-
-    std::map<int, const NetworkDef::Node *> nodeOf;
-    for (const auto &n : def.nodes) {
-        e3_assert(!nodeOf.count(n.id), "duplicate node id ", n.id);
-        nodeOf[n.id] = &n;
+    net.slotCount_ = net.numInputs_ + a.order.size();
+    net.layers_.resize(a.layerCount());
+    for (size_t l = 0; l < a.layerCount(); ++l) {
+        std::vector<EvalNode> &layer = net.layers_[l];
+        layer.reserve(a.layerEnd[l] - a.layerBegin(l));
+        for (uint32_t p = a.layerBegin(l); p != a.layerEnd[l]; ++p)
+            layer.push_back(a.evalNode(def, a.order[p], a.slot));
     }
     for (int id : def.outputIds)
-        e3_assert(nodeOf.count(id), "output node ", id, " missing");
-
-    const auto layerIds = feedForwardLayers(def);
-
-    uint32_t nextSlot = static_cast<uint32_t>(def.inputIds.size());
-    for (const auto &layer : layerIds) {
-        for (int id : layer)
-            slotOf[id] = nextSlot++;
-    }
-    // Outputs pruned as unreachable-from-required still need slots: an
-    // output always exists. (feedForwardLayers keeps them, so this is a
-    // consistency check rather than a fixup.)
-    for (int id : def.outputIds)
-        e3_assert(slotOf.count(id), "output ", id, " was not layered");
-
-    net.slotCount_ = nextSlot;
-
-    // Compile each layer's nodes with their ingress links.
-    const std::set<int> required = requiredNodes(def);
-    std::map<int, std::vector<EvalLink>> linksOf;
-    std::set<int> inputSet(def.inputIds.begin(), def.inputIds.end());
-    for (const auto &c : def.conns) {
-        if (!required.count(c.to))
-            continue;
-        if (!inputSet.count(c.from) && !required.count(c.from))
-            continue;
-        linksOf[c.to].push_back({slotOf.at(c.from), c.weight});
-    }
-
-    for (const auto &layer : layerIds) {
-        std::vector<EvalNode> compiled;
-        compiled.reserve(layer.size());
-        for (int id : layer) {
-            const auto *src = nodeOf.count(id) ? nodeOf.at(id) : nullptr;
-            e3_assert(src, "connection references unknown node ", id);
-            EvalNode en;
-            en.id = id;
-            en.slot = slotOf.at(id);
-            en.bias = src->bias;
-            en.act = src->act;
-            en.agg = src->agg;
-            en.links = linksOf.count(id) ? linksOf.at(id)
-                                         : std::vector<EvalLink>{};
-            compiled.push_back(std::move(en));
-        }
-        net.layers_.push_back(std::move(compiled));
-    }
-
-    for (int id : def.outputIds)
-        net.outputSlots_.push_back(slotOf.at(id));
+        net.outputSlots_.push_back(a.slot[a.indexOf(id)]);
 
     net.values_.assign(net.slotCount_, 0.0);
     return net;

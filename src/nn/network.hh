@@ -56,6 +56,8 @@ struct NetworkDef
     static NetworkDef empty(size_t numInputs, size_t numOutputs);
 };
 
+struct DefAnalysis;
+
 /** One weighted ingress edge of a compiled node. */
 struct EvalLink
 {
@@ -122,6 +124,10 @@ class FeedForwardNetwork : public Network
   public:
     /** Compile a definition (prunes nodes not required for outputs). */
     static FeedForwardNetwork create(const NetworkDef &def);
+
+    /** Same, from an existing analysis of @p def (nn/layering.hh). */
+    static FeedForwardNetwork create(const NetworkDef &def,
+                                     const DefAnalysis &analysis);
 
     /**
      * Run one inference.

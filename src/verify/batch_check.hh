@@ -12,9 +12,10 @@
  * aggregation) inside the dispatch table (E3V304), each lane's output
  * map injective over in-range slots (E3V305), and — when the source
  * definitions are supplied — the whole op/node/segment stream
- * bit-identical to a fresh per-genome reference compile, so fold
- * order and with it every intermediate rounding is proven unchanged
- * (E3V306).
+ * bit-identical to the plan the verifier's own reference layering
+ * (verify/reference_layering.hh) prescribes, so fold order and with it
+ * every intermediate rounding is proven unchanged (E3V306) by code
+ * independent of the compiler under test.
  *
  * Plans also round-trip through a line-oriented text form (doubles at
  * full %.17g precision), which is how the seeded-corrupt fixtures
@@ -40,11 +41,12 @@ namespace e3::verify {
 Report verifyBatchPlanStructure(const BatchPlan &plan);
 
 /**
- * Fold-order equivalence (E3V306): recompile @p defs through the
- * reference SoA compile and require the plan's op/node/segment/output
- * streams to match bit for bit. @p defs is the population in lane
- * order; a single def with a multi-lane plan is treated as a
- * replicated compile. @pre defs structurally clean (they re-compile).
+ * Fold-order equivalence (E3V306): derive the expected plan for @p defs
+ * from the reference layering and require the plan's op/node/segment/
+ * output streams to match bit for bit. @p defs is the population in
+ * lane order; a single def with a multi-lane plan is treated as a
+ * replicated compile. A def with structural errors (verifyNetworkDef)
+ * is itself reported as E3V306.
  */
 Report verifyBatchPlanFold(const BatchPlan &plan,
                            const std::vector<NetworkDef> &defs);

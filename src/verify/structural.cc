@@ -9,7 +9,7 @@
 #include <string>
 #include <vector>
 
-#include "nn/layering.hh"
+#include "verify/reference_layering.hh"
 
 namespace e3::verify {
 
@@ -42,7 +42,7 @@ joinIds(const std::vector<int> &ids)
 /**
  * Node ids from which an output in [0, numOutputs) is reachable over
  * enabled connections (plus the outputs themselves). Mirrors
- * requiredNodes() but over a genome's gene maps.
+ * referenceRequiredNodes() but over a genome's gene maps.
  */
 std::set<int>
 genomeReachable(const Genome &genome, size_t numOutputs)
@@ -316,12 +316,12 @@ verifyNetworkDef(const NetworkDef &def, bool feedForward)
     if (report.hasErrors())
         return report;
 
-    if (feedForward && !isAcyclic(def)) {
+    if (feedForward && !referenceIsAcyclic(def)) {
         report.add(makeDiagnostic(
             rules::kFeedForwardCycle, "",
             "connections form a cycle through required nodes"));
     } else {
-        std::set<int> required = requiredNodes(def);
+        const std::set<int> required = referenceRequiredNodes(def);
         for (const auto &node : def.nodes) {
             if (!required.count(node.id)) {
                 report.add(makeDiagnostic(

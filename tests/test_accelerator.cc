@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hh"
 #include "inax/inax.hh"
 
 namespace e3 {
@@ -165,6 +166,122 @@ TEST(InaxReport, EvaluateControlComplement)
     EXPECT_EQ(report.setupCycles + useful +
                   report.evaluateControlCycles(),
               report.totalCycles());
+}
+
+/** One step() per modeled iteration while any lane is live. */
+InaxReport
+perStepEpisode(const std::vector<IndividualCost> &batch,
+               std::vector<int> remaining, const InaxConfig &cfg)
+{
+    AcceleratorSession session(cfg);
+    session.loadBatch(batch);
+    bool any = true;
+    while (any) {
+        any = false;
+        std::vector<bool> live(remaining.size());
+        for (size_t i = 0; i < remaining.size(); ++i) {
+            live[i] = remaining[i] > 0;
+            any = any || live[i];
+            if (remaining[i] > 0)
+                --remaining[i];
+        }
+        if (any)
+            session.step(live);
+    }
+    return session.report();
+}
+
+InaxReport
+runLengthEpisode(const std::vector<IndividualCost> &batch,
+                 const std::vector<int> &lengths, const InaxConfig &cfg)
+{
+    AcceleratorSession session(cfg);
+    session.loadBatch(batch);
+    session.runEpisode(lengths.data(), lengths.size());
+    return session.report();
+}
+
+void
+expectFieldEqual(const InaxReport &a, const InaxReport &b)
+{
+    EXPECT_EQ(a.setupCycles, b.setupCycles);
+    EXPECT_EQ(a.computeCycles, b.computeCycles);
+    EXPECT_EQ(a.ioCycles, b.ioCycles);
+    EXPECT_EQ(a.syncCycles, b.syncCycles);
+    EXPECT_EQ(a.steps, b.steps);
+    EXPECT_EQ(a.batches, b.batches);
+    EXPECT_EQ(a.pe.activeCycles(), b.pe.activeCycles());
+    EXPECT_EQ(a.pe.provisionedCycles(), b.pe.provisionedCycles());
+    EXPECT_EQ(a.pu.activeCycles(), b.pu.activeCycles());
+    EXPECT_EQ(a.pu.provisionedCycles(), b.pu.provisionedCycles());
+}
+
+/** A random batch of up to @p pus individuals and their lengths. */
+void
+randomBatch(Rng &rng, size_t pus, std::vector<IndividualCost> &batch,
+            std::vector<int> &lengths)
+{
+    batch.clear();
+    lengths.clear();
+    const size_t n = 1 + static_cast<size_t>(rng.uniformInt(uint64_t{pus}));
+    for (size_t i = 0; i < n; ++i) {
+        IndividualCost c = individual(1 + rng.uniformInt(uint64_t{40}));
+        c.peActiveCycles = 1 + rng.uniformInt(c.inferenceCycles);
+        c.numInputs = 1 + static_cast<size_t>(rng.uniformInt(uint64_t{8}));
+        c.numOutputs = 1 + static_cast<size_t>(rng.uniformInt(uint64_t{4}));
+        batch.push_back(c);
+        // Repeated lengths, zero-length (dead) lanes and long tails.
+        const uint64_t longest = rng.uniform() < 0.5 ? 5 : 300;
+        lengths.push_back(rng.uniform() < 0.2
+                              ? 0
+                              : static_cast<int>(rng.uniformInt(longest)));
+    }
+}
+
+TEST(Accelerator, RunLengthEpisodeMatchesPerStepLoop)
+{
+    Rng rng(17);
+    std::vector<IndividualCost> batch;
+    std::vector<int> lengths;
+    for (int trial = 0; trial < 300; ++trial) {
+        const InaxConfig cfg =
+            config(1 + static_cast<size_t>(rng.uniformInt(uint64_t{16})),
+                   1 + static_cast<size_t>(rng.uniformInt(uint64_t{4})));
+        randomBatch(rng, cfg.numPUs, batch, lengths);
+        expectFieldEqual(runLengthEpisode(batch, lengths, cfg),
+                         perStepEpisode(batch, lengths, cfg));
+    }
+}
+
+TEST(Accelerator, RunLengthEpisodeKeepsOneHwWindowPerStep)
+{
+    const auto inferSpans = [](const std::string &json) {
+        size_t count = 0;
+        for (size_t at = json.find("\"infer\""); at != std::string::npos;
+             at = json.find("\"infer\"", at + 1))
+            ++count;
+        return count;
+    };
+    Rng rng(23);
+    std::vector<IndividualCost> batch;
+    std::vector<int> lengths;
+    randomBatch(rng, 8, batch, lengths);
+    lengths.push_back(7); // at least one live lane
+    batch.push_back(individual(9));
+
+    obs::traceStart(obs::TraceDetail::Hw);
+    const InaxReport perStep = perStepEpisode(batch, lengths, config(9));
+    const size_t perStepSpans = inferSpans(obs::traceStopToString());
+    obs::traceStart(obs::TraceDetail::Hw);
+    const InaxReport runLength = runLengthEpisode(batch, lengths, config(9));
+    const size_t runLengthSpans = inferSpans(obs::traceStopToString());
+
+    size_t liveSteps = 0;
+    for (int len : lengths)
+        liveSteps += static_cast<size_t>(std::max(len, 0));
+    EXPECT_EQ(perStepSpans, liveSteps);
+    EXPECT_EQ(runLengthSpans, perStepSpans);
+    expectFieldEqual(runLength, perStep);
 }
 
 } // namespace

@@ -56,8 +56,9 @@ TEST(Layering, UnrequiredHiddenNodeIsPruned)
     const auto def = makeDef(
         {{1, 0, Activation::Sigmoid, Aggregation::Sum}},
         {{-1, 0, 1.0}, {-2, 1, 1.0}});
-    const auto required = requiredNodes(def);
-    EXPECT_EQ(required.count(1), 0u);
+    DefAnalysis analysis;
+    analyzeDef(def, analysis);
+    EXPECT_FALSE(analysis.isRequired(1));
     const auto layers = feedForwardLayers(def);
     ASSERT_EQ(layers.size(), 1u);
     EXPECT_EQ(layers[0], std::vector<int>{0});
@@ -70,10 +71,11 @@ TEST(Layering, RequiredFollowsTransitiveChains)
         {{1, 0, Activation::Sigmoid, Aggregation::Sum},
          {2, 0, Activation::Sigmoid, Aggregation::Sum}},
         {{-1, 2, 1.0}, {2, 1, 1.0}, {1, 0, 1.0}});
-    const auto required = requiredNodes(def);
-    EXPECT_TRUE(required.count(1));
-    EXPECT_TRUE(required.count(2));
-    EXPECT_TRUE(required.count(0));
+    DefAnalysis analysis;
+    analyzeDef(def, analysis);
+    EXPECT_TRUE(analysis.isRequired(1));
+    EXPECT_TRUE(analysis.isRequired(2));
+    EXPECT_TRUE(analysis.isRequired(0));
 }
 
 TEST(Layering, DisconnectedOutputStillLayered)
@@ -82,6 +84,22 @@ TEST(Layering, DisconnectedOutputStillLayered)
     const auto layers = feedForwardLayers(def);
     ASSERT_EQ(layers.size(), 1u);
     EXPECT_EQ(layers[0], std::vector<int>{0});
+}
+
+TEST(Layering, IngressFreeOutputOpensTheFirstLayer)
+{
+    // Output 1 lost its last in-connection while output 0 sits behind
+    // a two-node chain: the ingress-free output is ready at once, so it
+    // executes in the first layer (ids ascending), not the last.
+    NetworkDef def = NetworkDef::empty(2, 2);
+    def.nodes.push_back({2, 0, Activation::Sigmoid, Aggregation::Sum});
+    def.nodes.push_back({3, 0, Activation::Sigmoid, Aggregation::Sum});
+    def.conns = {{-1, 2, 1.0}, {2, 3, 1.0}, {3, 0, 1.0}};
+    const auto layers = feedForwardLayers(def);
+    ASSERT_EQ(layers.size(), 3u);
+    EXPECT_EQ(layers[0], (std::vector<int>{1, 2}));
+    EXPECT_EQ(layers[1], std::vector<int>{3});
+    EXPECT_EQ(layers[2], std::vector<int>{0});
 }
 
 TEST(Layering, MultipleOutputsShareLayers)

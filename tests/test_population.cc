@@ -125,5 +125,55 @@ TEST(Population, EvolutionGrowsStructureOverTime)
     EXPECT_GT(pop.stats().nodeCounts.mean(), startNodes);
 }
 
+TEST(Population, StatsFoldSuppliedNetStatsInGenomeOrder)
+{
+    auto cfg = smallConfig();
+    cfg.fitnessThreshold = 1e9;
+    Population pop(cfg, 9);
+    auto sizeFitness = [](const Genome &g) {
+        return static_cast<double>(g.size().first * 3 + g.size().second);
+    };
+    for (int gen = 0; gen < 6; ++gen) {
+        pop.evaluateAll(sizeFitness);
+        pop.advance();
+    }
+    pop.evaluateAll(sizeFitness);
+
+    // CreateNet's NetStats, one per genome in genomes() order, give
+    // the same summary as recomputing them, bit for bit.
+    std::vector<NetStats> netStats;
+    for (const auto &[key, genome] : pop.genomes())
+        netStats.push_back(computeNetStats(genome.toNetworkDef(cfg)));
+    const GenerationStats supplied = pop.stats(netStats);
+    const GenerationStats recomputed = pop.stats();
+    for (const auto &[a, b] :
+         {std::pair{&supplied.nodeCounts, &recomputed.nodeCounts},
+          std::pair{&supplied.connCounts, &recomputed.connCounts},
+          std::pair{&supplied.densities, &recomputed.densities}}) {
+        EXPECT_EQ(a->count(), b->count());
+        EXPECT_EQ(a->mean(), b->mean());
+        EXPECT_EQ(a->variance(), b->variance());
+        EXPECT_EQ(a->min(), b->min());
+        EXPECT_EQ(a->max(), b->max());
+    }
+    EXPECT_EQ(supplied.bestFitness, recomputed.bestFitness);
+    EXPECT_EQ(supplied.meanFitness, recomputed.meanFitness);
+    EXPECT_EQ(supplied.numSpecies, recomputed.numSpecies);
+
+    // Only the supplied values are folded: doubling every node count
+    // doubles the mean.
+    for (NetStats &ns : netStats)
+        ns.activeNodes *= 2;
+    EXPECT_EQ(pop.stats(netStats).nodeCounts.mean(),
+              2.0 * recomputed.nodeCounts.mean());
+}
+
+TEST(PopulationDeath, StatsRejectMisalignedNetStats)
+{
+    Population pop(smallConfig(), 10);
+    pop.evaluateAll([](const Genome &) { return 1.0; });
+    EXPECT_DEATH(pop.stats(std::vector<NetStats>(3)), "stats for 3");
+}
+
 } // namespace
 } // namespace e3

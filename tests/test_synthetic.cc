@@ -28,9 +28,12 @@ TEST(Synthetic, NetworksAreAcyclicAndFullyRequired)
         const auto def = syntheticIrregularNet(params, rng);
         EXPECT_TRUE(isAcyclic(def));
         // Every hidden node is required (guaranteed in/egress).
-        const auto required = requiredNodes(def);
-        EXPECT_EQ(required.size(),
-                  params.numHidden + params.numOutputs);
+        DefAnalysis analysis;
+        analyzeDef(def, analysis);
+        size_t required = 0;
+        for (int id : analysis.ids)
+            required += analysis.isRequired(id) ? 1 : 0;
+        EXPECT_EQ(required, params.numHidden + params.numOutputs);
     }
 }
 
