@@ -5,8 +5,9 @@
  * Part 1: population inference on the host. The SoA batch engine
  * (nn/batch_eval.hh) compiles the whole population once and folds it
  * with zero per-step allocation; the per-genome baseline is the
- * pre-batching platform shape (one FeedForwardNetwork per genome, the
- * allocating activate() wrapper). The ReLU kernel workload isolates
+ * pre-batching platform shape (one layered network per genome — the
+ * verifier's verify::ReferenceNetwork — and the allocating activate()
+ * wrapper). The ReLU kernel workload isolates
  * the execution substrate the engine replaces; the sigmoid workload is
  * the paper-default end-to-end number (libm exp dominates and is
  * identical scalar math in both paths).
@@ -29,6 +30,7 @@
 #include "e3/synthetic.hh"
 #include "inax/inax.hh"
 #include "nn/batch_eval.hh"
+#include "verify/reference_layering.hh"
 
 using namespace e3;
 
@@ -63,9 +65,9 @@ double
 soaRow(TextTable &table, const char *name,
        const std::vector<NetworkDef> &defs)
 {
-    std::vector<FeedForwardNetwork> nets;
+    std::vector<verify::ReferenceNetwork> nets;
     for (const auto &def : defs)
-        nets.push_back(FeedForwardNetwork::create(def));
+        nets.push_back(verify::ReferenceNetwork::create(def));
     std::vector<double> input(nets[0].numInputs(), 0.5);
 
     auto batch = BatchEvaluator::compile(defs).value();

@@ -14,6 +14,7 @@
 #include "neat/mutation.hh"
 #include "neat/population.hh"
 #include "nn/batch_eval.hh"
+#include "verify/reference_layering.hh"
 
 using namespace e3;
 
@@ -44,10 +45,11 @@ BENCHMARK(BM_IrregularInference)->Arg(10)->Arg(30)->Arg(100);
 
 /**
  * The population-inference pair: same synthetic population once
- * through the pre-batching platform shape (per-genome networks, the
- * allocating activate() wrapper) and once through one SoA
- * activateBatch(). Items = individual inferences, so items/s between
- * the twins is the population-inference speedup the ablation gates on.
+ * through the pre-batching platform shape (the verifier's layered
+ * per-genome ReferenceNetwork, the allocating activate() wrapper) and
+ * once through one SoA activateBatch(). Items = individual inferences,
+ * so items/s between the twins is the population-inference speedup
+ * the ablation gates on.
  *
  * Two workloads: the paper-default sigmoid population measures the
  * end-to-end number (libm exp dominates, and that work is identical
@@ -76,9 +78,9 @@ BM_PopulationInference(benchmark::State &state)
 {
     const auto defs = populationWorkload(
         static_cast<size_t>(state.range(0)), WorkloadSigmoid);
-    std::vector<FeedForwardNetwork> nets;
+    std::vector<verify::ReferenceNetwork> nets;
     for (const auto &def : defs)
-        nets.push_back(FeedForwardNetwork::create(def));
+        nets.push_back(verify::ReferenceNetwork::create(def));
     std::vector<double> input(nets[0].numInputs(), 0.5);
     for (auto _ : state)
         for (auto &net : nets)
@@ -112,9 +114,9 @@ BM_PopulationInferenceKernel(benchmark::State &state)
 {
     const auto defs = populationWorkload(
         static_cast<size_t>(state.range(0)), WorkloadReLU);
-    std::vector<FeedForwardNetwork> nets;
+    std::vector<verify::ReferenceNetwork> nets;
     for (const auto &def : defs)
-        nets.push_back(FeedForwardNetwork::create(def));
+        nets.push_back(verify::ReferenceNetwork::create(def));
     std::vector<double> input(nets[0].numInputs(), 0.5);
     for (auto _ : state)
         for (auto &net : nets)
@@ -238,11 +240,11 @@ BM_InaxSchedule(benchmark::State &state)
 {
     Rng rng(5);
     const auto def = syntheticIrregularNet(paramsWithHidden(30), rng);
-    const auto net = FeedForwardNetwork::create(def);
+    const NetStats stats = computeNetStats(def);
     InaxConfig cfg;
     cfg.numPEs = static_cast<size_t>(state.range(0));
     for (auto _ : state)
-        benchmark::DoNotOptimize(scheduleInference(net, cfg));
+        benchmark::DoNotOptimize(scheduleNetwork(stats, cfg));
 }
 BENCHMARK(BM_InaxSchedule)->Arg(1)->Arg(4)->Arg(16);
 

@@ -5,6 +5,7 @@
 
 #include "inax/schedule.hh"
 #include "nn/layering.hh"
+#include "nn/net_stats.hh"
 
 namespace e3 {
 
@@ -66,17 +67,19 @@ DataflowRequirements
 analyzeOutputStationary(const NetworkDef &def, const InaxConfig &cfg)
 {
     assertOk(cfg.validate());
-    const auto net = FeedForwardNetwork::create(def);
+    const DefAnalysis &analysis = analyzeDef(def);
+    analysis.assertAcyclic();
+    const NetStats stats = netStatsOf(def, analysis);
     DataflowRequirements req;
     req.name = "output-stationary";
     // One accumulator per PE, full stop.
     req.accumulators = cfg.numPEs;
     req.peakLiveAccumulators = std::min<uint64_t>(
-        cfg.numPEs, std::max<size_t>(net.nodeCount(), 1));
+        cfg.numPEs, std::max<size_t>(stats.activeNodes, 1));
     // Value buffer holds every activation (irregular nets may read any
     // earlier value).
-    req.bufferWords = net.valueSlots();
-    req.inferenceCycles = scheduleInference(net, cfg).cycles;
+    req.bufferWords = def.inputIds.size() + stats.activeNodes;
+    req.inferenceCycles = scheduleNetwork(stats, cfg).cycles;
     return req;
 }
 
@@ -85,7 +88,8 @@ analyzeInputStationary(const NetworkDef &def, const InaxConfig &cfg)
 {
     assertOk(cfg.validate());
     const DefAnalysis &analysis = analyzeDef(def);
-    const auto net = FeedForwardNetwork::create(def, analysis);
+    analysis.assertAcyclic();
+    const NetStats stats = netStatsOf(def, analysis);
     const std::vector<size_t> egress = egressCounts(def, analysis);
 
     DataflowRequirements req;
@@ -97,7 +101,8 @@ analyzeInputStationary(const NetworkDef &def, const InaxConfig &cfg)
     req.accumulators = cfg.maxSupportedNodes;
     req.peakLiveAccumulators = peakLivePartialSums(def, analysis);
     // Buffer: partial sums for the full capacity plus the held values.
-    req.bufferWords = cfg.maxSupportedNodes + net.valueSlots();
+    req.bufferWords =
+        cfg.maxSupportedNodes + def.inputIds.size() + stats.activeNodes;
 
     // Cycles: each producer broadcasts to its egress destinations,
     // numPEs partial-sum updates per cycle; activation pipeline per
@@ -105,8 +110,8 @@ analyzeInputStationary(const NetworkDef &def, const InaxConfig &cfg)
     uint64_t cycles = 0;
     for (size_t count : egress)
         cycles += (count + cfg.numPEs - 1) / cfg.numPEs;
-    cycles += net.nodeCount() * cfg.pePipelineLatency / cfg.numPEs;
-    cycles += net.layers().size() * cfg.layerSyncCycles;
+    cycles += stats.activeNodes * cfg.pePipelineLatency / cfg.numPEs;
+    cycles += stats.layerSizes.size() * cfg.layerSyncCycles;
     req.inferenceCycles = std::max<uint64_t>(cycles, 1);
     return req;
 }
@@ -116,7 +121,8 @@ analyzeWeightStationary(const NetworkDef &def, const InaxConfig &cfg)
 {
     assertOk(cfg.validate());
     const DefAnalysis &analysis = analyzeDef(def);
-    const auto net = FeedForwardNetwork::create(def, analysis);
+    analysis.assertAcyclic();
+    const NetStats stats = netStatsOf(def, analysis);
 
     DataflowRequirements req;
     req.name = "weight-stationary";
@@ -126,18 +132,18 @@ analyzeWeightStationary(const NetworkDef &def, const InaxConfig &cfg)
     // ceil(conns / numPEs) times.
     req.accumulators = cfg.maxSupportedNodes;
     req.peakLiveAccumulators = peakLivePartialSums(def, analysis);
-    req.bufferWords = cfg.maxSupportedNodes + net.valueSlots();
+    req.bufferWords =
+        cfg.maxSupportedNodes + def.inputIds.size() + stats.activeNodes;
 
-    const uint64_t conns = net.connectionCount();
     const uint64_t reloadRounds =
-        (conns + cfg.numPEs - 1) / cfg.numPEs;
+        (stats.activeConnections + cfg.numPEs - 1) / cfg.numPEs;
     // Each round: load numPEs weights over the weight channel, then
     // one MAC cycle.
     req.inferenceCycles =
         reloadRounds *
             (1 + cfg.numPEs / cfg.weightChannelWidth) +
-        net.nodeCount() * cfg.pePipelineLatency / cfg.numPEs +
-        net.layers().size() * cfg.layerSyncCycles;
+        stats.activeNodes * cfg.pePipelineLatency / cfg.numPEs +
+        stats.layerSizes.size() * cfg.layerSyncCycles;
     return req;
 }
 

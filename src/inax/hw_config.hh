@@ -58,8 +58,8 @@ struct InaxConfig
      * Zero-skip PE extension (the paper's "activation sparsity ...
      * ripe for future work"): the expected fraction of MAC operands
      * that are non-zero. 1.0 models the paper's baseline PE (every
-     * ingress connection costs a cycle); pass the value measured by
-     * measureActivationDensity() to model PEs that skip zero operands.
+     * ingress connection costs a cycle); pass measureActivationDensity()
+     * of the compiled plan's ops to model PEs that skip zero operands.
      */
     double activationDensity = 1.0;
 

@@ -5,12 +5,6 @@
 namespace e3 {
 
 uint64_t
-peNodeCycles(const EvalNode &node, const InaxConfig &cfg)
-{
-    return peNodeCycles(node.links.size(), cfg);
-}
-
-uint64_t
 peNodeCycles(size_t inDegree, const InaxConfig &cfg)
 {
     // One MAC per ingress connection — reduced by the zero-skip

@@ -13,17 +13,14 @@
 #ifndef E3_INAX_PE_HH
 #define E3_INAX_PE_HH
 
+#include <cstddef>
 #include <cstdint>
 
 #include "inax/hw_config.hh"
-#include "nn/network.hh"
 
 namespace e3 {
 
-/** Cycles for one PE to compute one node's output. */
-uint64_t peNodeCycles(const EvalNode &node, const InaxConfig &cfg);
-
-/** Cycles for a node with the given in-degree (synthetic studies). */
+/** Cycles for one PE to compute a node with the given in-degree. */
 uint64_t peNodeCycles(size_t inDegree, const InaxConfig &cfg);
 
 } // namespace e3

@@ -19,15 +19,7 @@ IndividualCost
 puIndividualCost(const NetStats &stats, size_t numInputs,
                  size_t numOutputs, const InaxConfig &cfg)
 {
-    std::vector<std::vector<size_t>> layerInDegrees;
-    layerInDegrees.reserve(stats.layerSizes.size());
-    auto degree = stats.inDegrees.begin();
-    for (size_t size : stats.layerSizes) {
-        layerInDegrees.emplace_back(degree,
-                                    degree + static_cast<long>(size));
-        degree += static_cast<long>(size);
-    }
-    const InferenceCost inference = scheduleInference(layerInDegrees, cfg);
+    const InferenceCost inference = scheduleNetwork(stats, cfg);
 
     IndividualCost cost;
     cost.inferenceCycles = inference.cycles;

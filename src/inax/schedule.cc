@@ -9,38 +9,36 @@ namespace e3 {
 
 namespace {
 
-/** Wave-schedule one layer's node costs onto n PEs. */
+/** Wave-schedule one layer's node in-degrees onto the PEs, then sync. */
 void
-scheduleLayer(const std::vector<uint64_t> &nodeCycles, size_t numPEs,
+scheduleLayer(const size_t *degrees, size_t count, const InaxConfig &cfg,
               InferenceCost &cost)
 {
-    for (size_t start = 0; start < nodeCycles.size(); start += numPEs) {
-        const size_t end =
-            std::min(start + numPEs, nodeCycles.size());
+    for (size_t start = 0; start < count; start += cfg.numPEs) {
+        const size_t end = std::min(start + cfg.numPEs, count);
         uint64_t waveCycles = 0;
         for (size_t i = start; i < end; ++i) {
-            waveCycles = std::max(waveCycles, nodeCycles[i]);
-            cost.peActiveCycles += nodeCycles[i];
+            const uint64_t nodeCycles = peNodeCycles(degrees[i], cfg);
+            waveCycles = std::max(waveCycles, nodeCycles);
+            cost.peActiveCycles += nodeCycles;
         }
         cost.cycles += waveCycles;
         ++cost.waves;
     }
+    cost.cycles += cfg.layerSyncCycles;
 }
 
 } // namespace
 
 InferenceCost
-scheduleInference(const FeedForwardNetwork &net, const InaxConfig &cfg)
+scheduleNetwork(const NetStats &stats, const InaxConfig &cfg)
 {
     assertOk(cfg.validate());
     InferenceCost cost;
-    std::vector<uint64_t> nodeCycles;
-    for (const auto &layer : net.layers()) {
-        nodeCycles.clear();
-        for (const auto &node : layer)
-            nodeCycles.push_back(peNodeCycles(node, cfg));
-        scheduleLayer(nodeCycles, cfg.numPEs, cost);
-        cost.cycles += cfg.layerSyncCycles;
+    const size_t *degrees = stats.inDegrees.data();
+    for (size_t size : stats.layerSizes) {
+        scheduleLayer(degrees, size, cfg, cost);
+        degrees += size;
     }
     return cost;
 }
@@ -52,14 +50,8 @@ scheduleInference(
 {
     assertOk(cfg.validate());
     InferenceCost cost;
-    std::vector<uint64_t> nodeCycles;
-    for (const auto &layer : layerInDegrees) {
-        nodeCycles.clear();
-        for (size_t deg : layer)
-            nodeCycles.push_back(peNodeCycles(deg, cfg));
-        scheduleLayer(nodeCycles, cfg.numPEs, cost);
-        cost.cycles += cfg.layerSyncCycles;
-    }
+    for (const auto &layer : layerInDegrees)
+        scheduleLayer(layer.data(), layer.size(), cfg, cost);
     return cost;
 }
 

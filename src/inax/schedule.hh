@@ -17,7 +17,7 @@
 #include <cstdint>
 
 #include "inax/hw_config.hh"
-#include "nn/network.hh"
+#include "nn/net_stats.hh"
 
 namespace e3 {
 
@@ -47,11 +47,12 @@ struct InferenceCost
 };
 
 /**
- * Schedule one compiled network onto cfg.numPEs PEs with the
- * output-stationary wave schedule.
+ * Schedule one network onto cfg.numPEs PEs with the output-stationary
+ * wave schedule, reading its dependency layers and per-node in-degrees
+ * off its NetStats.
  */
-InferenceCost scheduleInference(const FeedForwardNetwork &net,
-                                const InaxConfig &cfg);
+InferenceCost scheduleNetwork(const NetStats &stats,
+                              const InaxConfig &cfg);
 
 /**
  * Schedule a synthetic network given only its layer profile: per layer,

@@ -200,9 +200,9 @@ BatchEvaluator::compile(const std::vector<NetworkDef> &defs,
             "quantized evaluation");
     }
 
-    auto eval = std::unique_ptr<BatchEvaluator>(new BatchEvaluator());
-    eval->plan_.numInputs = defs.front().inputIds.size();
-    eval->plan_.numOutputs = defs.front().outputIds.size();
+    BatchPlan plan;
+    plan.numInputs = defs.front().inputIds.size();
+    plan.numOutputs = defs.front().outputIds.size();
     if (stats) {
         stats->clear();
         stats->reserve(defs.size());
@@ -217,22 +217,15 @@ BatchEvaluator::compile(const std::vector<NetworkDef> &defs,
         }
         if (Status arity = checkLaneArity(
                 i, defs[i].inputIds.size(), defs[i].outputIds.size(),
-                eval->plan_.numInputs, eval->plan_.numOutputs);
+                plan.numInputs, plan.numOutputs);
             !arity.ok())
             return arity;
-        eval->appendLane(defs[i], analysis);
+        appendLane(plan, defs[i], analysis, analysis.order,
+                   analysis.slot);
         if (stats)
             stats->push_back(netStatsOf(defs[i], analysis));
     }
-    eval->plan_.arenaSize = eval->plan_.lanes.back().valueBase +
-                            eval->plan_.lanes.back().slotCount;
-    eval->values_.assign(eval->plan_.arenaSize, 0.0);
-#ifndef NDEBUG
-    if (Status sound = checkPlanInvariants(eval->plan_); !sound.ok())
-        e3_panic("population batch plan failed its invariant check: ",
-                 sound.message());
-#endif
-    return eval;
+    return fromPlan(std::move(plan));
 }
 
 Result<std::unique_ptr<BatchEvaluator>>
@@ -253,80 +246,92 @@ BatchEvaluator::compileReplicated(const NetworkDef &def, size_t lanes,
         return Status::error("malformed NetworkDef: ",
                              invariants.message());
 
-    auto eval = std::unique_ptr<BatchEvaluator>(new BatchEvaluator());
-    eval->plan_.numInputs = def.inputIds.size();
-    eval->plan_.numOutputs = def.outputIds.size();
-    eval->appendLane(def, analysis);
-
     // One shared program; each further lane is just a fresh region of
     // the value arena (the output-slot table is lane-local, so it is
     // shared too).
-    const BatchPlan::LaneProgram proto = eval->plan_.lanes.front();
+    BatchPlan plan = feedForwardPlan(def, analysis);
+    const BatchPlan::LaneProgram proto = plan.lanes.front();
     for (size_t lane = 1; lane < lanes; ++lane) {
         BatchPlan::LaneProgram p = proto;
         p.valueBase = static_cast<uint32_t>(lane) * proto.slotCount;
-        eval->plan_.lanes.push_back(p);
+        plan.lanes.push_back(p);
     }
-    eval->plan_.arenaSize = static_cast<size_t>(proto.slotCount) * lanes;
-    eval->values_.assign(eval->plan_.arenaSize, 0.0);
+    plan.arenaSize = static_cast<size_t>(proto.slotCount) * lanes;
+    return fromPlan(std::move(plan));
+}
+
+std::unique_ptr<BatchEvaluator>
+BatchEvaluator::fromPlan(BatchPlan plan)
+{
 #ifndef NDEBUG
-    if (Status sound = checkPlanInvariants(eval->plan_); !sound.ok())
-        e3_panic("replicated batch plan failed its invariant check: ",
+    if (Status sound = checkPlanInvariants(plan); !sound.ok())
+        e3_panic("batch plan failed its invariant check: ",
                  sound.message());
 #endif
+    auto eval = std::unique_ptr<BatchEvaluator>(new BatchEvaluator());
+    eval->values_.assign(plan.arenaSize, 0.0);
+    eval->plan_ = std::move(plan);
     return eval;
 }
 
 void
-BatchEvaluator::appendLane(const NetworkDef &def, const DefAnalysis &a)
+appendLane(BatchPlan &plan, const NetworkDef &def, const DefAnalysis &a,
+           const std::vector<uint32_t> &nodes,
+           const std::vector<uint32_t> &slots)
 {
     BatchPlan::LaneProgram p;
-    p.segBegin = static_cast<uint32_t>(plan_.segments.size());
-    p.valueBase = plan_.lanes.empty()
-                      ? 0
-                      : plan_.lanes.back().valueBase +
-                            plan_.lanes.back().slotCount;
-    p.slotCount = static_cast<uint32_t>(def.inputIds.size() + a.order.size());
-    p.outBase = static_cast<uint32_t>(plan_.outputSlots.size());
+    p.segBegin = static_cast<uint32_t>(plan.segments.size());
+    p.valueBase = static_cast<uint32_t>(plan.arenaSize);
+    p.slotCount = static_cast<uint32_t>(def.inputIds.size() + nodes.size());
+    p.outBase = static_cast<uint32_t>(plan.outputSlots.size());
 
-    // Emit in FeedForwardNetwork's execution order — layer by layer,
-    // node by node, ingress link by link in def order — so the fold
-    // order (and thus every intermediate rounding) is preserved
-    // bit-for-bit. Segments merge across layer boundaries when (act,
-    // agg) carries over: the kernels execute in-segment nodes strictly
-    // in order, so a later-layer node reading an earlier node's
-    // destination slot is fine, and a uniform-activation lane
-    // collapses to one dispatch.
-    for (uint32_t v : a.order) {
+    // Segments merge across layer boundaries when (act, agg) carries
+    // over: the kernels execute in-segment nodes strictly in order, so
+    // a later-layer node reading an earlier node's destination slot is
+    // fine, and a uniform-activation lane collapses to one dispatch.
+    for (uint32_t v : nodes) {
+        e3_assert(a.nodeAt[v] != DefAnalysis::kNone,
+                  "connection references unknown node ", a.ids[v]);
         const NetworkDef::Node &node = def.nodes[a.nodeAt[v]];
         const bool openNewSegment =
-            plan_.segments.size() == p.segBegin ||
-            plan_.segments.back().act != node.act ||
-            plan_.segments.back().agg != node.agg;
+            plan.segments.size() == p.segBegin ||
+            plan.segments.back().act != node.act ||
+            plan.segments.back().agg != node.agg;
         if (openNewSegment) {
-            plan_.segments.push_back(
-                {static_cast<uint32_t>(plan_.nodes.size()),
-                 static_cast<uint32_t>(plan_.nodes.size()), node.act,
+            plan.segments.push_back(
+                {static_cast<uint32_t>(plan.nodes.size()),
+                 static_cast<uint32_t>(plan.nodes.size()), node.act,
                  node.agg});
         }
         BatchPlan::NodeRun run;
-        run.dstSlot = a.slot[v];
-        run.opBegin = static_cast<uint32_t>(plan_.ops.size());
+        run.dstSlot = slots[v];
+        run.opBegin = static_cast<uint32_t>(plan.ops.size());
         a.forEachActiveIngress(v, [&](uint32_t c) {
-            plan_.ops.push_back({a.slot[a.connFrom[c]], def.conns[c].weight});
+            plan.ops.push_back({slots[a.connFrom[c]], def.conns[c].weight});
         });
-        run.opEnd = static_cast<uint32_t>(plan_.ops.size());
+        run.opEnd = static_cast<uint32_t>(plan.ops.size());
         run.bias = node.bias;
-        plan_.nodes.push_back(run);
-        plan_.segments.back().nodeEnd =
-            static_cast<uint32_t>(plan_.nodes.size());
+        plan.nodes.push_back(run);
+        plan.segments.back().nodeEnd =
+            static_cast<uint32_t>(plan.nodes.size());
     }
-    p.segEnd = static_cast<uint32_t>(plan_.segments.size());
+    p.segEnd = static_cast<uint32_t>(plan.segments.size());
 
     for (int id : def.outputIds)
-        plan_.outputSlots.push_back(a.slot[a.indexOf(id)]);
+        plan.outputSlots.push_back(slots[a.indexOf(id)]);
 
-    plan_.lanes.push_back(p);
+    plan.lanes.push_back(p);
+    plan.arenaSize += p.slotCount;
+}
+
+BatchPlan
+feedForwardPlan(const NetworkDef &def, const DefAnalysis &analysis)
+{
+    BatchPlan plan;
+    plan.numInputs = def.inputIds.size();
+    plan.numOutputs = def.outputIds.size();
+    appendLane(plan, def, analysis, analysis.order, analysis.slot);
+    return plan;
 }
 
 E3_HOT void

@@ -15,14 +15,14 @@
  * arena with a disjoint region per lane, which is what makes
  * activateLane() safe to call concurrently for distinct lanes.
  *
- * Fold-order guarantee: per genome, nodes execute in exactly the
- * order FeedForwardNetwork compiles them (layer order, then node
- * order within the layer) and each node folds its ingress ops in
- * exactly FeedForwardNetwork's link order, seeding the accumulator
- * from the first element like Aggregator does. Results are therefore
- * bit-identical to per-genome FeedForwardNetwork::activate() at any
- * batch size and thread count, keeping RngAudit digests and
- * src/verify interval bounds valid unchanged.
+ * Fold-order guarantee: per genome, nodes execute in the analysis's
+ * dependency order (layer order, ids ascending within a layer) and
+ * each node folds its active ingress ops in def order, seeding the
+ * accumulator from the first element like Aggregator does. Results
+ * are therefore bit-identical to the verifier's layered per-genome
+ * evaluator (verify::ReferenceNetwork) at any batch size and thread
+ * count, keeping RngAudit digests and src/verify interval bounds
+ * valid unchanged.
  */
 
 #ifndef E3_NN_BATCH_EVAL_HH
@@ -30,6 +30,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/result.hh"
@@ -146,7 +147,45 @@ struct BatchPlan
     std::vector<Segment> segments;
     std::vector<uint32_t> outputSlots; ///< lane-local output slots
     std::vector<LaneProgram> lanes;
+
+    /** Call @p f(segment, node) per node of @p lane, execution order. */
+    template <typename F>
+    void
+    forEachNode(size_t lane, F &&f) const
+    {
+        for (uint32_t s = lanes[lane].segBegin; s != lanes[lane].segEnd;
+             ++s) {
+            for (uint32_t n = segments[s].nodeBegin;
+                 n != segments[s].nodeEnd; ++n)
+                f(segments[s], nodes[n]);
+        }
+    }
+
+    /** The fold steps of @p node, in fold order. */
+    std::span<const Op>
+    opsOf(const NodeRun &node) const
+    {
+        return {ops.data() + node.opBegin, ops.data() + node.opEnd};
+    }
 };
+
+struct DefAnalysis;
+
+/**
+ * The one lane emitter, shared by the feed-forward and recurrent
+ * compiles: append @p def to @p plan as a lane at the arena's end.
+ * @p nodes are the analysis indices to compute, in execution order;
+ * @p slots maps every index to its lane-local value slot. Each node
+ * folds its active ingress in def order. Panics on an undefined node.
+ */
+void appendLane(BatchPlan &plan, const NetworkDef &def,
+                const DefAnalysis &analysis,
+                const std::vector<uint32_t> &nodes,
+                const std::vector<uint32_t> &slots);
+
+/** The one-lane plan of an acyclic definition from its analysis. */
+BatchPlan feedForwardPlan(const NetworkDef &def,
+                          const DefAnalysis &analysis);
 
 /**
  * Cheap structural soundness check over a compiled plan — the
@@ -213,10 +252,12 @@ class BatchEvaluator : public BatchNetwork
     const BatchPlan *plan() const override { return &plan_; }
 
   private:
+    friend class FeedForwardNetwork;
+
     BatchEvaluator() = default;
 
-    /** Emit one analyzed definition into the SoA arrays as a lane. */
-    void appendLane(const NetworkDef &def, const DefAnalysis &analysis);
+    /** An evaluator running @p plan over a zeroed value arena. */
+    static std::unique_ptr<BatchEvaluator> fromPlan(BatchPlan plan);
 
     /**
      * The compiled program. Op is kept as an {slot, weight} pair (one
@@ -253,9 +294,6 @@ class NetworkBatchAdapter : public BatchNetwork
     size_t lanes() const override { return nets_.size(); }
     size_t numInputs() const override { return numInputs_; }
     size_t numOutputs() const override { return numOutputs_; }
-
-    /** The lane's underlying network (tests, replay introspection). */
-    Network &lane(size_t i) { return *nets_[i]; }
 
   private:
     explicit NetworkBatchAdapter(

@@ -4,6 +4,7 @@
 
 #include "common/logging.hh"
 #include "nn/layering.hh"
+#include "nn/recurrent.hh"
 
 namespace e3 {
 

@@ -16,7 +16,6 @@
 
 #include "common/result.hh"
 #include "nn/quantize.hh"
-#include "nn/recurrent.hh"
 
 namespace e3 {
 

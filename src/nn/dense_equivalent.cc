@@ -7,17 +7,6 @@
 
 namespace e3 {
 
-uint64_t
-DenseEquivalent::denseConnections() const
-{
-    uint64_t total = 0;
-    for (size_t i = 0; i + 1 < layerSizes.size(); ++i) {
-        total += static_cast<uint64_t>(layerSizes[i]) *
-                 static_cast<uint64_t>(layerSizes[i + 1]);
-    }
-    return total;
-}
-
 DenseEquivalent
 denseEquivalent(const NetworkDef &def)
 {

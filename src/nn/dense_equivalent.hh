@@ -18,7 +18,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "nn/network.hh"
+#include "nn/net_stats.hh"
 
 namespace e3 {
 
@@ -42,7 +42,10 @@ struct DenseEquivalent
      * Connections of the dense counterpart: adjacent padded layers fully
      * connected. This is the MAC work a dense accelerator performs.
      */
-    uint64_t denseConnections() const;
+    uint64_t denseConnections() const
+    {
+        return denseConnectionCount(layerSizes);
+    }
 };
 
 /** Build the dense counterpart of a network definition. */

@@ -41,21 +41,6 @@ DefAnalysis::assertBuildable(const NetworkDef &def) const
     }
 }
 
-EvalNode
-DefAnalysis::evalNode(const NetworkDef &def, uint32_t i,
-                      const std::vector<uint32_t> &slots) const
-{
-    e3_assert(nodeAt[i] != kNone, "connection references unknown node ",
-              ids[i]);
-    const NetworkDef::Node &src = def.nodes[nodeAt[i]];
-    EvalNode node{src.id, slots[i], src.bias, src.act, src.agg, {}};
-    node.links.reserve(activeIn[i]);
-    forEachActiveIngress(i, [&](uint32_t c) {
-        node.links.push_back({slots[connFrom[c]], def.conns[c].weight});
-    });
-    return node;
-}
-
 namespace {
 
 /** Group connection positions by @p key index, def order in a group. */

@@ -1,8 +1,9 @@
 /**
  * @file
  * One flat analysis of a NetworkDef, shared by every consumer of its
- * topology: NetStats, FeedForwardNetwork, the SoA batch compiler and
- * checkDefInvariants. A single pass over dense indices of the def's
+ * topology: NetStats (and through them the INAX models),
+ * checkDefInvariants and the lane emitter behind every compiled form
+ * (appendLane). A single pass over dense indices of the def's
  * sorted ids marks required nodes with a reverse walk and layers them
  * with a level-by-level Kahn pass, following neat-python's
  * feed_forward_layers: layer k holds every required non-input node
@@ -88,13 +89,6 @@ struct DefAnalysis
                 f(ingress[k]);
         }
     }
-
-    /**
-     * Index @p i compiled as an evaluator node: its attributes and its
-     * active ingress links in def order, reading value slots @p slots.
-     */
-    EvalNode evalNode(const NetworkDef &def, uint32_t i,
-                      const std::vector<uint32_t> &slots) const;
 
     /** Panic naming the first unplaceable node unless acyclic. */
     void assertAcyclic() const;

@@ -1,6 +1,7 @@
 #include "nn/net_stats.hh"
 
 #include "common/logging.hh"
+#include "nn/batch_eval.hh"
 #include "nn/layering.hh"
 
 namespace e3 {
@@ -64,33 +65,24 @@ measureActivationDensity(FeedForwardNetwork &net, size_t samples,
 {
     e3_assert(samples > 0, "need at least one sample");
 
-    uint64_t totalMacs = 0;
     uint64_t liveMacs = 0;
-    std::vector<double> values(net.valueSlots(), 0.0);
+    const std::vector<BatchPlan::Op> &ops = net.plan().ops;
     std::vector<double> inputs(net.numInputs());
+    std::vector<double> outputs(net.numOutputs());
 
     for (size_t s = 0; s < samples; ++s) {
         for (auto &x : inputs)
             x = rng.uniform(-1.0, 1.0);
-        for (size_t i = 0; i < inputs.size(); ++i)
-            values[i] = inputs[i];
-        // Re-run the layer evaluation here so per-link operand values
-        // are observable (FeedForwardNetwork only exposes outputs).
-        for (const auto &layer : net.layers()) {
-            for (const auto &node : layer) {
-                Aggregator agg(node.agg);
-                for (const auto &link : node.links) {
-                    const double v = values[link.srcSlot];
-                    ++totalMacs;
-                    // e3-lint: float-eq-ok -- exact zero-skip check, not a tolerance bug
-                    liveMacs += v != 0.0 ? 1 : 0;
-                    agg.add(v * link.weight);
-                }
-                values[node.slot] = applyActivation(
-                    node.act, agg.result() + node.bias);
-            }
+        net.activateInto(inputs.data(), outputs.data());
+        // Every slot is written once per inference, so the value array
+        // afterwards holds exactly the operand each op multiplied.
+        const std::span<const double> values = net.values();
+        for (const BatchPlan::Op &op : ops) {
+            // e3-lint: float-eq-ok -- exact zero-skip check, not a tolerance bug
+            liveMacs += values[op.srcSlot] != 0.0 ? 1 : 0;
         }
     }
+    const uint64_t totalMacs = samples * ops.size();
     if (totalMacs == 0)
         return 1.0;
     return static_cast<double>(liveMacs) /

@@ -2,6 +2,7 @@
 
 #include "common/hot.hh"
 #include "common/logging.hh"
+#include "nn/batch_eval.hh"
 #include "nn/layering.hh"
 
 namespace e3 {
@@ -20,33 +21,21 @@ NetworkDef::empty(size_t numInputs, size_t numOutputs)
     return def;
 }
 
+FeedForwardNetwork::FeedForwardNetwork() = default;
+FeedForwardNetwork::FeedForwardNetwork(FeedForwardNetwork &&) noexcept =
+    default;
+FeedForwardNetwork &
+FeedForwardNetwork::operator=(FeedForwardNetwork &&) noexcept = default;
+FeedForwardNetwork::~FeedForwardNetwork() = default;
+
 FeedForwardNetwork
 FeedForwardNetwork::create(const NetworkDef &def)
 {
-    return create(def, analyzeDef(def));
-}
-
-FeedForwardNetwork
-FeedForwardNetwork::create(const NetworkDef &def, const DefAnalysis &a)
-{
+    const DefAnalysis &a = analyzeDef(def);
     a.assertBuildable(def);
     a.assertAcyclic();
-
-    // Slots: inputs first, then compiled nodes in layer order.
     FeedForwardNetwork net;
-    net.numInputs_ = def.inputIds.size();
-    net.slotCount_ = net.numInputs_ + a.order.size();
-    net.layers_.resize(a.layerCount());
-    for (size_t l = 0; l < a.layerCount(); ++l) {
-        std::vector<EvalNode> &layer = net.layers_[l];
-        layer.reserve(a.layerEnd[l] - a.layerBegin(l));
-        for (uint32_t p = a.layerBegin(l); p != a.layerEnd[l]; ++p)
-            layer.push_back(a.evalNode(def, a.order[p], a.slot));
-    }
-    for (int id : def.outputIds)
-        net.outputSlots_.push_back(a.slot[a.indexOf(id)]);
-
-    net.values_.assign(net.slotCount_, 0.0);
+    net.lane_ = BatchEvaluator::fromPlan(feedForwardPlan(def, a));
     return net;
 }
 
@@ -63,41 +52,37 @@ Network::activate(const std::vector<double> &inputs)
 E3_HOT void
 FeedForwardNetwork::activateInto(const double *inputs, double *outputs)
 {
-    for (size_t i = 0; i < numInputs_; ++i)
-        values_[i] = inputs[i];
-
-    for (const auto &layer : layers_) {
-        for (const auto &node : layer) {
-            Aggregator agg(node.agg);
-            for (const auto &link : node.links)
-                agg.add(values_[link.srcSlot] * link.weight);
-            values_[node.slot] =
-                applyActivation(node.act, agg.result() + node.bias);
-        }
-    }
-
-    for (size_t o = 0; o < outputSlots_.size(); ++o)
-        outputs[o] = values_[outputSlots_[o]];
+    lane_->BatchEvaluator::activateLane(0, inputs, outputs);
 }
 
 size_t
-FeedForwardNetwork::nodeCount() const
+FeedForwardNetwork::numInputs() const
 {
-    size_t n = 0;
-    for (const auto &layer : layers_)
-        n += layer.size();
-    return n;
+    return lane_->numInputs();
 }
 
-uint64_t
-FeedForwardNetwork::connectionCount() const
+size_t
+FeedForwardNetwork::numOutputs() const
 {
-    uint64_t n = 0;
-    for (const auto &layer : layers_) {
-        for (const auto &node : layer)
-            n += node.links.size();
-    }
-    return n;
+    return lane_->numOutputs();
+}
+
+size_t
+FeedForwardNetwork::valueSlots() const
+{
+    return lane_->values_.size();
+}
+
+std::span<const double>
+FeedForwardNetwork::values() const
+{
+    return lane_->values_; // one lane: the whole arena
+}
+
+const BatchPlan &
+FeedForwardNetwork::plan() const
+{
+    return *lane_->plan();
 }
 
 } // namespace e3

@@ -9,17 +9,18 @@
  * (-1..-n), output nodes are 0..o-1, and hidden nodes are >= o. Inputs
  * are pure value sources and carry no bias/activation.
  *
- * FeedForwardNetwork is the compiled form: connections are pruned to the
- * nodes actually required for the outputs, nodes are partitioned into
- * dependency layers (every node's sources live in strictly earlier
- * layers), and activate() runs inference over a flat value array. The
- * layer structure is exactly what the INAX model schedules onto PEs.
+ * FeedForwardNetwork is the one-network view of the compiled form: a
+ * one-lane SoA plan (nn/batch_eval.hh) holding only the nodes required
+ * for the outputs, in dependency order, over a flat value array. The
+ * INAX model schedules the same analysis's layers (NetStats).
  */
 
 #ifndef E3_NN_NETWORK_HH
 #define E3_NN_NETWORK_HH
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "nn/activations.hh"
@@ -54,26 +55,6 @@ struct NetworkDef
 
     /** Convenience: a def with standard ids and no hidden nodes. */
     static NetworkDef empty(size_t numInputs, size_t numOutputs);
-};
-
-struct DefAnalysis;
-
-/** One weighted ingress edge of a compiled node. */
-struct EvalLink
-{
-    uint32_t srcSlot; ///< index into the value array
-    double weight;
-};
-
-/** One compiled (non-input, required) node. */
-struct EvalNode
-{
-    int id;           ///< original node id
-    uint32_t slot;    ///< value-array slot this node writes
-    double bias;
-    Activation act;
-    Aggregation agg;
-    std::vector<EvalLink> links; ///< ingress connections
 };
 
 /**
@@ -112,22 +93,28 @@ class Network
     virtual size_t numOutputs() const = 0;
 };
 
+class BatchEvaluator;
+struct BatchPlan;
+
 /**
- * Compiled irregular feed-forward network.
- *
- * Invariants: layer k nodes only read slots written by inputs or layers
- * < k; every output id has a slot (an output never reached by any
+ * Compiled irregular feed-forward network: a one-lane view over the
+ * SoA batch engine, for callers that evaluate one network at a time.
+ * Every output id has a slot (an output never reached by any
  * connection still exists and emits its activated bias).
  */
 class FeedForwardNetwork : public Network
 {
   public:
-    /** Compile a definition (prunes nodes not required for outputs). */
+    /**
+     * Compile a definition (prunes nodes not required for the
+     * outputs). Panics on a def no evaluator can build: missing inputs
+     * or outputs, duplicate node ids, an undefined output or a cycle.
+     */
     static FeedForwardNetwork create(const NetworkDef &def);
 
-    /** Same, from an existing analysis of @p def (nn/layering.hh). */
-    static FeedForwardNetwork create(const NetworkDef &def,
-                                     const DefAnalysis &analysis);
+    FeedForwardNetwork(FeedForwardNetwork &&) noexcept;
+    FeedForwardNetwork &operator=(FeedForwardNetwork &&) noexcept;
+    ~FeedForwardNetwork() override;
 
     /**
      * Run one inference.
@@ -136,46 +123,27 @@ class FeedForwardNetwork : public Network
      */
     void activateInto(const double *inputs, double *outputs) override;
 
-    size_t numInputs() const override { return numInputs_; }
-    size_t numOutputs() const override { return outputSlots_.size(); }
-
-    /** Dependency layers, in execution order. */
-    const std::vector<std::vector<EvalNode>> &layers() const
-    {
-        return layers_;
-    }
-
-    /** Active (post-pruning) non-input node count. */
-    size_t nodeCount() const;
-
-    /** Active connection count == MAC operations per inference. */
-    uint64_t connectionCount() const;
+    size_t numInputs() const override;
+    size_t numOutputs() const override;
 
     /** Total value-array slots (inputs + compiled nodes). */
-    size_t valueSlots() const { return slotCount_; }
-
-    /** Value-array slot of each output, in outputIds order. */
-    const std::vector<uint32_t> &outputSlots() const
-    {
-        return outputSlots_;
-    }
+    size_t valueSlots() const;
 
     /**
      * The value array of the most recent activate() call: input slots
-     * first, then one slot per compiled node. Indexed exactly like the
-     * verifier's networkValueBounds(), which is what makes per-node
-     * bound checks possible from the outside.
+     * first, then one slot per compiled node (DefAnalysis::slot).
+     * Indexed exactly like the verifier's networkValueBounds(), which
+     * is what makes per-node bound checks possible from the outside.
      */
-    const std::vector<double> &values() const { return values_; }
+    std::span<const double> values() const;
+
+    /** The compiled one-lane program. */
+    const BatchPlan &plan() const;
 
   private:
-    FeedForwardNetwork() = default;
+    FeedForwardNetwork();
 
-    size_t numInputs_ = 0;
-    size_t slotCount_ = 0;
-    std::vector<std::vector<EvalNode>> layers_;
-    std::vector<uint32_t> outputSlots_;
-    std::vector<double> values_;
+    std::unique_ptr<BatchEvaluator> lane_;
 };
 
 } // namespace e3

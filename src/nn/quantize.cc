@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/logging.hh"
+#include "nn/batch_eval.hh"
 
 namespace e3 {
 
@@ -71,18 +72,9 @@ quantizeDef(const NetworkDef &def, const FixedPointFormat &format)
 
 QuantizedNetwork::QuantizedNetwork(FeedForwardNetwork net,
                                    FixedPointFormat format)
-    : net_(std::move(net)), format_(format)
+    : net_(std::move(net)), format_(format),
+      values_(net_.valueSlots(), 0.0)
 {
-    values_.assign(net_.valueSlots(), 0.0);
-    // Output slots: the nodes with ids 0..numOutputs-1.
-    outputSlots_.assign(net_.numOutputs(), 0);
-    for (const auto &layer : net_.layers()) {
-        for (const auto &node : layer) {
-            if (node.id >= 0 &&
-                node.id < static_cast<int>(net_.numOutputs()))
-                outputSlots_[static_cast<size_t>(node.id)] = node.slot;
-        }
-    }
 }
 
 QuantizedNetwork
@@ -97,25 +89,23 @@ QuantizedNetwork::create(const NetworkDef &def,
 void
 QuantizedNetwork::activateInto(const double *inputs, double *outputs)
 {
-    for (size_t i = 0; i < net_.numInputs(); ++i)
+    const BatchPlan &plan = net_.plan();
+    for (size_t i = 0; i < plan.numInputs; ++i)
         values_[i] = format_.quantize(inputs[i]);
 
-    for (const auto &layer : net_.layers()) {
-        for (const auto &node : layer) {
-            // Full-precision accumulation (wide DSP accumulator), then
-            // quantize the activated output as it enters the value
-            // buffer.
-            Aggregator agg(node.agg);
-            for (const auto &link : node.links)
-                agg.add(values_[link.srcSlot] * link.weight);
-            const double activated =
-                applyActivation(node.act, agg.result() + node.bias);
-            values_[node.slot] = format_.quantize(activated);
-        }
-    }
+    plan.forEachNode(0, [&](const BatchPlan::Segment &seg,
+                            const BatchPlan::NodeRun &node) {
+        // Full-precision accumulation (wide DSP accumulator), then
+        // quantize the activated output as it enters the value buffer.
+        Aggregator agg(seg.agg);
+        for (const BatchPlan::Op &op : plan.opsOf(node))
+            agg.add(values_[op.srcSlot] * op.weight);
+        values_[node.dstSlot] = format_.quantize(
+            applyActivation(seg.act, agg.result() + node.bias));
+    });
 
-    for (size_t o = 0; o < outputSlots_.size(); ++o)
-        outputs[o] = values_[outputSlots_[o]];
+    for (size_t o = 0; o < plan.numOutputs; ++o)
+        outputs[o] = values_[plan.outputSlots[o]];
 }
 
 } // namespace e3

@@ -70,10 +70,9 @@ class QuantizedNetwork : public Network
   private:
     QuantizedNetwork(FeedForwardNetwork net, FixedPointFormat format);
 
-    FeedForwardNetwork net_;
+    FeedForwardNetwork net_; ///< compiled quantized def (its plan)
     FixedPointFormat format_;
-    std::vector<double> values_;
-    std::vector<uint32_t> outputSlots_;
+    std::vector<double> values_; ///< quantized value storage
 };
 
 } // namespace e3

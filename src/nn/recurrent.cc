@@ -11,27 +11,24 @@ RecurrentNetwork::create(const NetworkDef &def)
     const DefAnalysis &a = analyzeDef(def);
     a.assertBuildable(def);
 
-    RecurrentNetwork net;
-    net.numInputs_ = def.inputIds.size();
-
     // Slot assignment: inputs first, then required nodes in id order
     // (no topological constraint exists for recurrent evaluation).
     std::vector<uint32_t> slot(a.slot);
-    auto nextSlot = static_cast<uint32_t>(def.inputIds.size());
+    std::vector<uint32_t> nodes;
     for (uint32_t i = 0; i < a.ids.size(); ++i) {
-        if (a.has(i, DefAnalysis::kRequired))
-            slot[i] = nextSlot++;
-    }
-    for (uint32_t i = 0; i < a.ids.size(); ++i) {
-        if (a.has(i, DefAnalysis::kRequired))
-            net.nodes_.push_back(a.evalNode(def, i, slot));
+        if (a.has(i, DefAnalysis::kRequired)) {
+            slot[i] = static_cast<uint32_t>(def.inputIds.size() +
+                                            nodes.size());
+            nodes.push_back(i);
+        }
     }
 
-    for (int id : def.outputIds)
-        net.outputSlots_.push_back(slot[a.indexOf(id)]);
-
-    net.prev_.assign(nextSlot, 0.0);
-    net.next_.assign(nextSlot, 0.0);
+    RecurrentNetwork net;
+    net.plan_.numInputs = def.inputIds.size();
+    net.plan_.numOutputs = def.outputIds.size();
+    appendLane(net.plan_, def, a, nodes, slot);
+    net.prev_.assign(net.plan_.arenaSize, 0.0);
+    net.next_.assign(net.plan_.arenaSize, 0.0);
     return net;
 }
 
@@ -40,22 +37,23 @@ RecurrentNetwork::activateInto(const double *inputs, double *outputs)
 {
     // Inputs are visible within the tick; node reads see the previous
     // tick's activations (neat-python RecurrentNetwork semantics).
-    for (size_t i = 0; i < numInputs_; ++i) {
+    for (size_t i = 0; i < plan_.numInputs; ++i) {
         prev_[i] = inputs[i];
         next_[i] = inputs[i];
     }
 
-    for (const auto &node : nodes_) {
-        Aggregator agg(node.agg);
-        for (const auto &link : node.links)
-            agg.add(prev_[link.srcSlot] * link.weight);
-        next_[node.slot] =
-            applyActivation(node.act, agg.result() + node.bias);
-    }
+    plan_.forEachNode(0, [&](const BatchPlan::Segment &seg,
+                             const BatchPlan::NodeRun &node) {
+        Aggregator agg(seg.agg);
+        for (const BatchPlan::Op &op : plan_.opsOf(node))
+            agg.add(prev_[op.srcSlot] * op.weight);
+        next_[node.dstSlot] =
+            applyActivation(seg.act, agg.result() + node.bias);
+    });
     std::swap(prev_, next_);
 
-    for (size_t o = 0; o < outputSlots_.size(); ++o)
-        outputs[o] = prev_[outputSlots_[o]];
+    for (size_t o = 0; o < plan_.numOutputs; ++o)
+        outputs[o] = prev_[plan_.outputSlots[o]];
 }
 
 void
@@ -63,25 +61,6 @@ RecurrentNetwork::reset()
 {
     std::fill(prev_.begin(), prev_.end(), 0.0);
     std::fill(next_.begin(), next_.end(), 0.0);
-}
-
-uint64_t
-RecurrentNetwork::connectionCount() const
-{
-    uint64_t n = 0;
-    for (const auto &node : nodes_)
-        n += node.links.size();
-    return n;
-}
-
-std::vector<size_t>
-RecurrentNetwork::inDegreeProfile() const
-{
-    std::vector<size_t> profile;
-    profile.reserve(nodes_.size());
-    for (const auto &node : nodes_)
-        profile.push_back(node.links.size());
-    return profile;
 }
 
 } // namespace e3

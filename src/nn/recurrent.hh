@@ -17,7 +17,7 @@
 #ifndef E3_NN_RECURRENT_HH
 #define E3_NN_RECURRENT_HH
 
-#include "nn/network.hh"
+#include "nn/batch_eval.hh"
 
 namespace e3 {
 
@@ -43,24 +43,16 @@ class RecurrentNetwork : public Network
     /** Clear all state (start of an episode). */
     void reset() override;
 
-    size_t numInputs() const override { return numInputs_; }
-    size_t numOutputs() const override { return outputSlots_.size(); }
-    size_t nodeCount() const { return nodes_.size(); }
-    uint64_t connectionCount() const;
-
-    /**
-     * Per-tick node in-degrees as a single schedulable wave set
-     * (every node independent within a tick) — feed this to the INAX
-     * in-degree scheduling overload.
-     */
-    std::vector<size_t> inDegreeProfile() const;
+    size_t numInputs() const override { return plan_.numInputs; }
+    size_t numOutputs() const override { return plan_.numOutputs; }
+    size_t nodeCount() const { return plan_.nodes.size(); }
+    uint64_t connectionCount() const { return plan_.ops.size(); }
 
   private:
     RecurrentNetwork() = default;
 
-    size_t numInputs_ = 0;
-    std::vector<EvalNode> nodes_;
-    std::vector<uint32_t> outputSlots_;
+    /** One lane: the required nodes in id order, inputs first. */
+    BatchPlan plan_;
     std::vector<double> prev_;
     std::vector<double> next_;
 };

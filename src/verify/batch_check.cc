@@ -4,8 +4,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <map>
-#include <set>
 #include <sstream>
 
 #include "verify/reference_layering.hh"
@@ -238,13 +236,9 @@ namespace {
 
 /**
  * The plan the SoA engine must emit for @p defs, derived from the
- * reference layering rather than the production compiler: per lane,
- * inputs take slots 0..n-1 (a repeated input id keeps its last
- * position) and layered nodes follow in layer order; each node folds
- * its ingress links from inputs or required nodes in def order; and
- * consecutive nodes sharing (activation, aggregation) share a segment.
- * A single def is replicated across @p lanes lanes, sharing one
- * program.
+ * reference layering rather than the production compiler: one
+ * ReferenceNetwork lane per def. A single def is replicated across
+ * @p lanes lanes, sharing one program.
  */
 BatchPlan
 referencePlan(const std::vector<NetworkDef> &defs, size_t lanes)
@@ -252,66 +246,8 @@ referencePlan(const std::vector<NetworkDef> &defs, size_t lanes)
     BatchPlan plan;
     plan.numInputs = defs.front().inputIds.size();
     plan.numOutputs = defs.front().outputIds.size();
-    for (const NetworkDef &def : defs) {
-        const std::vector<std::vector<int>> layers = referenceLayers(def);
-        const std::set<int> required = referenceRequiredNodes(def);
-        const std::set<int> inputs(def.inputIds.begin(),
-                                   def.inputIds.end());
-        std::map<int, uint32_t> slotOf;
-        for (size_t i = 0; i < def.inputIds.size(); ++i)
-            slotOf[def.inputIds[i]] = static_cast<uint32_t>(i);
-        uint32_t slots = static_cast<uint32_t>(def.inputIds.size());
-        for (const auto &layer : layers) {
-            for (int id : layer)
-                slotOf[id] = slots++;
-        }
-        std::map<int, std::vector<BatchPlan::Op>> ingress;
-        for (const auto &c : def.conns) {
-            if (required.count(c.to) &&
-                (inputs.count(c.from) || required.count(c.from)))
-                ingress[c.to].push_back({slotOf.at(c.from), c.weight});
-        }
-        std::map<int, const NetworkDef::Node *> nodeOf;
-        for (const auto &node : def.nodes)
-            nodeOf.emplace(node.id, &node);
-
-        BatchPlan::LaneProgram lane;
-        lane.segBegin = static_cast<uint32_t>(plan.segments.size());
-        lane.valueBase = plan.lanes.empty()
-                             ? 0
-                             : plan.lanes.back().valueBase +
-                                   plan.lanes.back().slotCount;
-        lane.slotCount = slots;
-        lane.outBase = static_cast<uint32_t>(plan.outputSlots.size());
-        for (const auto &layer : layers) {
-            for (int id : layer) {
-                const NetworkDef::Node &node = *nodeOf.at(id);
-                if (plan.segments.size() == lane.segBegin ||
-                    plan.segments.back().act != node.act ||
-                    plan.segments.back().agg != node.agg) {
-                    const auto at =
-                        static_cast<uint32_t>(plan.nodes.size());
-                    plan.segments.push_back({at, at, node.act, node.agg});
-                }
-                BatchPlan::NodeRun run{slotOf.at(id),
-                                       static_cast<uint32_t>(
-                                           plan.ops.size()),
-                                       0, node.bias};
-                const auto links = ingress.find(id);
-                if (links != ingress.end())
-                    plan.ops.insert(plan.ops.end(), links->second.begin(),
-                                    links->second.end());
-                run.opEnd = static_cast<uint32_t>(plan.ops.size());
-                plan.nodes.push_back(run);
-                plan.segments.back().nodeEnd =
-                    static_cast<uint32_t>(plan.nodes.size());
-            }
-        }
-        lane.segEnd = static_cast<uint32_t>(plan.segments.size());
-        for (int id : def.outputIds)
-            plan.outputSlots.push_back(slotOf.at(id));
-        plan.lanes.push_back(lane);
-    }
+    for (const NetworkDef &def : defs)
+        ReferenceNetwork::create(def).appendLaneTo(plan);
     const BatchPlan::LaneProgram proto = plan.lanes.front();
     for (size_t l = plan.lanes.size(); l < lanes; ++l) {
         BatchPlan::LaneProgram p = proto;

@@ -189,31 +189,42 @@ observationIntervals(const Space &space)
     return out;
 }
 
-std::vector<Interval>
-networkValueBounds(const FeedForwardNetwork &net,
-                   const std::vector<Interval> &inputBounds)
+Interval
+quantizeInterval(const FixedPointFormat &format, Interval v)
 {
-    e3_assert(inputBounds.size() == net.numInputs(),
-              "networkValueBounds: input bound count mismatch");
+    return {format.quantize(v.lo), format.quantize(v.hi)};
+}
 
-    std::vector<Interval> values(net.valueSlots(),
+std::vector<Interval>
+networkValueBounds(const BatchPlan &plan,
+                   const std::vector<Interval> &inputBounds,
+                   const FixedPointFormat *storage,
+                   std::vector<NodeInterval> *nodes)
+{
+    e3_assert(inputBounds.size() == plan.numInputs,
+              "networkValueBounds: input bound count mismatch");
+    const auto store = [&](Interval v) {
+        return storage ? quantizeInterval(*storage, v) : v;
+    };
+    std::vector<Interval> values(plan.lanes.front().slotCount,
                                  Interval::point(0.0));
-    for (size_t i = 0; i < inputBounds.size(); ++i)
-        values[i] = inputBounds[i];
+    std::transform(inputBounds.begin(), inputBounds.end(), values.begin(),
+                   store);
 
     std::vector<Interval> contribs;
-    for (const auto &layer : net.layers()) {
-        for (const auto &node : layer) {
-            contribs.clear();
-            contribs.reserve(node.links.size());
-            for (const auto &link : node.links)
-                contribs.push_back(
-                    scaleInterval(values[link.srcSlot], link.weight));
-            Interval pre = shiftInterval(
-                aggregateInterval(node.agg, contribs), node.bias);
-            values[node.slot] = activationInterval(node.act, pre);
-        }
-    }
+    plan.forEachNode(0, [&](const BatchPlan::Segment &seg,
+                            const BatchPlan::NodeRun &node) {
+        contribs.clear();
+        for (const BatchPlan::Op &op : plan.opsOf(node))
+            contribs.push_back(
+                scaleInterval(values[op.srcSlot], op.weight));
+        const Interval pre = shiftInterval(
+            aggregateInterval(seg.agg, contribs), node.bias);
+        const Interval post = activationInterval(seg.act, pre);
+        if (nodes)
+            nodes->push_back({pre, post});
+        values[node.dstSlot] = store(post);
+    });
     return values;
 }
 

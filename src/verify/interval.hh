@@ -4,9 +4,9 @@
  *
  * The verifier's numeric pass propagates [lo, hi] bounds from an
  * environment's observation space through every aggregation and
- * activation of a compiled FeedForwardNetwork, yielding a sound static
- * bound for every value-array slot. "Sound" leans on two facts about
- * IEEE round-to-nearest: rounding is monotone (so folding the same
+ * activation of a compiled lane program (BatchPlan), yielding a sound
+ * static bound for every value-array slot. "Sound" leans on two facts
+ * about IEEE round-to-nearest: rounding is monotone (so folding the same
  * +,*,min,max chain over interval endpoints in the runtime's exact
  * link order bounds the runtime's folds), and activation endpoints are
  * evaluated with the very applyActivation() the runtime uses, so
@@ -21,7 +21,8 @@
 #include <vector>
 
 #include "env/space.hh"
-#include "nn/network.hh"
+#include "nn/batch_eval.hh"
+#include "nn/quantize.hh"
 
 namespace e3::verify {
 
@@ -85,18 +86,36 @@ Interval activationInterval(Activation act, Interval pre);
  */
 std::vector<Interval> observationIntervals(const Space &space);
 
+/** Endpoint-quantized interval (quantize is monotone). */
+Interval quantizeInterval(const FixedPointFormat &format, Interval v);
+
+/** Static bounds of one compiled node, before value storage. */
+struct NodeInterval
+{
+    Interval preActivation;
+    Interval postActivation;
+};
+
 /**
- * Propagate input bounds through a compiled network and bound every
- * value-array slot: slots [0, numInputs) carry the given input bounds,
- * each compiled node's slot the bound of its post-activation value.
+ * Propagate input bounds through lane 0 of a compiled plan (for one
+ * network, FeedForwardNetwork::plan()) and bound every value-array
+ * slot: slots [0, numInputs) carry the given input bounds, each
+ * compiled node's slot the bound of its stored post-activation value.
  * The result is indexed exactly like FeedForwardNetwork::values(), so
  * a runtime activation can be checked against its static bound slot
  * for slot.
- * @pre inputBounds.size() == net.numInputs()
+ *
+ * With @p storage, inputs and activated outputs are stored quantized
+ * to that format, as QuantizedNetwork stores them (the MAC stays full
+ * precision). With @p nodes, every node's pre- and post-activation
+ * bound is appended in execution order.
+ * @pre inputBounds.size() == plan.numInputs
  */
 std::vector<Interval>
-networkValueBounds(const FeedForwardNetwork &net,
-                   const std::vector<Interval> &inputBounds);
+networkValueBounds(const BatchPlan &plan,
+                   const std::vector<Interval> &inputBounds,
+                   const FixedPointFormat *storage = nullptr,
+                   std::vector<NodeInterval> *nodes = nullptr);
 
 } // namespace e3::verify
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <map>
 
+#include "common/logging.hh"
+
 namespace e3::verify {
 
 std::set<int>
@@ -76,6 +78,99 @@ referenceIsAcyclic(const NetworkDef &def)
     for (const auto &layer : referenceLayers(def))
         placed += layer.size();
     return placed == computed;
+}
+
+ReferenceNetwork
+ReferenceNetwork::create(const NetworkDef &def)
+{
+    const std::vector<std::vector<int>> layers = referenceLayers(def);
+    const std::set<int> required = referenceRequiredNodes(def);
+    std::map<int, uint32_t> slotOf;
+    for (size_t i = 0; i < def.inputIds.size(); ++i)
+        slotOf[def.inputIds[i]] = static_cast<uint32_t>(i);
+    auto slots = static_cast<uint32_t>(def.inputIds.size());
+    for (const auto &layer : layers) {
+        for (int id : layer)
+            slotOf[id] = slots++;
+    }
+    e3_assert(std::all_of(required.begin(), required.end(),
+                          [&](int id) { return slotOf.count(id) > 0; }),
+              "reference network: a required node sits on a cycle");
+    // Every input and required node now has a slot, and nothing else.
+    std::map<int, std::vector<BatchPlan::Op>> ingress;
+    for (const auto &c : def.conns) {
+        if (required.count(c.to) && slotOf.count(c.from))
+            ingress[c.to].push_back({slotOf.at(c.from), c.weight});
+    }
+    std::map<int, const NetworkDef::Node *> nodeOf;
+    for (const auto &node : def.nodes)
+        nodeOf.emplace(node.id, &node);
+
+    ReferenceNetwork net;
+    net.numInputs_ = def.inputIds.size();
+    for (const auto &layer : layers) {
+        std::vector<Node> &nodes = net.layers_.emplace_back();
+        for (int id : layer) {
+            const NetworkDef::Node &node = *nodeOf.at(id);
+            nodes.push_back({slotOf.at(id), node.bias, node.act, node.agg,
+                             std::move(ingress[id])});
+        }
+    }
+    for (int id : def.outputIds)
+        net.outputSlots_.push_back(slotOf.at(id));
+    net.values_.assign(slots, 0.0);
+    return net;
+}
+
+void
+ReferenceNetwork::activateInto(const double *inputs, double *outputs)
+{
+    std::copy(inputs, inputs + numInputs_, values_.begin());
+    for (const auto &layer : layers_) {
+        for (const Node &node : layer) {
+            Aggregator agg(node.agg);
+            for (const BatchPlan::Op &link : node.links)
+                agg.add(values_[link.srcSlot] * link.weight);
+            values_[node.slot] =
+                applyActivation(node.act, agg.result() + node.bias);
+        }
+    }
+    for (size_t o = 0; o < outputSlots_.size(); ++o)
+        outputs[o] = values_[outputSlots_[o]];
+}
+
+void
+ReferenceNetwork::appendLaneTo(BatchPlan &plan) const
+{
+    BatchPlan::LaneProgram lane;
+    lane.segBegin = static_cast<uint32_t>(plan.segments.size());
+    lane.valueBase = plan.lanes.empty() ? 0
+                                        : plan.lanes.back().valueBase +
+                                              plan.lanes.back().slotCount;
+    lane.slotCount = static_cast<uint32_t>(values_.size());
+    lane.outBase = static_cast<uint32_t>(plan.outputSlots.size());
+    for (const auto &layer : layers_) {
+        for (const Node &node : layer) {
+            if (plan.segments.size() == lane.segBegin ||
+                plan.segments.back().act != node.act ||
+                plan.segments.back().agg != node.agg) {
+                const auto at = static_cast<uint32_t>(plan.nodes.size());
+                plan.segments.push_back({at, at, node.act, node.agg});
+            }
+            const auto opBegin = static_cast<uint32_t>(plan.ops.size());
+            plan.ops.insert(plan.ops.end(), node.links.begin(),
+                            node.links.end());
+            plan.nodes.push_back({node.slot, opBegin,
+                                  static_cast<uint32_t>(plan.ops.size()),
+                                  node.bias});
+            plan.segments.back().nodeEnd =
+                static_cast<uint32_t>(plan.nodes.size());
+        }
+    }
+    lane.segEnd = static_cast<uint32_t>(plan.segments.size());
+    plan.outputSlots.insert(plan.outputSlots.end(), outputSlots_.begin(),
+                            outputSlots_.end());
+    plan.lanes.push_back(lane);
 }
 
 } // namespace e3::verify

@@ -5,6 +5,8 @@
 #include <string>
 
 #include "common/logging.hh"
+#include "nn/batch_eval.hh"
+#include "nn/layering.hh"
 
 namespace e3::verify {
 
@@ -93,12 +95,6 @@ formatClips(const FixedPointFormat &format, double v)
     return scaled < lo || scaled > hi;
 }
 
-Interval
-quantizeInterval(const FixedPointFormat &format, Interval v)
-{
-    return {format.quantize(v.lo), format.quantize(v.hi)};
-}
-
 QuantizationAnalysis
 analyzeQuantization(const NetworkDef &def,
                     const std::vector<Interval> &inputBounds,
@@ -126,11 +122,6 @@ analyzeQuantization(const NetworkDef &def,
         maxAbs = std::max(maxAbs, std::fabs(conn.weight));
     }
 
-    // Propagate through the *quantized* network with quantized value
-    // storage — the exact dataflow QuantizedNetwork::activate runs.
-    FeedForwardNetwork net =
-        FeedForwardNetwork::create(quantizeDef(def, format));
-    std::vector<Interval> values(net.valueSlots(), Interval::point(0.0));
     for (size_t i = 0; i < inputBounds.size(); ++i) {
         const Interval &raw = inputBounds[i];
         maxAbs = std::max(maxAbs, raw.maxAbs());
@@ -142,42 +133,34 @@ analyzeQuantization(const NetworkDef &def,
                     format.describe() + " range; the input clips at "
                     "the accelerator boundary"));
         }
-        values[i] = quantizeInterval(format, raw);
     }
 
-    std::vector<Interval> contribs;
-    for (const auto &layer : net.layers()) {
-        for (const auto &node : layer) {
-            contribs.clear();
-            contribs.reserve(node.links.size());
-            for (const auto &link : node.links)
-                contribs.push_back(
-                    scaleInterval(values[link.srcSlot], link.weight));
-            NodeBound bound;
-            bound.id = node.id;
-            bound.slot = node.slot;
-            bound.preActivation = shiftInterval(
-                aggregateInterval(node.agg, contribs), node.bias);
-            bound.postActivation =
-                activationInterval(node.act, bound.preActivation);
-            maxAbs = std::max(maxAbs, bound.postActivation.maxAbs());
-            bound.maySaturate =
-                formatClips(format, bound.postActivation.lo) ||
-                formatClips(format, bound.postActivation.hi);
-            if (bound.maySaturate) {
-                out.report.add(makeDiagnostic(
-                    rules::kActivationMaySaturate,
-                    "node " + std::to_string(node.id),
-                    "post-activation bound " +
-                        fmtRange(bound.postActivation) +
-                        " exceeds the " + format.describe() +
-                        " range [" + fmtValue(format.minValue()) +
-                        ", " + fmtValue(format.maxValue()) + ']'));
-            }
-            values[node.slot] =
-                quantizeInterval(format, bound.postActivation);
-            out.nodes.push_back(bound);
+    // Propagate through the *quantized* network with quantized value
+    // storage — the exact dataflow QuantizedNetwork::activate runs.
+    const NetworkDef quantized = quantizeDef(def, format);
+    const DefAnalysis &a = analyzeDef(quantized);
+    a.assertBuildable(quantized);
+    a.assertAcyclic();
+    std::vector<NodeInterval> bounds;
+    networkValueBounds(feedForwardPlan(quantized, a), inputBounds, &format,
+                       &bounds);
+    for (size_t k = 0; k < bounds.size(); ++k) {
+        NodeBound bound{bounds[k], a.ids[a.order[k]], a.slot[a.order[k]]};
+        maxAbs = std::max(maxAbs, bound.postActivation.maxAbs());
+        bound.maySaturate =
+            formatClips(format, bound.postActivation.lo) ||
+            formatClips(format, bound.postActivation.hi);
+        if (bound.maySaturate) {
+            out.report.add(makeDiagnostic(
+                rules::kActivationMaySaturate,
+                "node " + std::to_string(bound.id),
+                "post-activation bound " +
+                    fmtRange(bound.postActivation) + " exceeds the " +
+                    format.describe() + " range [" +
+                    fmtValue(format.minValue()) + ", " +
+                    fmtValue(format.maxValue()) + ']'));
         }
+        out.nodes.push_back(bound);
     }
 
     out.guaranteedSafe = out.report.empty();

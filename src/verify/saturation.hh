@@ -25,12 +25,10 @@
 namespace e3::verify {
 
 /** Static bound of one compiled node under the analyzed format. */
-struct NodeBound
+struct NodeBound : NodeInterval
 {
-    int id = 0;            ///< original node id
-    uint32_t slot = 0;     ///< value-array slot
-    Interval preActivation;
-    Interval postActivation;
+    int id = 0;               ///< original node id
+    uint32_t slot = 0;        ///< value-array slot
     bool maySaturate = false; ///< post-activation bound can clip
 };
 
@@ -40,7 +38,7 @@ struct QuantizationAnalysis
     Report report;
     FixedPointFormat format;          ///< format analyzed against
     std::vector<Interval> inputBounds;
-    std::vector<NodeBound> nodes;     ///< compiled nodes, layer order
+    std::vector<NodeBound> nodes;     ///< compiled nodes, execution order
     bool guaranteedSafe = false;      ///< no finding of any severity
 
     /** Minimal safe format at the same fracBits, when one exists. */
@@ -53,9 +51,6 @@ struct QuantizationAnalysis
  * representable step range and is clipped) rather than merely rounds.
  */
 bool formatClips(const FixedPointFormat &format, double v);
-
-/** Endpoint-quantized interval (quantize is monotone). */
-Interval quantizeInterval(const FixedPointFormat &format, Interval v);
 
 /**
  * Analyze a (float) definition under @p format: check every weight and

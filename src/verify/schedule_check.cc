@@ -2,6 +2,8 @@
 
 #include <string>
 
+#include "nn/layering.hh"
+
 namespace e3::verify {
 
 Report
@@ -102,16 +104,20 @@ verifyDefOnHardware(const NetworkDef &def, const InaxConfig &cfg,
     if (report.hasErrors())
         return report; // the cost model fatals on an invalid config
 
-    const FeedForwardNetwork net = FeedForwardNetwork::create(def);
-    if (net.nodeCount() > cfg.maxSupportedNodes) {
+    const DefAnalysis &a = analyzeDef(def);
+    a.assertAcyclic();
+    const NetStats stats = netStatsOf(def, a);
+    if (stats.activeNodes > cfg.maxSupportedNodes) {
         report.add(makeDiagnostic(
             rules::kNodeCapacityExceeded, "network",
-            "compiled network has " + std::to_string(net.nodeCount()) +
+            "compiled network has " + std::to_string(stats.activeNodes) +
                 " non-input nodes but the PU buffers support " +
                 std::to_string(cfg.maxSupportedNodes)));
     }
-    report.merge(verifyIndividualCost(puIndividualCost(def, cfg), cfg,
-                                      numInputs, numOutputs, "network"));
+    report.merge(verifyIndividualCost(
+        puIndividualCost(stats, def.inputIds.size(), def.outputIds.size(),
+                         cfg),
+        cfg, numInputs, numOutputs, "network"));
     return report;
 }
 

@@ -53,8 +53,8 @@ Report verifyGenome(const Genome &genome, const GenomeInterface &iface);
  * Verify a decoded NetworkDef before compilation: duplicates (E3V006),
  * output coverage (E3V003), endpoints (E3V001/E3V002), finite
  * parameters (E3V007), self-loops/acyclicity when @p feedForward, and
- * pruned-node warnings (E3V008). A def with no errors is safe to hand
- * to FeedForwardNetwork::create.
+ * pruned-node warnings (E3V008). A def with no errors is safe to
+ * compile (compileNetwork, compilePopulation).
  */
 Report verifyNetworkDef(const NetworkDef &def, bool feedForward = true);
 

@@ -7,8 +7,10 @@
  * cycles, dangling hidden nodes, ingress-free outputs, duplicate ids
  * and connections, undefined endpoints and non-finite parameters.
  * Layer order, NetStats (density compared bit for bit) and every
- * checkDefInvariants message must agree, and the INAX cost read off
- * NetStats must equal the one built from a FeedForwardNetwork.
+ * checkDefInvariants message must agree, the INAX cost read off
+ * NetStats must equal the one scheduled from the reference layers, and
+ * every compilable def's one-lane FeedForwardNetwork must reproduce
+ * verify::ReferenceNetwork's outputs bit for bit.
  */
 
 #include <gtest/gtest.h>
@@ -25,11 +27,13 @@
 #include "nn/compile.hh"
 #include "nn/layering.hh"
 #include "nn/net_stats.hh"
+#include "nn/network.hh"
 #include "verify/reference_layering.hh"
 
 namespace e3 {
 namespace {
 
+using verify::ReferenceNetwork;
 using verify::referenceIsAcyclic;
 using verify::referenceLayers;
 using verify::referenceRequiredNodes;
@@ -127,22 +131,38 @@ referenceInvariants(const NetworkDef &def, bool recurrent)
     return Status();
 }
 
-/** The INAX cost as built from a compiled FeedForwardNetwork. */
+/** The INAX cost as scheduled from the reference layers. */
 IndividualCost
 networkCost(const NetworkDef &def, const InaxConfig &cfg)
 {
-    const FeedForwardNetwork net = FeedForwardNetwork::create(def);
-    const InferenceCost inference = scheduleInference(net, cfg);
+    const std::set<int> required = referenceRequiredNodes(def);
+    const std::set<int> inputs(def.inputIds.begin(), def.inputIds.end());
+    std::vector<std::vector<size_t>> inDegrees;
+    size_t nodes = 0;
+    uint64_t conns = 0;
+    for (const auto &layer : referenceLayers(def)) {
+        inDegrees.emplace_back();
+        for (int id : layer) {
+            size_t deg = 0;
+            for (const auto &c : def.conns) {
+                if (c.to == id &&
+                    (inputs.count(c.from) || required.count(c.from)))
+                    ++deg;
+            }
+            inDegrees.back().push_back(deg);
+            ++nodes;
+            conns += deg;
+        }
+    }
+    const InferenceCost inference = scheduleInference(inDegrees, cfg);
     IndividualCost cost;
     cost.inferenceCycles = inference.cycles;
     cost.peActiveCycles = inference.peActiveCycles;
-    cost.setupCycles =
-        setupCycles(net.nodeCount(), net.connectionCount(), cfg);
-    cost.numInputs = net.numInputs();
-    cost.numOutputs = net.numOutputs();
-    cost.weightBufferWords =
-        configWords(net.nodeCount(), net.connectionCount());
-    cost.valueBufferWords = net.valueSlots();
+    cost.setupCycles = setupCycles(nodes, conns, cfg);
+    cost.numInputs = def.inputIds.size();
+    cost.numOutputs = def.outputIds.size();
+    cost.weightBufferWords = configWords(nodes, conns);
+    cost.valueBufferWords = def.inputIds.size() + nodes;
     return cost;
 }
 
@@ -306,6 +326,19 @@ expectEquivalent(const NetworkDef &def, const InaxConfig &cfg,
             ASSERT_EQ(got.numOutputs, want.numOutputs);
             ASSERT_EQ(got.weightBufferWords, want.weightBufferWords);
             ASSERT_EQ(got.valueBufferWords, want.valueBufferWords);
+        }
+
+        FeedForwardNetwork net = FeedForwardNetwork::create(def);
+        ReferenceNetwork ref = ReferenceNetwork::create(def);
+        Rng inputs(compiledCount);
+        std::vector<double> in(def.inputIds.size());
+        for (int sample = 0; sample < 3; ++sample) {
+            for (double &x : in)
+                x = inputs.uniform(-2.0, 2.0);
+            const std::vector<double> got = net.activate(in);
+            const std::vector<double> want = ref.activate(in);
+            for (size_t o = 0; o < want.size(); ++o)
+                ASSERT_EQ(bitsOf(got[o]), bitsOf(want[o])) << "output " << o;
         }
     }
 }

@@ -3,11 +3,12 @@
  * Equivalence suite for the batched SoA inference engine.
  *
  * The contract under test is exact: BatchEvaluator (and both
- * compilePopulation entry points) must be bit-identical to per-genome
- * FeedForwardNetwork::activate() — same doubles, not merely close —
- * across every (activation x aggregation) pair, randomized irregular
- * topologies, degenerate shapes, and any batch size or thread count.
- * EXPECT_EQ on doubles below is therefore deliberate.
+ * compilePopulation entry points) must be bit-identical to the
+ * verifier's layered per-genome evaluator, verify::ReferenceNetwork —
+ * same doubles, not merely close — across every (activation x
+ * aggregation) pair, randomized irregular topologies, degenerate
+ * shapes, and any batch size or thread count. EXPECT_EQ on doubles
+ * below is therefore deliberate.
  */
 
 #include <algorithm>
@@ -23,9 +24,12 @@
 #include "nn/compile.hh"
 #include "nn/network.hh"
 #include "nn/quantize.hh"
+#include "verify/reference_layering.hh"
 
 namespace e3 {
 namespace {
+
+using verify::ReferenceNetwork;
 
 /** Random inputs in a range that exercises every activation's bends. */
 std::vector<double>
@@ -64,7 +68,7 @@ randomizedPopulation(size_t count, uint64_t seed, size_t numInputs = 5,
     return defs;
 }
 
-/** Reference outputs: one FeedForwardNetwork per def, plain activate. */
+/** Reference outputs: one ReferenceNetwork per def, plain activate. */
 std::vector<std::vector<double>>
 referenceOutputs(const std::vector<NetworkDef> &defs,
                  const std::vector<std::vector<double>> &inputs)
@@ -72,7 +76,7 @@ referenceOutputs(const std::vector<NetworkDef> &defs,
     std::vector<std::vector<double>> out;
     out.reserve(defs.size());
     for (size_t i = 0; i < defs.size(); ++i) {
-        FeedForwardNetwork net = FeedForwardNetwork::create(defs[i]);
+        ReferenceNetwork net = ReferenceNetwork::create(defs[i]);
         out.push_back(net.activate(inputs[i]));
     }
     return out;
@@ -115,7 +119,7 @@ TEST(BatchEval, EveryActivationAggregationPairBitIdentical)
             Result<std::unique_ptr<BatchEvaluator>> batch =
                 BatchEvaluator::compileReplicated(def, 4);
             ASSERT_TRUE(batch.ok()) << batch.message();
-            FeedForwardNetwork ref = FeedForwardNetwork::create(def);
+            ReferenceNetwork ref = ReferenceNetwork::create(def);
 
             for (int trial = 0; trial < 8; ++trial) {
                 const std::vector<double> in = randomInputs(3, rng);
@@ -208,7 +212,7 @@ TEST(BatchEval, LargeReplicatedBatchBitIdentical)
     ASSERT_TRUE(batch.ok()) << batch.message();
     ASSERT_EQ((*batch)->lanes(), 1024u);
 
-    FeedForwardNetwork ref = FeedForwardNetwork::create(defs[0]);
+    ReferenceNetwork ref = ReferenceNetwork::create(defs[0]);
     Rng rng(55);
     std::vector<double> in(1024 * 5), out(1024 * 3);
     std::vector<std::vector<double>> perLane;
@@ -331,7 +335,7 @@ TEST(BatchEval, AutoFallsBackToAdapterForQuantization)
 TEST(BatchEval, UnconnectedOutputsAndEmptyDef)
 {
     // A def with no connections at all: outputs emit their activated
-    // bias, exactly as FeedForwardNetwork does.
+    // bias, exactly as the reference network does.
     NetworkDef def = NetworkDef::empty(2, 2);
     def.nodes[0].bias = 0.75;
     def.nodes[1].bias = -2.0;
@@ -339,7 +343,7 @@ TEST(BatchEval, UnconnectedOutputsAndEmptyDef)
         BatchEvaluator::compileReplicated(def, 3);
     ASSERT_TRUE(batch.ok()) << batch.message();
 
-    FeedForwardNetwork ref = FeedForwardNetwork::create(def);
+    ReferenceNetwork ref = ReferenceNetwork::create(def);
     const std::vector<double> in = {0.5, -0.5};
     const std::vector<double> expect = ref.activate(in);
     std::vector<double> got(2);

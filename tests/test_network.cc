@@ -4,6 +4,9 @@
 
 #include <cmath>
 
+#include "nn/batch_eval.hh"
+#include "nn/net_stats.hh"
+
 namespace e3 {
 namespace {
 
@@ -81,9 +84,12 @@ TEST(Network, PrunedNodesDoNotExecute)
     def.nodes.push_back({9, 0.0, Activation::Sigmoid,
                          Aggregation::Sum}); // dead-end hidden
     def.conns = {{-1, 0, 1.0}, {-1, 9, 1.0}};
+    const NetStats stats = computeNetStats(def);
+    EXPECT_EQ(stats.activeNodes, 1u);       // only the output survives
+    EXPECT_EQ(stats.activeConnections, 1u); // -1 -> 0
     auto net = FeedForwardNetwork::create(def);
-    EXPECT_EQ(net.nodeCount(), 1u);       // only the output survives
-    EXPECT_EQ(net.connectionCount(), 1u); // -1 -> 0
+    EXPECT_EQ(net.valueSlots(), 1u + 1u);
+    EXPECT_EQ(net.plan().ops.size(), 1u);
 }
 
 TEST(Network, MultiOutputOrderingMatchesOutputIds)
@@ -127,9 +133,10 @@ TEST(Network, CountsMatchStructure)
                          Aggregation::Sum});
     def.conns = {{-1, 3, 1.0}, {-2, 3, 1.0}, {3, 0, 1.0}, {3, 1, 1.0},
                  {-1, 0, 1.0}};
+    const NetStats stats = computeNetStats(def);
+    EXPECT_EQ(stats.activeNodes, 3u);
+    EXPECT_EQ(stats.activeConnections, 5u);
     auto net = FeedForwardNetwork::create(def);
-    EXPECT_EQ(net.nodeCount(), 3u);
-    EXPECT_EQ(net.connectionCount(), 5u);
     EXPECT_EQ(net.numInputs(), 2u);
     EXPECT_EQ(net.numOutputs(), 2u);
     EXPECT_EQ(net.valueSlots(), 2u + 3u);

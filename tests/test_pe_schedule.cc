@@ -89,16 +89,15 @@ TEST(Schedule, MorePEsNeverSlower)
 
 TEST(Schedule, CompiledNetworkMatchesProfileForm)
 {
-    // Build a real network and check the schedule agrees with the
-    // in-degree profile version.
+    // Analyze a real network and check the schedule read off its
+    // NetStats agrees with the hand-written in-degree profile.
     auto def = NetworkDef::empty(2, 1);
     def.nodes.push_back({1, 0.0, Activation::Sigmoid,
                          Aggregation::Sum});
     def.conns = {{-1, 1, 1.0}, {-2, 1, 1.0}, {1, 0, 1.0},
                  {-1, 0, 1.0}};
-    const auto net = FeedForwardNetwork::create(def);
     const auto cfg = config(2);
-    const auto a = scheduleInference(net, cfg);
+    const auto a = scheduleNetwork(computeNetStats(def), cfg);
     const auto b = scheduleInference({{2}, {2}}, cfg);
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.peActiveCycles, b.peActiveCycles);

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "e3/synthetic.hh"
+#include "nn/compile.hh"
 #include "verify/saturation.hh"
 
 namespace e3 {
@@ -221,6 +222,35 @@ TEST(QuantizedNetwork, StaysInsideVerifierIntervals)
             EXPECT_TRUE(bounded);
         }
     }
+}
+
+TEST(QuantizedNetwork, OutputsFollowOutputIdsOrder)
+{
+    // Outputs listed out of id order come back in outputIds order, as
+    // the float network returns them (the values are on the grid).
+    NetworkDef def;
+    def.inputIds = {-1};
+    def.outputIds = {1, 0};
+    def.nodes = {{0, 0.25, Activation::Identity, Aggregation::Sum},
+                 {1, 0.75, Activation::Identity, Aggregation::Sum}};
+    ASSERT_TRUE(checkDefInvariants(def).ok());
+    auto floatNet = FeedForwardNetwork::create(def);
+    auto qnet = QuantizedNetwork::create(def, {16, 8});
+    const std::vector<double> expect{0.75, 0.25};
+    EXPECT_EQ(floatNet.activate({2.0}), expect);
+    EXPECT_EQ(qnet.activate({2.0}), expect);
+}
+
+TEST(QuantizedNetwork, OutputIdsNeedNotStartAtZero)
+{
+    // An output id outside 0..numOutputs-1 still reads its own node.
+    NetworkDef def;
+    def.inputIds = {-1};
+    def.outputIds = {7};
+    def.nodes = {{7, 1.0, Activation::Identity, Aggregation::Sum}};
+    ASSERT_TRUE(checkDefInvariants(def).ok());
+    auto qnet = QuantizedNetwork::create(def, {16, 8});
+    EXPECT_EQ(qnet.activate({2.0}), std::vector<double>{1.0});
 }
 
 TEST(QuantizedNetworkDeath, WrongArityPanics)

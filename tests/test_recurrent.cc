@@ -6,6 +6,7 @@
 
 #include "neat/mutation.hh"
 #include "nn/layering.hh"
+#include "nn/net_stats.hh"
 
 namespace e3 {
 namespace {
@@ -61,7 +62,7 @@ TEST(Recurrent, FeedForwardDefSettlesToFeedForwardOutput)
     const auto expected = ff.activate(x);
 
     auto rec = RecurrentNetwork::create(def);
-    const size_t layers = ff.layers().size();
+    const size_t layers = computeNetStats(def).layerSizes.size();
     std::vector<double> out;
     for (size_t t = 0; t < layers; ++t)
         out = rec.activate(x);
@@ -78,20 +79,6 @@ TEST(Recurrent, PrunesUnrequiredNodes)
     const auto net = RecurrentNetwork::create(def);
     EXPECT_EQ(net.nodeCount(), 1u);
     EXPECT_EQ(net.connectionCount(), 1u);
-}
-
-TEST(Recurrent, InDegreeProfileIsOneWaveSet)
-{
-    auto def = NetworkDef::empty(2, 1);
-    def.nodes.push_back({1, 0.0, Activation::Sigmoid,
-                         Aggregation::Sum});
-    def.conns = {{-1, 1, 1.0}, {-2, 1, 1.0}, {1, 0, 1.0},
-                 {0, 1, 1.0}}; // cycle 0 <-> 1
-    const auto net = RecurrentNetwork::create(def);
-    const auto profile = net.inDegreeProfile();
-    ASSERT_EQ(profile.size(), 2u);
-    // Node 0 has 1 ingress, node 1 has 3 (two inputs + the feedback).
-    EXPECT_EQ(profile[0] + profile[1], 4u);
 }
 
 TEST(RecurrentDeath, WrongArityPanics)
