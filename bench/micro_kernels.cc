@@ -2,8 +2,9 @@
  * @file
  * google-benchmark micro suite: per-operation costs of the primitives
  * the platform composes — irregular-network inference, genome decode
- * ("CreateNet"), mutation, INAX scheduling, and the systolic baseline.
- * These ground the analytical timing constants in measurable numbers.
+ * ("CreateNet"), mutation, INAX scheduling, the systolic baseline, and
+ * the text loaders a server start or a resume pays for. These ground
+ * the analytical timing constants in measurable numbers.
  */
 
 #include <benchmark/benchmark.h>
@@ -13,7 +14,9 @@
 #include "inax/systolic.hh"
 #include "neat/mutation.hh"
 #include "neat/population.hh"
+#include "neat/serialize.hh"
 #include "nn/batch_eval.hh"
+#include "persist/checkpoint.hh"
 #include "verify/reference_layering.hh"
 
 using namespace e3;
@@ -277,6 +280,52 @@ BM_AcceleratorGeneration(benchmark::State &state)
         benchmark::DoNotOptimize(runAccelerator(costs, lengths, cfg));
 }
 BENCHMARK(BM_AcceleratorGeneration);
+
+/** A population evolved far enough for realistic genome sizes. */
+Population
+evolvedPopulation(size_t size, int generations)
+{
+    NeatConfig cfg = NeatConfig::forTask(8, 4, 1e18);
+    cfg.populationSize = size;
+    Population pop(cfg, 9);
+    for (int gen = 0; gen <= generations; ++gen) {
+        for (auto &[key, genome] : pop.genomes())
+            genome.fitness = static_cast<double>(genome.conns.size()) +
+                             1e-3 * key;
+        if (gen < generations)
+            pop.advance();
+    }
+    return pop;
+}
+
+/** genomeFromString (validated) on the champion text of a population. */
+void
+BM_GenomeParse(benchmark::State &state)
+{
+    const std::string text = genomeToString(evolvedPopulation(50, 20).best());
+    for (auto _ : state)
+        benchmark::DoNotOptimize(genomeFromString(text));
+    state.SetBytesProcessed(static_cast<int64_t>(state.iterations() *
+                                                 text.size()));
+}
+BENCHMARK(BM_GenomeParse);
+
+/** checkpointFromString on a whole snapshot: parse plus verification. */
+void
+BM_CheckpointLoad(benchmark::State &state)
+{
+    const Population pop = evolvedPopulation(150, 20);
+    persist::Checkpoint ck;
+    ck.generation = 21;
+    ck.champion = pop.best();
+    ck.population = pop.saveState();
+    const std::string text = persist::checkpointToString(ck);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(persist::checkpointFromString(text));
+    state.SetBytesProcessed(static_cast<int64_t>(state.iterations() *
+                                                 text.size()));
+}
+BENCHMARK(BM_CheckpointLoad);
 
 } // namespace
 

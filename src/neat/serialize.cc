@@ -1,25 +1,17 @@
 #include "neat/serialize.hh"
 
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <iomanip>
+#include <limits>
 #include <sstream>
+
+#include "common/fs.hh"
+#include "common/text_scan.hh"
 
 namespace e3 {
 
 namespace {
-
-/** strtod with full-token consumption; handles "nan"/"inf". */
-bool
-parseDouble(const std::string &token, double &out)
-{
-    if (token.empty())
-        return false;
-    char *end = nullptr;
-    out = std::strtod(token.c_str(), &end);
-    return end == token.c_str() + token.size();
-}
 
 /**
  * Structural audit of a parsed genome (GenomeLoadMode::Validated).
@@ -89,42 +81,28 @@ genomeToString(const Genome &genome)
 }
 
 Result<Genome>
-loadGenome(std::istream &in, GenomeLoadMode mode)
+loadGenome(TextCursor &cursor, GenomeLoadMode mode)
 {
-    std::string line;
+    std::string_view tag;
+    LineScanner ls;
     // Find the header, skipping blanks and comments.
-    int key = 0;
-    double fitness = std::numeric_limits<double>::quiet_NaN();
-    bool haveHeader = false;
-    while (std::getline(in, line)) {
-        std::istringstream ls(line);
-        std::string tag;
-        if (!(ls >> tag) || tag[0] == '#')
-            continue;
-        if (tag != "genome")
-            return Status::error("expected 'genome' header, got '", tag,
-                                 "'");
-        std::string fit;
-        if (!(ls >> key >> fit))
-            return Status::error("malformed genome header: '", line,
-                                 "'");
-        if (fit != "nan" && !parseDouble(fit, fitness))
-            return Status::error("bad fitness '", fit,
-                                 "' in genome header");
-        haveHeader = true;
-        break;
-    }
-    if (!haveHeader)
+    if (!cursor.nextRecord(tag, ls))
         return Status::error("no genome found in stream");
+    if (tag != "genome")
+        return Status::error("expected 'genome' header, got '", tag, "'");
+    int key = 0;
+    std::string_view fit;
+    if (!(ls >> key >> fit))
+        return Status::error("malformed genome header: '", ls.line(),
+                             "'");
+    double fitness = std::numeric_limits<double>::quiet_NaN();
+    if (fit != "nan" && !parseDouble(fit, fitness))
+        return Status::error("bad fitness '", fit, "' in genome header");
 
     Genome genome(key);
     genome.fitness = fitness;
 
-    while (std::getline(in, line)) {
-        std::istringstream ls(line);
-        std::string tag;
-        if (!(ls >> tag) || tag[0] == '#')
-            continue;
+    while (cursor.nextRecord(tag, ls)) {
         if (tag == "end") {
             if (mode == GenomeLoadMode::Validated) {
                 if (Status audit = auditLoadedGenome(genome);
@@ -134,44 +112,36 @@ loadGenome(std::istream &in, GenomeLoadMode mode)
             return genome;
         }
         if (tag == "node") {
-            int id;
-            double bias;
-            std::string biasTok, act, agg;
-            // The bias goes through parseDouble, not operator>>:
+            NodeGene gene;
+            std::string_view act, agg;
+            // The bias is read with parseDouble semantics:
             // saveGenome writes non-finite values as "inf"/"nan" and
             // they must round-trip so the verifier can report them as
             // E3V007 instead of the load failing outright.
-            if (!(ls >> id >> biasTok >> act >> agg) ||
-                !parseDouble(biasTok, bias))
-                return Status::error("malformed node line: '", line,
+            if (!(ls >> gene.id >> gene.bias >> act >> agg))
+                return Status::error("malformed node line: '", ls.line(),
                                      "'");
-            NodeGene gene;
-            gene.id = id;
-            gene.bias = bias;
             if (!tryParseActivation(act, gene.act))
                 return Status::error("unknown activation '", act,
-                                     "' in node ", id);
+                                     "' in node ", gene.id);
             if (!tryParseAggregation(agg, gene.agg))
                 return Status::error("unknown aggregation '", agg,
-                                     "' in node ", id);
-            if (!genome.nodes.emplace(id, gene).second)
-                return Status::error("[E3V006] duplicate node ", id,
+                                     "' in node ", gene.id);
+            if (!genome.nodes.emplace(gene.id, gene).second)
+                return Status::error("[E3V006] duplicate node ", gene.id,
                                      " in genome");
         } else if (tag == "conn") {
-            int from, to, enabled;
-            double weight;
-            std::string weightTok;
-            if (!(ls >> from >> to >> weightTok >> enabled) ||
-                !parseDouble(weightTok, weight))
-                return Status::error("malformed conn line: '", line,
-                                     "'");
             ConnGene gene;
-            gene.key = {from, to};
-            gene.weight = weight;
+            int enabled = 0;
+            if (!(ls >> gene.key.first >> gene.key.second >> gene.weight >>
+                  enabled))
+                return Status::error("malformed conn line: '", ls.line(),
+                                     "'");
             gene.enabled = enabled != 0;
             if (!genome.conns.emplace(gene.key, gene).second)
                 return Status::error("[E3V006] duplicate connection ",
-                                     from, "->", to);
+                                     gene.key.first, "->",
+                                     gene.key.second);
         } else {
             return Status::error("unknown record '", tag,
                                  "' in genome stream");
@@ -181,10 +151,10 @@ loadGenome(std::istream &in, GenomeLoadMode mode)
 }
 
 Result<Genome>
-genomeFromString(const std::string &text, GenomeLoadMode mode)
+genomeFromString(std::string_view text, GenomeLoadMode mode)
 {
-    std::istringstream iss(text);
-    return loadGenome(iss, mode);
+    TextCursor cursor(text);
+    return loadGenome(cursor, mode);
 }
 
 Status
@@ -202,10 +172,10 @@ saveGenomeFile(const Genome &genome, const std::string &path)
 Result<Genome>
 loadGenomeFile(const std::string &path, GenomeLoadMode mode)
 {
-    std::ifstream in(path);
-    if (!in)
+    Result<std::string> text = readFile(path);
+    if (!text.ok())
         return Status::error("cannot open genome file '", path, "'");
-    return loadGenome(in, mode);
+    return genomeFromString(text.value(), mode);
 }
 
 } // namespace e3

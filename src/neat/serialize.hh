@@ -24,8 +24,10 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "common/result.hh"
+#include "common/text_scan.hh"
 #include "neat/genome.hh"
 
 namespace e3 {
@@ -53,13 +55,17 @@ void saveGenome(const Genome &genome, std::ostream &out);
 /** Serialize to a string. */
 std::string genomeToString(const Genome &genome);
 
-/** Read one genome from a stream; error on malformed input. */
-Result<Genome> loadGenome(std::istream &in,
+/**
+ * Read one genome from the cursor's next lines, leaving the cursor
+ * after its "end" line (the checkpoint loader reads several genomes
+ * from one text this way); error on malformed input.
+ */
+Result<Genome> loadGenome(TextCursor &cursor,
                           GenomeLoadMode mode = GenomeLoadMode::Validated);
 
 /** Parse from a string produced by genomeToString(). */
 Result<Genome>
-genomeFromString(const std::string &text,
+genomeFromString(std::string_view text,
                  GenomeLoadMode mode = GenomeLoadMode::Validated);
 
 /** Save to a file (ordinary write; not atomic). */

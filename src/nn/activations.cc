@@ -57,7 +57,7 @@ parseActivation(const std::string &name)
 }
 
 bool
-tryParseActivation(const std::string &name, Activation &out)
+tryParseActivation(std::string_view name, Activation &out)
 {
     for (int i = 0; i < numActivations; ++i) {
         const Activation act = activationFromIndex(i);

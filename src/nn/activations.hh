@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <string_view>
 
 #include "common/result.hh"
 
@@ -88,7 +89,7 @@ Result<Activation> parseActivation(const std::string &name);
  * Parse a name into @p out and return true; false on unknown names
  * (for load paths that must not terminate the process).
  */
-bool tryParseActivation(const std::string &name, Activation &out);
+bool tryParseActivation(std::string_view name, Activation &out);
 
 /** Number of distinct activations (for mutation sampling). */
 constexpr int numActivations = 8;

@@ -79,7 +79,7 @@ parseAggregation(const std::string &name)
 }
 
 bool
-tryParseAggregation(const std::string &name, Aggregation &out)
+tryParseAggregation(std::string_view name, Aggregation &out)
 {
     for (int i = 0; i < numAggregations; ++i) {
         const Aggregation agg = aggregationFromIndex(i);

@@ -9,6 +9,7 @@
 #define E3_NN_AGGREGATIONS_HH
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.hh"
@@ -60,7 +61,7 @@ Result<Aggregation> parseAggregation(const std::string &name);
  * Parse a name into @p out and return true; false on unknown names
  * (for load paths that must not terminate the process).
  */
-bool tryParseAggregation(const std::string &name, Aggregation &out);
+bool tryParseAggregation(std::string_view name, Aggregation &out);
 
 /** Number of distinct aggregations (for mutation sampling). */
 constexpr int numAggregations = 5;

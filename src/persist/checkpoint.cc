@@ -3,10 +3,12 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <sstream>
 
 #include "common/fs.hh"
 #include "common/logging.hh"
+#include "common/text_scan.hh"
 #include "common/timing.hh"
 #include "neat/serialize.hh"
 #include "obs/trace.hh"
@@ -28,53 +30,24 @@ hexDouble(double v)
     return buf;
 }
 
-/** strtod with full-token consumption; handles hex, "nan", "inf". */
+/** strtoull base 16 over one whole token (the config hash). */
 bool
-parseDouble(const std::string &token, double &out)
+parseHex64(std::string_view token, uint64_t &out)
 {
     if (token.empty())
         return false;
+    const std::string text(token);
     char *end = nullptr;
-    out = std::strtod(token.c_str(), &end);
-    return end == token.c_str() + token.size();
+    out = std::strtoull(text.c_str(), &end, 16);
+    return end == text.c_str() + text.size();
 }
 
-bool
-parseUint64(const std::string &token, uint64_t &out)
-{
-    if (token.empty())
-        return false;
-    char *end = nullptr;
-    out = std::strtoull(token.c_str(), &end, 16);
-    return end == token.c_str() + token.size();
-}
-
-/**
- * Advance to the next non-blank, non-comment line and split off its
- * leading tag; false at end of stream.
- */
-bool
-nextRecord(std::istream &in, std::string &tag, std::istringstream &rest)
-{
-    std::string line;
-    while (std::getline(in, line)) {
-        rest.clear();
-        rest.str(line);
-        tag.clear();
-        if (!(rest >> tag) || tag[0] == '#')
-            continue;
-        return true;
-    }
-    return false;
-}
-
-/** Read one expected record; error mentions what was wanted. */
+/** Advance to the next record, which must be tagged @p want. */
 Status
-record(std::istream &in, const std::string &want,
-       std::istringstream &rest)
+record(TextCursor &cursor, std::string_view want, LineScanner &rest)
 {
-    std::string tag;
-    if (!nextRecord(in, tag, rest))
+    std::string_view tag;
+    if (!cursor.nextRecord(tag, rest))
         return Status::error("checkpoint truncated: expected '", want,
                              "' record");
     if (tag != want)
@@ -83,14 +56,16 @@ record(std::istream &in, const std::string &want,
     return Status();
 }
 
-/** Pull one hex-float token off a record. */
+/** record() plus its values, read in order; "bad <want>" if one fails. */
+template <typename... Values>
 Status
-readDouble(std::istringstream &rest, const std::string &what,
-           double &out)
+readRecord(TextCursor &cursor, std::string_view want, Values &...values)
 {
-    std::string token;
-    if (!(rest >> token) || !parseDouble(token, out))
-        return Status::error("bad ", what, " value");
+    LineScanner rest;
+    if (Status st = record(cursor, want, rest); !st.ok())
+        return st;
+    if (!(rest >> ... >> values))
+        return Status::error("bad ", want);
     return Status();
 }
 
@@ -123,9 +98,9 @@ verifyStoredGenome(const Genome &genome, const char *what)
 
 /** loadGenome + structural verification for one stored genome. */
 Result<Genome>
-loadStoredGenome(std::istream &in, const char *what)
+loadStoredGenome(TextCursor &cursor, const char *what)
 {
-    Result<Genome> genome = loadGenome(in, GenomeLoadMode::Raw);
+    Result<Genome> genome = loadGenome(cursor, GenomeLoadMode::Raw);
     if (!genome.ok())
         return genome;
     if (Status st = verifyStoredGenome(genome.value(), what); !st.ok())
@@ -144,24 +119,17 @@ saveRngState(const char *name, const RngState &state, std::ostream &out)
 }
 
 Status
-loadRngState(std::istream &in, const std::string &name, RngState &out)
+loadRngState(TextCursor &cursor, std::string_view name, RngState &out)
 {
-    std::istringstream rest;
-    if (Status st = record(in, "rng", rest); !st.ok())
+    LineScanner rest;
+    if (Status st = record(cursor, "rng", rest); !st.ok())
         return st;
-    std::string streamName;
+    std::string_view streamName;
     if (!(rest >> streamName) || streamName != name)
         return Status::error("expected rng stream '", name, "'");
     int hasCached = 0;
-    for (uint64_t &word : out.s) {
-        if (!(rest >> word))
-            return Status::error("bad rng state for '", name, "'");
-    }
-    if (Status st = readDouble(rest, "rng cached normal",
-                               out.cachedNormal);
-        !st.ok())
-        return st;
-    if (!(rest >> hasCached))
+    if (!(rest >> out.s[0] >> out.s[1] >> out.s[2] >> out.s[3] >>
+          out.cachedNormal >> hasCached))
         return Status::error("bad rng state for '", name, "'");
     out.hasCachedNormal = hasCached != 0;
     return Status();
@@ -176,28 +144,28 @@ struct Manifest
 };
 
 Result<Manifest>
-parseManifest(const std::string &text)
+parseManifest(std::string_view text)
 {
-    std::istringstream in(text);
+    TextCursor cursor(text);
     Manifest manifest;
-    std::istringstream rest;
-    if (Status st = record(in, "e3-checkpoint-manifest", rest);
+    LineScanner rest;
+    if (Status st = record(cursor, "e3-checkpoint-manifest", rest);
         !st.ok())
         return st;
-    std::string hash;
+    std::string_view hash;
     if (!(rest >> manifest.version >> hash) ||
-        !parseUint64(hash, manifest.configHash))
+        !parseHex64(hash, manifest.configHash))
         return Status::error("malformed manifest header");
 
-    std::string tag;
-    while (nextRecord(in, tag, rest)) {
+    std::string_view tag;
+    while (cursor.nextRecord(tag, rest)) {
         if (tag != "checkpoint")
             return Status::error("unknown manifest record '", tag, "'");
         int generation = 0;
-        std::string file;
+        std::string_view file;
         if (!(rest >> generation >> file))
             return Status::error("malformed manifest entry");
-        manifest.entries.emplace_back(generation, file);
+        manifest.entries.emplace_back(generation, std::string(file));
     }
     return manifest;
 }
@@ -315,123 +283,104 @@ checkpointToString(const Checkpoint &checkpoint)
 }
 
 Result<Checkpoint>
-loadCheckpoint(std::istream &in)
+checkpointFromString(std::string_view text)
 {
+    TextCursor cursor(text);
     Checkpoint ck;
-    std::istringstream rest;
+    LineScanner rest;
 
-    if (Status st = record(in, "e3-checkpoint", rest); !st.ok())
+    if (Status st = record(cursor, "e3-checkpoint", rest); !st.ok())
         return st;
     int version = 0;
-    std::string hash;
-    if (!(rest >> version >> hash) ||
-        !parseUint64(hash, ck.configHash))
+    std::string_view hash;
+    if (!(rest >> version >> hash) || !parseHex64(hash, ck.configHash))
         return Status::error("malformed checkpoint header");
     if (version != kFormatVersion)
         return Status::error("checkpoint format version ", version,
                              ", this build reads version ",
                              kFormatVersion);
 
-    if (Status st = record(in, "generation", rest); !st.ok())
-        return st;
-    if (!(rest >> ck.generation))
-        return Status::error("bad generation");
-    if (Status st = record(in, "envsteps", rest); !st.ok())
-        return st;
-    if (!(rest >> ck.envSteps))
-        return Status::error("bad envsteps");
-    if (Status st = record(in, "best-fitness", rest); !st.ok())
-        return st;
-    if (Status st = readDouble(rest, "best-fitness", ck.bestFitness);
+    PopulationState &pop = ck.population;
+    if (Status st = readRecord(cursor, "generation", ck.generation);
         !st.ok())
         return st;
-
-    PopulationState &pop = ck.population;
-    if (Status st = record(in, "pop-generation", rest); !st.ok())
+    if (Status st = readRecord(cursor, "envsteps", ck.envSteps); !st.ok())
         return st;
-    if (!(rest >> pop.generation))
-        return Status::error("bad pop-generation");
-    if (Status st = loadRngState(in, "population", pop.rng); !st.ok())
+    if (Status st = readRecord(cursor, "best-fitness", ck.bestFitness);
+        !st.ok())
         return st;
-    if (Status st = loadRngState(in, "reproduction",
+    if (Status st = readRecord(cursor, "pop-generation", pop.generation);
+        !st.ok())
+        return st;
+    if (ck.generation < 0 || pop.generation < 0)
+        return Status::error("negative generation ", ck.generation,
+                             " / pop-generation ", pop.generation);
+    if (Status st = loadRngState(cursor, "population", pop.rng); !st.ok())
+        return st;
+    if (Status st = loadRngState(cursor, "reproduction",
                                  pop.reproductionRng);
         !st.ok())
         return st;
-    if (Status st = record(in, "genomes-created", rest); !st.ok())
+    if (Status st =
+            readRecord(cursor, "genomes-created", pop.genomesCreated);
+        !st.ok())
         return st;
-    if (!(rest >> pop.genomesCreated))
-        return Status::error("bad genomes-created");
-    if (Status st = record(in, "innovation", rest); !st.ok())
+    if (Status st = readRecord(cursor, "innovation", pop.lastNodeId);
+        !st.ok())
         return st;
-    if (!(rest >> pop.lastNodeId))
-        return Status::error("bad innovation");
-    if (Status st = record(in, "next-species-id", rest); !st.ok())
+    if (Status st =
+            readRecord(cursor, "next-species-id", pop.nextSpeciesId);
+        !st.ok())
         return st;
-    if (!(rest >> pop.nextSpeciesId))
-        return Status::error("bad next-species-id");
 
     size_t phaseCount = 0;
-    if (Status st = record(in, "phases", rest); !st.ok())
+    if (Status st = readRecord(cursor, "phases", phaseCount); !st.ok())
         return st;
-    if (!(rest >> phaseCount))
-        return Status::error("bad phase count");
     for (size_t i = 0; i < phaseCount; ++i) {
-        if (Status st = record(in, "phase", rest); !st.ok())
-            return st;
-        std::string name;
+        std::string_view name;
         double seconds = 0.0;
-        if (!(rest >> name))
-            return Status::error("bad phase name");
-        if (Status st = readDouble(rest, "phase seconds", seconds);
+        if (Status st = readRecord(cursor, "phase", name, seconds);
             !st.ok())
             return st;
-        ck.phaseSeconds.emplace_back(name, seconds);
+        ck.phaseSeconds.emplace_back(std::string(name), seconds);
     }
 
     size_t rowCount = 0;
-    if (Status st = record(in, "trace", rest); !st.ok())
+    if (Status st = readRecord(cursor, "trace", rowCount); !st.ok())
         return st;
-    if (!(rest >> rowCount))
-        return Status::error("bad trace count");
     for (size_t i = 0; i < rowCount; ++i) {
-        if (Status st = record(in, "row", rest); !st.ok())
-            return st;
         TraceRow row;
-        if (!(rest >> row.generation))
-            return Status::error("bad trace row");
-        for (double *field :
-             {&row.bestFitness, &row.meanFitness, &row.normalizedBest,
-              &row.cumulativeSeconds, &row.meanNodes,
-              &row.meanConnections, &row.meanDensity}) {
-            if (Status st = readDouble(rest, "trace row", *field);
-                !st.ok())
-                return st;
-        }
-        if (!(rest >> row.numSpecies))
-            return Status::error("bad trace row");
+        if (Status st = readRecord(
+                cursor, "row", row.generation, row.bestFitness,
+                row.meanFitness, row.normalizedBest,
+                row.cumulativeSeconds, row.meanNodes,
+                row.meanConnections, row.meanDensity, row.numSpecies);
+            !st.ok())
+            return st;
         ck.trace.push_back(row);
     }
 
     int hasChampion = 0;
-    if (Status st = record(in, "champion", rest); !st.ok())
+    if (Status st = readRecord(cursor, "champion", hasChampion); !st.ok())
         return st;
-    if (!(rest >> hasChampion))
-        return Status::error("bad champion flag");
     if (hasChampion) {
-        Result<Genome> champion = loadStoredGenome(in, "champion");
+        Result<Genome> champion = loadStoredGenome(cursor, "champion");
         if (!champion.ok())
             return Status::error("bad champion genome: ",
                                  champion.message());
         ck.champion = std::move(champion).value();
     }
 
+    // Restore compiles and reproduces from the stored genomes, so an
+    // empty population is corrupt, not a fresh start.
     size_t genomeCount = 0;
-    if (Status st = record(in, "population", rest); !st.ok())
+    if (Status st = readRecord(cursor, "population", genomeCount);
+        !st.ok())
         return st;
-    if (!(rest >> genomeCount))
-        return Status::error("bad population count");
+    if (genomeCount == 0)
+        return Status::error("population of 0 genomes");
     for (size_t i = 0; i < genomeCount; ++i) {
-        Result<Genome> genome = loadStoredGenome(in, "population");
+        Result<Genome> genome = loadStoredGenome(cursor, "population");
         if (!genome.ok())
             return Status::error("bad population genome: ",
                                  genome.message());
@@ -440,52 +389,59 @@ loadCheckpoint(std::istream &in)
             return Status::error("duplicate genome key ", key);
     }
 
+    // Reproduction looks each member up among the stored genomes and
+    // expects every genome in at most one species.
+    std::map<int, int> speciesOf;
     size_t speciesCount = 0;
-    if (Status st = record(in, "species", rest); !st.ok())
+    if (Status st = readRecord(cursor, "species", speciesCount); !st.ok())
         return st;
-    if (!(rest >> speciesCount))
-        return Status::error("bad species count");
     for (size_t i = 0; i < speciesCount; ++i) {
-        if (Status st = record(in, "species-begin", rest); !st.ok())
-            return st;
         int sid = 0, created = 0, lastImproved = 0;
         double adjusted = 0.0;
-        if (!(rest >> sid >> created >> lastImproved))
-            return Status::error("bad species header");
-        if (Status st = readDouble(rest, "species adjusted fitness",
-                                   adjusted);
+        if (Status st = readRecord(cursor, "species-begin", sid, created,
+                                   lastImproved, adjusted);
             !st.ok())
             return st;
 
-        if (Status st = record(in, "members", rest); !st.ok())
+        if (Status st = record(cursor, "members", rest); !st.ok())
             return st;
         size_t memberCount = 0;
         if (!(rest >> memberCount))
             return Status::error("bad species member count");
-        std::vector<int> members(memberCount);
-        for (int &member : members) {
+        std::vector<int> members;
+        for (size_t m = 0; m < memberCount; ++m) {
+            int member = 0;
             if (!(rest >> member))
                 return Status::error("bad species member list");
+            if (!pop.genomes.count(member))
+                return Status::error("species ", sid, " member ", member,
+                                     " names no stored genome");
+            if (auto [it, fresh] = speciesOf.emplace(member, sid); !fresh)
+                return Status::error("genome ", member,
+                                     " is listed in species ",
+                                     it->second, " and ", sid);
+            members.push_back(member);
         }
 
-        if (Status st = record(in, "history", rest); !st.ok())
+        if (Status st = record(cursor, "history", rest); !st.ok())
             return st;
         size_t historyCount = 0;
         if (!(rest >> historyCount))
             return Status::error("bad species history count");
-        std::vector<double> history(historyCount);
-        for (double &h : history) {
-            std::string token;
-            if (!(rest >> token) || !parseDouble(token, h))
+        std::vector<double> history;
+        for (size_t h = 0; h < historyCount; ++h) {
+            double value = 0.0;
+            if (!(rest >> value))
                 return Status::error("bad species history value");
+            history.push_back(value);
         }
 
         Result<Genome> representative =
-            loadStoredGenome(in, "species representative");
+            loadStoredGenome(cursor, "species representative");
         if (!representative.ok())
             return Status::error("bad species representative: ",
                                  representative.message());
-        if (Status st = record(in, "species-end", rest); !st.ok())
+        if (Status st = record(cursor, "species-end", rest); !st.ok())
             return st;
 
         Species sp(sid, created, std::move(representative).value());
@@ -497,16 +453,9 @@ loadCheckpoint(std::istream &in)
             return Status::error("duplicate species id ", sid);
     }
 
-    if (Status st = record(in, "end-checkpoint", rest); !st.ok())
+    if (Status st = record(cursor, "end-checkpoint", rest); !st.ok())
         return st;
     return ck;
-}
-
-Result<Checkpoint>
-checkpointFromString(const std::string &text)
-{
-    std::istringstream iss(text);
-    return loadCheckpoint(iss);
 }
 
 Status

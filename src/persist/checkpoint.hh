@@ -34,6 +34,7 @@
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -100,11 +101,13 @@ void saveCheckpoint(const Checkpoint &checkpoint, std::ostream &out);
 /** Serialize to a string. */
 std::string checkpointToString(const Checkpoint &checkpoint);
 
-/** Parse a checkpoint; malformed or truncated input is an error. */
-Result<Checkpoint> loadCheckpoint(std::istream &in);
-
-/** Parse from a string produced by checkpointToString(). */
-Result<Checkpoint> checkpointFromString(const std::string &text);
+/**
+ * Parse a string produced by checkpointToString(). Malformed or
+ * truncated input is an error, and so is a snapshot that cannot be
+ * restored: a negative generation, an empty population, or a species
+ * member that names no stored genome or is listed twice.
+ */
+Result<Checkpoint> checkpointFromString(std::string_view text);
 
 /** Instrumentation of one checkpoint write (metrics feed). */
 struct WriteStats

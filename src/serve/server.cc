@@ -6,9 +6,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cstring>
 #include <future>
+#include <iterator>
 
 #include "common/hot.hh"
 #include "common/logging.hh"
@@ -24,12 +27,15 @@ struct ChampionServer::Connection
 {
     /**
      * Set once before the connection thread starts, read lock-free by
-     * connectionLoop's recv, and reset to -1 only in stop() after
-     * every connection thread has joined.
+     * connectionLoop's recv, and reset to -1 only by closeSocket()
+     * after the connection thread has joined.
      */
     int fd = -1;
     Mutex writeMutex;
     bool open E3_GUARDED_BY(writeMutex) = true;
+
+    /** Set when connectionLoop has returned; the thread can be joined. */
+    std::atomic<bool> finished{false};
 
     /** Frame and send @p response; drops silently once closed. */
     void
@@ -61,6 +67,24 @@ struct ChampionServer::Connection
             open = false;
         }
     }
+
+    /** Release the descriptor; only once the connection thread joined. */
+    void
+    closeSocket()
+    {
+        MutexLock lock(writeMutex);
+        open = false;
+        if (fd >= 0)
+            ::close(fd);
+        fd = -1;
+    }
+};
+
+/** An accepted connection and the thread running its loop. */
+struct ChampionServer::ConnectionThread
+{
+    std::shared_ptr<Connection> conn;
+    std::thread thread;
 };
 
 ChampionServer::ChampionServer(const ServeOptions &options)
@@ -358,6 +382,7 @@ ChampionServer::acceptLoop()
         const int fd = ::accept(listenFd_, nullptr, nullptr);
         if (fd < 0)
             return; // listener closed: shutting down
+        reapFinishedConnections();
         const int one = 1;
         ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
         auto conn = std::make_shared<Connection>();
@@ -367,10 +392,41 @@ ChampionServer::acceptLoop()
             ::close(fd);
             return;
         }
-        connections_.push_back(conn);
-        connectionThreads_.emplace_back(
-            [this, conn] { connectionLoop(conn); });
+        connections_.push_back({conn, std::thread([this, conn] {
+                                    connectionLoop(conn);
+                                    conn->finished.store(
+                                        true, std::memory_order_release);
+                                })});
     }
+}
+
+void
+ChampionServer::reapFinishedConnections()
+{
+    std::vector<ConnectionThread> done;
+    {
+        MutexLock lock(connectionsMutex_);
+        const auto split = std::stable_partition(
+            connections_.begin(), connections_.end(),
+            [](const ConnectionThread &c) {
+                return !c.conn->finished.load(std::memory_order_acquire);
+            });
+        done.assign(std::make_move_iterator(split),
+                    std::make_move_iterator(connections_.end()));
+        connections_.erase(split, connections_.end());
+    }
+    // The loops have returned, so these joins do not wait on a client.
+    for (ConnectionThread &c : done) {
+        c.thread.join();
+        c.conn->closeSocket();
+    }
+}
+
+size_t
+ChampionServer::connectionCount() const
+{
+    MutexLock lock(connectionsMutex_);
+    return connections_.size();
 }
 
 void
@@ -442,30 +498,21 @@ ChampionServer::stop()
     batcher_->drain();
     {
         MutexLock lock(connectionsMutex_);
-        for (auto &conn : connections_)
-            conn->shutdownAndClose();
+        for (ConnectionThread &c : connections_)
+            c.conn->shutdownAndClose();
     }
     if (acceptThread_.joinable())
         acceptThread_.join();
-    // The accept loop has exited, so nothing appends to the thread
-    // list anymore; swap it out under the lock and join unlocked.
-    std::vector<std::thread> joined;
+    // The accept loop has exited, so nothing appends to the list
+    // anymore; swap it out under the lock and join unlocked.
+    std::vector<ConnectionThread> joined;
     {
         MutexLock lock(connectionsMutex_);
-        joined.swap(connectionThreads_);
+        joined.swap(connections_);
     }
-    for (auto &thread : joined) {
-        if (thread.joinable())
-            thread.join();
-    }
-    {
-        MutexLock lock(connectionsMutex_);
-        for (auto &conn : connections_) {
-            if (conn->fd >= 0)
-                ::close(conn->fd);
-            conn->fd = -1;
-        }
-        connections_.clear();
+    for (ConnectionThread &c : joined) {
+        c.thread.join();
+        c.conn->closeSocket();
     }
     listenFd_ = -1;
 }

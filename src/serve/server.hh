@@ -144,6 +144,13 @@ class ChampionServer
 
     ServerCounters counters() const;
     BatcherStats batcherStats() const;
+
+    /**
+     * TCP connections the server still holds, open or finished but not
+     * yet reaped. The accept loop reaps finished ones before admitting
+     * the next, so this stays near the number of open clients.
+     */
+    size_t connectionCount() const;
     const GenomeCache &cache() const { return *cache_; }
     LatencySummary latency() const { return latency_.summarize(); }
 
@@ -157,6 +164,7 @@ class ChampionServer
         NetworkDef def;
     };
     struct Connection;
+    struct ConnectionThread;
 
     explicit ChampionServer(const ServeOptions &options);
 
@@ -165,6 +173,8 @@ class ChampionServer
 
     void acceptLoop();
     void connectionLoop(std::shared_ptr<Connection> conn);
+    /** Join and drop connections whose loop has exited. */
+    void reapFinishedConnections();
 
     ServeOptions options_;
     std::vector<ChampionInfo> champions_;
@@ -180,10 +190,8 @@ class ChampionServer
     int listenFd_ = -1;
     uint16_t port_ = 0;
     std::thread acceptThread_;
-    Mutex connectionsMutex_;
-    std::vector<std::shared_ptr<Connection>> connections_
-        E3_GUARDED_BY(connectionsMutex_);
-    std::vector<std::thread> connectionThreads_
+    mutable Mutex connectionsMutex_;
+    std::vector<ConnectionThread> connections_
         E3_GUARDED_BY(connectionsMutex_);
     bool stopped_ E3_GUARDED_BY(connectionsMutex_) = false;
 };

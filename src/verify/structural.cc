@@ -161,14 +161,13 @@ verifyGenome(const Genome &genome, const GenomeInterface &iface)
     for (const auto &[key, gene] : genome.conns) {
         int from = key.first;
         int to = key.second;
-        std::string locus = connLocus(from, to);
         if (to < 0) {
             report.add(makeDiagnostic(
-                rules::kInputAsDestination, locus,
+                rules::kInputAsDestination, connLocus(from, to),
                 "connection targets input id " + std::to_string(to)));
         } else if (!genome.nodes.count(to)) {
             report.add(makeDiagnostic(
-                rules::kDanglingEndpoint, locus,
+                rules::kDanglingEndpoint, connLocus(from, to),
                 "destination node " + std::to_string(to) +
                     " has no node gene"));
         }
@@ -176,7 +175,7 @@ verifyGenome(const Genome &genome, const GenomeInterface &iface)
             if (iface.numInputs > 0 &&
                 from < -static_cast<int>(iface.numInputs)) {
                 report.add(makeDiagnostic(
-                    rules::kInputOutOfRange, locus,
+                    rules::kInputOutOfRange, connLocus(from, to),
                     "input id " + std::to_string(from) +
                         " is outside the " +
                         std::to_string(iface.numInputs) +
@@ -184,17 +183,18 @@ verifyGenome(const Genome &genome, const GenomeInterface &iface)
             }
         } else if (!genome.nodes.count(from)) {
             report.add(makeDiagnostic(
-                rules::kDanglingEndpoint, locus,
+                rules::kDanglingEndpoint, connLocus(from, to),
                 "source node " + std::to_string(from) +
                     " has no node gene"));
         }
         if (!std::isfinite(gene.weight)) {
-            report.add(makeDiagnostic(rules::kNonfiniteParameter, locus,
+            report.add(makeDiagnostic(rules::kNonfiniteParameter,
+                                      connLocus(from, to),
                                       "weight is not finite"));
         }
         if (iface.feedForward && from == to && gene.enabled) {
             report.add(makeDiagnostic(
-                rules::kSelfLoop, locus,
+                rules::kSelfLoop, connLocus(from, to),
                 "enabled self-loop in a feed-forward genome"));
         }
     }
@@ -214,7 +214,7 @@ verifyGenome(const Genome &genome, const GenomeInterface &iface)
             }
         }
         scope = std::move(reachable);
-    } else {
+    } else if (iface.feedForward) {
         for (const auto &[id, node] : genome.nodes) {
             if (id >= 0)
                 scope.insert(id);

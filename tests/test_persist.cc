@@ -278,6 +278,72 @@ TEST(CheckpointLoad, VersionMismatchIsError)
     EXPECT_NE(r.message().find("version"), std::string::npos);
 }
 
+// A snapshot that parses but cannot be restored is an error value too,
+// so loadLatestCheckpoint falls back instead of the resume aborting.
+TEST(CheckpointLoad, MemberWithoutStoredGenomeIsError)
+{
+    Checkpoint ck = sampleCheckpoint();
+    ASSERT_FALSE(ck.population.species.empty());
+    ck.population.species.begin()->second.members.push_back(987654);
+    Result<Checkpoint> r = checkpointFromString(checkpointToString(ck));
+    ASSERT_FALSE(r.ok());
+    EXPECT_NE(r.message().find("member 987654 names no stored genome"),
+              std::string::npos)
+        << r.message();
+}
+
+TEST(CheckpointLoad, EmptyPopulationIsError)
+{
+    Checkpoint ck = sampleCheckpoint();
+    ck.population.genomes.clear();
+    ck.population.species.clear();
+    Result<Checkpoint> r = checkpointFromString(checkpointToString(ck));
+    ASSERT_FALSE(r.ok());
+    EXPECT_NE(r.message().find("population of 0 genomes"),
+              std::string::npos)
+        << r.message();
+}
+
+TEST(CheckpointLoad, GenomeInTwoSpeciesIsError)
+{
+    Checkpoint ck = sampleCheckpoint();
+    auto &species = ck.population.species;
+    ASSERT_FALSE(species.empty());
+    const Species &first = species.begin()->second;
+    const int shared = first.members.front();
+    const int sidB = species.rbegin()->first + 1;
+    Species twin(sidB, first.created, first.representative);
+    twin.members = {shared};
+    const int sidA = first.id;
+    species.emplace(sidB, std::move(twin));
+    Result<Checkpoint> r = checkpointFromString(checkpointToString(ck));
+    ASSERT_FALSE(r.ok());
+    EXPECT_NE(r.message().find("genome " + std::to_string(shared) +
+                               " is listed in species " +
+                               std::to_string(sidA) + " and " +
+                               std::to_string(sidB)),
+              std::string::npos)
+        << r.message();
+}
+
+TEST(CheckpointLoad, NegativeGenerationIsError)
+{
+    Checkpoint ck = sampleCheckpoint();
+    ck.generation = -5;
+    Result<Checkpoint> r = checkpointFromString(checkpointToString(ck));
+    ASSERT_FALSE(r.ok());
+    EXPECT_NE(r.message().find("negative generation -5"),
+              std::string::npos)
+        << r.message();
+
+    ck = sampleCheckpoint();
+    ck.population.generation = -3;
+    r = checkpointFromString(checkpointToString(ck));
+    ASSERT_FALSE(r.ok());
+    EXPECT_NE(r.message().find("pop-generation -3"), std::string::npos)
+        << r.message();
+}
+
 TEST(CheckpointDir, WriteThenLoadLatest)
 {
     const std::string dir = scratchDir("latest");

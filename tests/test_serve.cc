@@ -17,13 +17,16 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <future>
 #include <limits>
 #include <map>
+#include <thread>
 
 #include "common/fs.hh"
 #include "env/env_registry.hh"
@@ -830,4 +833,48 @@ TEST(ServeTcp, OversizedFrameHangsUp)
     EXPECT_FALSE(second.ok());
 
     server->stop();
+}
+
+TEST(ServeTcp, ChurningClientsAreReaped)
+{
+    const std::string dir = championDir("cartpole", "tcp_churn", 37);
+    auto server = serverFor({{dir, "cartpole"}});
+    ASSERT_NE(server, nullptr);
+    ASSERT_TRUE(server->listen(0).ok());
+
+    InferRequest req;
+    req.fingerprint = server->champions()[0].fingerprint;
+    req.observation = observationFor("cartpole");
+
+    // Each client is accepted and served before it hangs up; without
+    // reaping, every one of them would keep its thread and stack until
+    // stop().
+    constexpr size_t kClients = 200;
+    size_t mostHeld = 0;
+    for (size_t i = 0; i < kClients; ++i) {
+        TestClient client(server->port());
+        req.requestId = i;
+        Result<InferResponse> resp = client.roundTrip(req);
+        ASSERT_TRUE(resp.ok()) << resp.message();
+        ASSERT_EQ(resp->status, StatusCode::Ok);
+        mostHeld = std::max(mostHeld, server->connectionCount());
+    }
+    EXPECT_LT(mostHeld, 32u);
+
+    // Each accept reaps the loops that have exited by then, so one
+    // more client brings the count down to the clients still open.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    size_t held = server->connectionCount();
+    while (held > 1 && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        TestClient client(server->port());
+        ASSERT_TRUE(client.roundTrip(req).ok());
+        held = server->connectionCount();
+    }
+    EXPECT_LE(held, 1u);
+
+    server->stop();
+    EXPECT_EQ(server->connectionCount(), 0u);
+    EXPECT_EQ(server->counters().ok, server->counters().requests);
 }
