@@ -70,7 +70,7 @@ soaRow(TextTable &table, const char *name,
         nets.push_back(verify::ReferenceNetwork::create(def));
     std::vector<double> input(nets[0].numInputs(), 0.5);
 
-    auto batch = BatchEvaluator::compile(defs).value();
+    auto batch = compilePopulation(defs).value();
     const size_t lanes = batch->lanes();
     std::vector<double> in(lanes * batch->numInputs(), 0.5);
     std::vector<double> out(lanes * batch->numOutputs());

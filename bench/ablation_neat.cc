@@ -48,10 +48,10 @@ runConfig(const std::string &envName, bool crossover,
         for (int gen = 0; gen < maxGenerations; ++gen) {
             const size_t n = pop.genomes().size();
             std::vector<int> keys;
-            std::vector<FeedForwardNetwork> nets;
+            std::vector<Network> nets;
             for (const auto &[key, genome] : pop.genomes()) {
                 keys.push_back(key);
-                nets.push_back(FeedForwardNetwork::create(
+                nets.push_back(Network::create(
                     genome.toNetworkDef(cfg)));
             }
             VectorEnv venv(spec, n, seed * 31 + gen);

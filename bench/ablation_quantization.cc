@@ -75,14 +75,14 @@ main()
             spec.numInputs, spec.numOutputs, spec.requiredFitness);
         const NetworkDef def = champion.toNetworkDef(cfg);
 
-        auto floatNet = FeedForwardNetwork::create(def);
+        auto floatNet = Network::create(def);
         const double floatScore = score(floatNet, spec, 5, 999);
 
         std::vector<std::string> row{envName,
                                      TextTable::num(floatScore, 1)};
         for (const auto &f : formats) {
             const FixedPointFormat fmt{f.totalBits, f.fracBits};
-            auto qnet = QuantizedNetwork::create(def, fmt);
+            auto qnet = Network::create(def, {.quantization = fmt});
             const double qScore = score(qnet, spec, 5, 999);
             row.push_back(TextTable::num(qScore, 1));
             if (f.totalBits >= 16 &&

@@ -60,7 +60,7 @@ evaluate(const std::vector<NetworkDef> &population, uint64_t seed)
     Rng rng(seed);
     Distribution density;
     for (const auto &def : population) {
-        auto net = FeedForwardNetwork::create(def);
+        auto net = Network::create(def);
         density.add(measureActivationDensity(net, 20, rng));
     }
 

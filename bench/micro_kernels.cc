@@ -38,7 +38,7 @@ BM_IrregularInference(benchmark::State &state)
     Rng rng(1);
     const auto def = syntheticIrregularNet(
         paramsWithHidden(static_cast<size_t>(state.range(0))), rng);
-    auto net = FeedForwardNetwork::create(def);
+    auto net = Network::create(def);
     std::vector<double> input(net.numInputs(), 0.5);
     for (auto _ : state)
         benchmark::DoNotOptimize(net.activate(input));
@@ -98,7 +98,7 @@ BM_PopulationInferenceBatched(benchmark::State &state)
 {
     const auto defs = populationWorkload(
         static_cast<size_t>(state.range(0)), WorkloadSigmoid);
-    auto batch = BatchEvaluator::compile(defs).value();
+    auto batch = compilePopulation(defs).value();
     const size_t lanes = batch->lanes();
     std::vector<double> in(lanes * batch->numInputs(), 0.5);
     std::vector<double> out(lanes * batch->numOutputs());
@@ -134,7 +134,7 @@ BM_PopulationInferenceKernelBatched(benchmark::State &state)
 {
     const auto defs = populationWorkload(
         static_cast<size_t>(state.range(0)), WorkloadReLU);
-    auto batch = BatchEvaluator::compile(defs).value();
+    auto batch = compilePopulation(defs).value();
     const size_t lanes = batch->lanes();
     std::vector<double> in(lanes * batch->numInputs(), 0.5);
     std::vector<double> out(lanes * batch->numOutputs());
@@ -167,7 +167,7 @@ BM_GenerationInferencePerGenome(benchmark::State &state)
         for (const auto &def : defs) {
             auto net = compileNetwork(def).value();
             for (int s = 0; s < steps; ++s)
-                sink += net->activate(input)[0];
+                sink += net.activate(input)[0];
         }
         benchmark::DoNotOptimize(sink);
     }
@@ -203,7 +203,7 @@ BM_CreateNet(benchmark::State &state)
     const auto def = syntheticIrregularNet(
         paramsWithHidden(static_cast<size_t>(state.range(0))), rng);
     for (auto _ : state)
-        benchmark::DoNotOptimize(FeedForwardNetwork::create(def));
+        benchmark::DoNotOptimize(Network::create(def));
 }
 BENCHMARK(BM_CreateNet)->Arg(10)->Arg(30);
 

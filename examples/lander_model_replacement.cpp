@@ -23,7 +23,7 @@ double
 flyOnce(const Genome &genome, const NeatConfig &cfg, uint64_t seed)
 {
     const EnvSpec &spec = envSpec("lunar_lander");
-    auto net = FeedForwardNetwork::create(genome.toNetworkDef(cfg));
+    auto net = Network::create(genome.toNetworkDef(cfg));
     auto env = spec.make();
     Rng rng(seed);
     Observation obs = env->reset(rng);
@@ -57,10 +57,10 @@ main()
     const int episodesPerEval = 3; // average out lucky spawns
     for (int gen = 0; gen < maxGenerations; ++gen) {
         std::vector<int> keys;
-        std::vector<FeedForwardNetwork> nets;
+        std::vector<Network> nets;
         for (const auto &[key, genome] : pop.genomes()) {
             keys.push_back(key);
-            nets.push_back(FeedForwardNetwork::create(
+            nets.push_back(Network::create(
                 genome.toNetworkDef(cfg)));
         }
         // Evaluate: every individual flies episodesPerEval episodes;

@@ -5,25 +5,28 @@
  * output is a function of the current input alone), while a recurrent
  * genome only needs one feedback connection — so the same NEAT engine
  * with feedForward=false finds it quickly. Demonstrates the
- * NeatConfig::feedForward switch and the RecurrentNetwork evaluator.
+ * NeatConfig::feedForward switch and the recurrent compile mode.
  */
 
 #include <cstdio>
 #include <vector>
 
 #include "neat/population.hh"
-#include "nn/recurrent.hh"
+#include "nn/network.hh"
 
 using namespace e3;
 
 namespace {
+
+/** Compile options for synchronous-tick (recurrent) evaluation. */
+const NetworkCompileOptions kRecurrent{.recurrent = true, .quantization = {}};
 
 /** Fitness: negative squared error predicting the previous input bit. */
 double
 delayLineFitness(const Genome &genome, const NeatConfig &cfg,
                  uint64_t seed)
 {
-    auto net = RecurrentNetwork::create(genome.toNetworkDef(cfg));
+    auto net = Network::create(genome.toNetworkDef(cfg), kRecurrent);
     Rng rng(seed);
     double error = 0.0;
     const int ticks = 40;
@@ -80,7 +83,7 @@ main()
                 champion.size().second);
 
     // Show the delay line working on an unseen sequence.
-    auto net = RecurrentNetwork::create(champion.toNetworkDef(cfg));
+    auto net = Network::create(champion.toNetworkDef(cfg), kRecurrent);
     Rng rng(999);
     std::printf("\nunseen sequence (in -> out, expect out(t) ~ "
                 "in(t-1)):\n  in:  ");

@@ -140,17 +140,18 @@ E3Platform::evaluateFunctional(Population &pop, GenerationTrace &trace,
     // the whole population through the one population-compile entry
     // point (nn/batch_eval), which analyzes each def once and hands
     // back its NetStats for the trace, the stats fold and the backend
-    // cost models. Plain feed-forward populations run on the SoA
-    // engine under every backend — backends are timing models and do
-    // not pick the host substrate. With quantized deployment enabled,
-    // the loop-over-Network adapter hands back fixed-point evaluators
-    // (the accelerator's datapath view).
+    // cost models. Every population runs on the one batch engine under
+    // every backend — backends are timing models and do not pick the
+    // host substrate. The value mode follows the run: quantized
+    // storage for quantized deployment (the accelerator's datapath
+    // view), recurrent ticks when evolution may grow cycles.
     std::vector<int> keys;
     std::vector<NetworkDef> defs;
     keys.reserve(n);
     defs.reserve(n);
     NetworkCompileOptions compileOpts;
     compileOpts.quantization = cfg_.quantization;
+    compileOpts.recurrent = !neatCfg_.feedForward;
     std::unique_ptr<BatchNetwork> batch;
     {
         obs::TraceSpan span("createnet");
@@ -182,8 +183,8 @@ E3Platform::evaluateFunctional(Population &pop, GenerationTrace &trace,
             }
             defs.push_back(std::move(def));
         }
-        Result<std::unique_ptr<BatchNetwork>> compiled = compilePopulation(
-            defs, compileOpts, BatchEngine::Auto, &trace.individuals);
+        Result<std::unique_ptr<BatchNetwork>> compiled =
+            compilePopulation(defs, compileOpts, &trace.individuals);
         // Evolved genomes satisfy the structural invariants by
         // construction, so a compile failure here is an evolution-loop
         // bug.
@@ -193,20 +194,18 @@ E3Platform::evaluateFunctional(Population &pop, GenerationTrace &trace,
     }
 
     if (cfg_.verifyGenomes) {
-        // The --verify gate, batch side: when the SoA engine compiled
-        // a flat plan, certify it (E3V301–E3V306) against the very
-        // defs it was compiled from before any lane activates. The
-        // per-genome adapter has no plan and skips this.
-        if (const BatchPlan *batchPlan = batch->plan()) {
-            verify::Report report =
-                verify::verifyBatchPlan(*batchPlan, defs);
-            if (!report.empty()) {
-                report.setArtifact("gen " + std::to_string(generation) +
-                                   " batch plan");
-                warn("verify: batch plan at generation ", generation,
-                     ": ", firstErrorLine(report));
-                verifyReport_.merge(std::move(report));
-            }
+        // The --verify gate, batch side: certify the compiled plan
+        // against the very defs it was compiled from before any lane
+        // activates — E3V301–E3V306, or E3V301–E3V305 for a recurrent
+        // plan (verifyBatchPlan).
+        verify::Report report =
+            verify::verifyBatchPlan(batch->plan(), defs, compileOpts);
+        if (!report.empty()) {
+            report.setArtifact("gen " + std::to_string(generation) +
+                               " batch plan");
+            warn("verify: batch plan at generation ", generation, ": ",
+                 firstErrorLine(report));
+            verifyReport_.merge(std::move(report));
         }
     }
 
@@ -225,6 +224,7 @@ E3Platform::evaluateFunctional(Population &pop, GenerationTrace &trace,
              (static_cast<uint64_t>(generation) * 31 + e + 1)));
     }
     plan.policy = rolloutPolicy(*batch, spec_);
+    plan.resetLane = [&batch](size_t lane) { batch->resetLane(lane); };
 
     // Async overlap: one lane group per species, so the evolve phase's
     // per-species summaries (fitness mean/extrema, member ranking) are

@@ -71,7 +71,8 @@ struct NeatConfig
     /**
      * Restrict evolution to acyclic topologies (the paper's setting).
      * When false, add-connection may create cycles and individuals
-     * must be evaluated with RecurrentNetwork.
+     * compile in the batch engine's recurrent mode
+     * (NetworkCompileOptions::recurrent), as the platform does.
      */
     bool feedForward = true;
 

@@ -36,7 +36,7 @@ enum class Activation
 /**
  * Number of Activation enumerators — the bound the batch-plan
  * verifier checks dispatch completeness against. Keep in lockstep
- * with the enum (and the switch in BatchEvaluator::activateLane).
+ * with the enum (and the switch in BatchNetwork::runLane).
  */
 inline constexpr int kActivationCount = 8;
 

@@ -8,49 +8,46 @@
 
 namespace e3 {
 
-namespace {
-
-/** Arity check shared by both engines' compile paths. */
-Status
-checkLaneArity(size_t lane, size_t numInputs, size_t numOutputs,
-               size_t expectedInputs, size_t expectedOutputs)
-{
-    if (numInputs != expectedInputs || numOutputs != expectedOutputs) {
-        return Status::error(
-            "batch lane ", lane, " has arity ", numInputs, "x",
-            numOutputs, " but the batch is ", expectedInputs, "x",
-            expectedOutputs,
-            " (all lanes must share input/output arity)");
-    }
-    return Status();
-}
-
-} // namespace
-
 namespace detail {
+
+/** The value an input or node stores: rounded in the quantized mode. */
+template <bool Quantize>
+inline double
+storedValue(double v, const FixedPointFormat *format)
+{
+    if constexpr (Quantize)
+        return format->quantize(v);
+    else
+        return v;
+}
 
 /**
  * Sum-segment kernel with the activation hoisted to a template
  * parameter: each node's fold is a seeded multiply-add chain — the
  * exact operation sequence Aggregator performs (seed from the first
  * element, add the rest, 0.0 when empty) — with the activation inlined
- * via applyActivationT, so a node costs no out-of-line call.
+ * via applyActivationT, so a node costs no out-of-line call. Nodes
+ * read @p src and write @p dst, which are one region except in the
+ * recurrent mode (src is the previous tick); Quantize rounds each
+ * activated value as it is stored.
  *
  * The kernel is noinline and aligned to a fixed boundary: the op-fold
  * loop's branches are hot enough that their placement relative to
  * fetch/predictor boundaries measurably changes throughput, and
- * keeping the kernel at a fixed alignment makes that placement (and
- * so the measured speedup) independent of whatever else is linked
- * into the binary.
+ * keeping the kernel at a fixed alignment (and, through the file's
+ * -falign-loops, its inner loop too) makes that placement (and so the
+ * measured speedup) independent of whatever else is linked into the
+ * binary.
  *
  * The node/op types stay template parameters (deduced at the call
  * site), which keeps the kernel's instantiation independent of the
  * plan type's header.
  */
-template <Activation A, typename NodeRunT, typename OpT>
+template <Activation A, bool Quantize, typename NodeRunT, typename OpT>
 __attribute__((noinline, aligned(256))) void
 runSumSegment(const NodeRunT *nodes, uint32_t nodeBegin,
-              uint32_t nodeEnd, const OpT *ops, double *v)
+              uint32_t nodeEnd, const OpT *ops, const double *src,
+              double *dst, const FixedPointFormat *format)
 {
     for (uint32_t n = nodeBegin; n != nodeEnd; ++n) {
         const NodeRunT &node = nodes[n];
@@ -58,15 +55,98 @@ runSumSegment(const NodeRunT *nodes, uint32_t nodeBegin,
         const OpT *const end = ops + node.opEnd;
         double acc = 0.0;
         if (op != end) {
-            acc = v[op->srcSlot] * op->weight;
+            acc = src[op->srcSlot] * op->weight;
             for (++op; op != end; ++op)
-                acc += v[op->srcSlot] * op->weight;
+                acc += src[op->srcSlot] * op->weight;
         }
-        v[node.dstSlot] = applyActivationT<A>(acc + node.bias);
+        dst[node.dstSlot] = storedValue<Quantize>(
+            applyActivationT<A>(acc + node.bias), format);
     }
 }
 
 } // namespace detail
+
+namespace {
+
+/**
+ * The one lane emitter: append @p def to @p plan as a lane at the
+ * arena's end, laid out for @p mode. Feed-forward lanes run the
+ * analysis's dependency order; recurrent lanes run every required node
+ * in id order, inputs first (a tick has no intra-tick dependencies);
+ * quantized lanes fold quantizeDef's weights and biases. Each node
+ * folds its active ingress in def order. Panics on an undefined node.
+ */
+void
+appendLane(BatchPlan &plan, const NetworkDef &def, const DefAnalysis &a,
+           const NetworkCompileOptions &mode)
+{
+    const std::vector<uint32_t> *nodes = &a.order;
+    const std::vector<uint32_t> *slots = &a.slot;
+    std::vector<uint32_t> idOrder, idSlots;
+    if (mode.recurrent) {
+        idSlots = a.slot;
+        for (uint32_t i = 0; i < a.ids.size(); ++i) {
+            if (a.has(i, DefAnalysis::kRequired)) {
+                idSlots[i] = static_cast<uint32_t>(def.inputIds.size() +
+                                                   idOrder.size());
+                idOrder.push_back(i);
+            }
+        }
+        nodes = &idOrder;
+        slots = &idSlots;
+    }
+    const auto param = [&mode](double v) {
+        return mode.quantization ? mode.quantization->quantize(v) : v;
+    };
+
+    BatchPlan::LaneProgram p;
+    p.segBegin = static_cast<uint32_t>(plan.segments.size());
+    p.valueBase = static_cast<uint32_t>(plan.arenaSize);
+    p.slotCount =
+        static_cast<uint32_t>(def.inputIds.size() + nodes->size());
+    p.outBase = static_cast<uint32_t>(plan.outputSlots.size());
+
+    // Segments merge across layer boundaries when (act, agg) carries
+    // over: the kernels execute in-segment nodes strictly in order, so
+    // a later-layer node reading an earlier node's destination slot is
+    // fine, and a uniform-activation lane collapses to one dispatch.
+    for (uint32_t v : *nodes) {
+        e3_assert(a.nodeAt[v] != DefAnalysis::kNone,
+                  "connection references unknown node ", a.ids[v]);
+        const NetworkDef::Node &node = def.nodes[a.nodeAt[v]];
+        const bool openNewSegment =
+            plan.segments.size() == p.segBegin ||
+            plan.segments.back().act != node.act ||
+            plan.segments.back().agg != node.agg;
+        if (openNewSegment) {
+            plan.segments.push_back(
+                {static_cast<uint32_t>(plan.nodes.size()),
+                 static_cast<uint32_t>(plan.nodes.size()), node.act,
+                 node.agg});
+        }
+        BatchPlan::NodeRun run;
+        run.dstSlot = (*slots)[v];
+        run.opBegin = static_cast<uint32_t>(plan.ops.size());
+        a.forEachActiveIngress(v, [&](uint32_t c) {
+            plan.ops.push_back(
+                {(*slots)[a.connFrom[c]], param(def.conns[c].weight)});
+        });
+        run.opEnd = static_cast<uint32_t>(plan.ops.size());
+        run.bias = param(node.bias);
+        plan.nodes.push_back(run);
+        plan.segments.back().nodeEnd =
+            static_cast<uint32_t>(plan.nodes.size());
+    }
+    p.segEnd = static_cast<uint32_t>(plan.segments.size());
+
+    for (int id : def.outputIds)
+        plan.outputSlots.push_back((*slots)[a.indexOf(id)]);
+
+    plan.lanes.push_back(p);
+    plan.arenaSize += p.slotCount;
+}
+
+} // namespace
 
 Status
 checkPlanInvariants(const BatchPlan &plan)
@@ -185,20 +265,27 @@ checkPlanInvariants(const BatchPlan &plan)
     return Status();
 }
 
-Result<std::unique_ptr<BatchEvaluator>>
-BatchEvaluator::compile(const std::vector<NetworkDef> &defs,
-                        const NetworkCompileOptions &options,
-                        std::vector<NetStats> *stats)
+BatchPlan
+lanePlan(const NetworkDef &def, const DefAnalysis &analysis,
+         const NetworkCompileOptions &mode)
+{
+    BatchPlan plan;
+    plan.numInputs = def.inputIds.size();
+    plan.numOutputs = def.outputIds.size();
+    appendLane(plan, def, analysis, mode);
+    return plan;
+}
+
+Result<std::unique_ptr<BatchNetwork>>
+compilePopulation(const std::vector<NetworkDef> &defs,
+                  const NetworkCompileOptions &options,
+                  std::vector<NetStats> *stats)
 {
     if (defs.empty())
         return Status::error(
             "batch compile needs at least one definition");
-    if (options.recurrent || options.quantization) {
-        return Status::error(
-            "the SoA batch evaluator supports plain feed-forward "
-            "networks; use the loop adapter for recurrent or "
-            "quantized evaluation");
-    }
+    if (Status mode = options.validate(); !mode.ok())
+        return mode;
 
     BatchPlan plan;
     plan.numInputs = defs.front().inputIds.size();
@@ -210,38 +297,45 @@ BatchEvaluator::compile(const std::vector<NetworkDef> &defs,
 
     for (size_t i = 0; i < defs.size(); ++i) {
         const DefAnalysis &analysis = analyzeDef(defs[i]);
-        if (Status invariants = checkDefInvariants(analysis);
+        if (Status invariants =
+                checkDefInvariants(analysis, options.recurrent);
             !invariants.ok()) {
             return Status::error("genome ", i, ": malformed NetworkDef: ",
                                  invariants.message());
         }
-        if (Status arity = checkLaneArity(
-                i, defs[i].inputIds.size(), defs[i].outputIds.size(),
-                plan.numInputs, plan.numOutputs);
-            !arity.ok())
-            return arity;
-        appendLane(plan, defs[i], analysis, analysis.order,
-                   analysis.slot);
+        if (defs[i].inputIds.size() != plan.numInputs ||
+            defs[i].outputIds.size() != plan.numOutputs) {
+            return Status::error(
+                "batch lane ", i, " has arity ", defs[i].inputIds.size(),
+                "x", defs[i].outputIds.size(), " but the batch is ",
+                plan.numInputs, "x", plan.numOutputs,
+                " (all lanes must share input/output arity)");
+        }
+        appendLane(plan, defs[i], analysis, options);
         if (stats)
             stats->push_back(netStatsOf(defs[i], analysis));
     }
-    return fromPlan(std::move(plan));
+    return std::unique_ptr<BatchNetwork>(
+        new BatchNetwork(std::move(plan), options));
 }
 
-Result<std::unique_ptr<BatchEvaluator>>
-BatchEvaluator::compileReplicated(const NetworkDef &def, size_t lanes,
-                                  const NetworkCompileOptions &options)
+Result<std::unique_ptr<BatchNetwork>>
+compilePopulation(const std::vector<NetworkDef> &defs,
+                  const NetworkCompileOptions &options, BatchEngine)
+{
+    return compilePopulation(defs, options);
+}
+
+Result<std::unique_ptr<BatchNetwork>>
+compileReplicated(const NetworkDef &def, size_t lanes,
+                  const NetworkCompileOptions &options)
 {
     if (lanes == 0)
         return Status::error("replicated batch needs at least one lane");
-    if (options.recurrent || options.quantization) {
-        return Status::error(
-            "the SoA batch evaluator supports plain feed-forward "
-            "networks; use the loop adapter for recurrent or "
-            "quantized evaluation");
-    }
+    if (Status mode = options.validate(); !mode.ok())
+        return mode;
     const DefAnalysis &analysis = analyzeDef(def);
-    if (Status invariants = checkDefInvariants(analysis);
+    if (Status invariants = checkDefInvariants(analysis, options.recurrent);
         !invariants.ok())
         return Status::error("malformed NetworkDef: ",
                              invariants.message());
@@ -249,7 +343,7 @@ BatchEvaluator::compileReplicated(const NetworkDef &def, size_t lanes,
     // One shared program; each further lane is just a fresh region of
     // the value arena (the output-slot table is lane-local, so it is
     // shared too).
-    BatchPlan plan = feedForwardPlan(def, analysis);
+    BatchPlan plan = lanePlan(def, analysis, options);
     const BatchPlan::LaneProgram proto = plan.lanes.front();
     for (size_t lane = 1; lane < lanes; ++lane) {
         BatchPlan::LaneProgram p = proto;
@@ -257,160 +351,112 @@ BatchEvaluator::compileReplicated(const NetworkDef &def, size_t lanes,
         plan.lanes.push_back(p);
     }
     plan.arenaSize = static_cast<size_t>(proto.slotCount) * lanes;
-    return fromPlan(std::move(plan));
+    return std::unique_ptr<BatchNetwork>(
+        new BatchNetwork(std::move(plan), options));
 }
 
-std::unique_ptr<BatchEvaluator>
-BatchEvaluator::fromPlan(BatchPlan plan)
+BatchNetwork::BatchNetwork(BatchPlan plan, const NetworkCompileOptions &mode)
+    : plan_(std::move(plan)), mode_(mode),
+      values_(plan_.arenaSize * (mode.recurrent ? 2 : 1), 0.0)
 {
 #ifndef NDEBUG
-    if (Status sound = checkPlanInvariants(plan); !sound.ok())
+    if (Status sound = checkPlanInvariants(plan_); !sound.ok())
         e3_panic("batch plan failed its invariant check: ",
                  sound.message());
 #endif
-    auto eval = std::unique_ptr<BatchEvaluator>(new BatchEvaluator());
-    eval->values_.assign(plan.arenaSize, 0.0);
-    eval->plan_ = std::move(plan);
-    return eval;
-}
-
-void
-appendLane(BatchPlan &plan, const NetworkDef &def, const DefAnalysis &a,
-           const std::vector<uint32_t> &nodes,
-           const std::vector<uint32_t> &slots)
-{
-    BatchPlan::LaneProgram p;
-    p.segBegin = static_cast<uint32_t>(plan.segments.size());
-    p.valueBase = static_cast<uint32_t>(plan.arenaSize);
-    p.slotCount = static_cast<uint32_t>(def.inputIds.size() + nodes.size());
-    p.outBase = static_cast<uint32_t>(plan.outputSlots.size());
-
-    // Segments merge across layer boundaries when (act, agg) carries
-    // over: the kernels execute in-segment nodes strictly in order, so
-    // a later-layer node reading an earlier node's destination slot is
-    // fine, and a uniform-activation lane collapses to one dispatch.
-    for (uint32_t v : nodes) {
-        e3_assert(a.nodeAt[v] != DefAnalysis::kNone,
-                  "connection references unknown node ", a.ids[v]);
-        const NetworkDef::Node &node = def.nodes[a.nodeAt[v]];
-        const bool openNewSegment =
-            plan.segments.size() == p.segBegin ||
-            plan.segments.back().act != node.act ||
-            plan.segments.back().agg != node.agg;
-        if (openNewSegment) {
-            plan.segments.push_back(
-                {static_cast<uint32_t>(plan.nodes.size()),
-                 static_cast<uint32_t>(plan.nodes.size()), node.act,
-                 node.agg});
-        }
-        BatchPlan::NodeRun run;
-        run.dstSlot = slots[v];
-        run.opBegin = static_cast<uint32_t>(plan.ops.size());
-        a.forEachActiveIngress(v, [&](uint32_t c) {
-            plan.ops.push_back({slots[a.connFrom[c]], def.conns[c].weight});
-        });
-        run.opEnd = static_cast<uint32_t>(plan.ops.size());
-        run.bias = node.bias;
-        plan.nodes.push_back(run);
-        plan.segments.back().nodeEnd =
-            static_cast<uint32_t>(plan.nodes.size());
-    }
-    p.segEnd = static_cast<uint32_t>(plan.segments.size());
-
-    for (int id : def.outputIds)
-        plan.outputSlots.push_back(slots[a.indexOf(id)]);
-
-    plan.lanes.push_back(p);
-    plan.arenaSize += p.slotCount;
-}
-
-BatchPlan
-feedForwardPlan(const NetworkDef &def, const DefAnalysis &analysis)
-{
-    BatchPlan plan;
-    plan.numInputs = def.inputIds.size();
-    plan.numOutputs = def.outputIds.size();
-    appendLane(plan, def, analysis, analysis.order, analysis.slot);
-    return plan;
 }
 
 E3_HOT void
-BatchEvaluator::activateBatch(size_t count, const double *inputs,
-                              size_t inputStride, double *outputs,
-                              size_t outputStride)
+BatchNetwork::activateBatch(size_t count, const double *inputs,
+                            size_t inputStride, double *outputs,
+                            size_t outputStride)
 {
     e3_assert(count <= plan_.lanes.size(), "batch count ", count,
               " exceeds ", plan_.lanes.size(), " lanes");
-    // Qualified call: no per-lane virtual dispatch on the hot path.
     for (size_t lane = 0; lane < count; ++lane) {
-        BatchEvaluator::activateLane(lane, inputs + lane * inputStride,
-                                     outputs + lane * outputStride);
+        activateLane(lane, inputs + lane * inputStride,
+                     outputs + lane * outputStride);
     }
 }
 
-E3_HOT void
-BatchEvaluator::activateLane(size_t lane, const double *inputs,
-                             double *outputs)
+/*
+ * One out-of-line body per store mode: inlining both into activateLane
+ * would let the quantized path's register pressure spill the float
+ * path's loop state.
+ */
+template <bool Quantize>
+__attribute__((noinline)) void
+BatchNetwork::runLane(size_t lane, const double *inputs, double *outputs)
 {
     const BatchPlan::LaneProgram &p = plan_.lanes[lane];
+    const FixedPointFormat *format =
+        mode_.quantization ? &*mode_.quantization : nullptr;
     double *v = values_.data() + p.valueBase;
     for (size_t i = 0; i < plan_.numInputs; ++i)
-        v[i] = inputs[i];
+        v[i] = detail::storedValue<Quantize>(inputs[i], format);
 
+    // The recurrent mode folds the previous tick (the lane's state
+    // region) into the next-tick region, then keeps that as the state.
+    double *const dst = mode_.recurrent ? v + plan_.arenaSize : v;
     const BatchPlan::NodeRun *const nodes = plan_.nodes.data();
     const BatchPlan::Op *const ops = plan_.ops.data();
     for (uint32_t s = p.segBegin; s != p.segEnd; ++s) {
         const BatchPlan::Segment seg = plan_.segments[s];
+        const uint32_t b = seg.nodeBegin, e = seg.nodeEnd;
         if (seg.agg == Aggregation::Sum) {
             // Fast path for the dominant aggregation: one activation
             // dispatch per *segment*, then a call-free inner loop
             // (see detail::runSumSegment).
             switch (seg.act) {
               case Activation::Sigmoid:
-                detail::runSumSegment<Activation::Sigmoid>(
-                    nodes, seg.nodeBegin, seg.nodeEnd, ops, v);
+                detail::runSumSegment<Activation::Sigmoid, Quantize>(
+                    nodes, b, e, ops, v, dst, format);
                 break;
               case Activation::Tanh:
-                detail::runSumSegment<Activation::Tanh>(
-                    nodes, seg.nodeBegin, seg.nodeEnd, ops, v);
+                detail::runSumSegment<Activation::Tanh, Quantize>(
+                    nodes, b, e, ops, v, dst, format);
                 break;
               case Activation::ReLU:
-                detail::runSumSegment<Activation::ReLU>(
-                    nodes, seg.nodeBegin, seg.nodeEnd, ops, v);
+                detail::runSumSegment<Activation::ReLU, Quantize>(
+                    nodes, b, e, ops, v, dst, format);
                 break;
               case Activation::Identity:
-                detail::runSumSegment<Activation::Identity>(
-                    nodes, seg.nodeBegin, seg.nodeEnd, ops, v);
+                detail::runSumSegment<Activation::Identity, Quantize>(
+                    nodes, b, e, ops, v, dst, format);
                 break;
               case Activation::Sin:
-                detail::runSumSegment<Activation::Sin>(
-                    nodes, seg.nodeBegin, seg.nodeEnd, ops, v);
+                detail::runSumSegment<Activation::Sin, Quantize>(
+                    nodes, b, e, ops, v, dst, format);
                 break;
               case Activation::Gauss:
-                detail::runSumSegment<Activation::Gauss>(
-                    nodes, seg.nodeBegin, seg.nodeEnd, ops, v);
+                detail::runSumSegment<Activation::Gauss, Quantize>(
+                    nodes, b, e, ops, v, dst, format);
                 break;
               case Activation::Abs:
-                detail::runSumSegment<Activation::Abs>(
-                    nodes, seg.nodeBegin, seg.nodeEnd, ops, v);
+                detail::runSumSegment<Activation::Abs, Quantize>(
+                    nodes, b, e, ops, v, dst, format);
                 break;
               case Activation::Clamped:
-                detail::runSumSegment<Activation::Clamped>(
-                    nodes, seg.nodeBegin, seg.nodeEnd, ops, v);
+                detail::runSumSegment<Activation::Clamped, Quantize>(
+                    nodes, b, e, ops, v, dst, format);
                 break;
             }
         } else {
-            for (uint32_t n = seg.nodeBegin; n != seg.nodeEnd; ++n) {
+            for (uint32_t n = b; n != e; ++n) {
                 const BatchPlan::NodeRun &node = nodes[n];
                 Aggregator agg(seg.agg);
                 for (const BatchPlan::Op *op = ops + node.opBegin;
                      op != ops + node.opEnd; ++op)
                     agg.add(v[op->srcSlot] * op->weight);
-                v[node.dstSlot] =
-                    applyActivation(seg.act, agg.result() + node.bias);
+                dst[node.dstSlot] = detail::storedValue<Quantize>(
+                    applyActivation(seg.act, agg.result() + node.bias),
+                    format);
             }
         }
     }
+    if (dst != v)
+        std::copy(dst + plan_.numInputs, dst + p.slotCount,
+                  v + plan_.numInputs);
 
     const uint32_t *const outSlots =
         plan_.outputSlots.data() + p.outBase;
@@ -418,132 +464,28 @@ BatchEvaluator::activateLane(size_t lane, const double *inputs,
         outputs[o] = v[outSlots[o]];
 }
 
+E3_HOT void
+BatchNetwork::activateLane(size_t lane, const double *inputs,
+                           double *outputs)
+{
+    if (mode_.quantization)
+        runLane<true>(lane, inputs, outputs);
+    else
+        runLane<false>(lane, inputs, outputs);
+}
+
 void
-BatchEvaluator::reset()
+BatchNetwork::reset()
 {
     std::fill(values_.begin(), values_.end(), 0.0);
 }
 
-Result<std::unique_ptr<NetworkBatchAdapter>>
-NetworkBatchAdapter::create(std::vector<std::unique_ptr<Network>> nets)
-{
-    if (nets.empty())
-        return Status::error("batch adapter needs at least one network");
-    for (size_t i = 0; i < nets.size(); ++i) {
-        if (!nets[i])
-            return Status::error("batch adapter lane ", i, " is null");
-        if (Status arity = checkLaneArity(
-                i, nets[i]->numInputs(), nets[i]->numOutputs(),
-                nets.front()->numInputs(), nets.front()->numOutputs());
-            !arity.ok())
-            return arity;
-    }
-    return std::unique_ptr<NetworkBatchAdapter>(
-        new NetworkBatchAdapter(std::move(nets)));
-}
-
-NetworkBatchAdapter::NetworkBatchAdapter(
-    std::vector<std::unique_ptr<Network>> nets)
-    : numInputs_(nets.front()->numInputs()),
-      numOutputs_(nets.front()->numOutputs()), nets_(std::move(nets))
-{
-}
-
-E3_HOT void
-NetworkBatchAdapter::activateBatch(size_t count, const double *inputs,
-                                   size_t inputStride, double *outputs,
-                                   size_t outputStride)
-{
-    e3_assert(count <= nets_.size(), "batch count ", count,
-              " exceeds ", nets_.size(), " lanes");
-    for (size_t lane = 0; lane < count; ++lane) {
-        nets_[lane]->activateInto(inputs + lane * inputStride,
-                                  outputs + lane * outputStride);
-    }
-}
-
-E3_HOT void
-NetworkBatchAdapter::activateLane(size_t lane, const double *inputs,
-                                  double *outputs)
-{
-    nets_[lane]->activateInto(inputs, outputs);
-}
-
 void
-NetworkBatchAdapter::reset()
+BatchNetwork::resetLane(size_t lane)
 {
-    for (auto &net : nets_)
-        net->reset();
-}
-
-Result<std::unique_ptr<BatchNetwork>>
-compilePopulation(const std::vector<NetworkDef> &defs,
-                  const NetworkCompileOptions &options,
-                  BatchEngine engine, std::vector<NetStats> *stats)
-{
-    const bool soaCapable = !options.recurrent && !options.quantization;
-    if (engine == BatchEngine::Soa && !soaCapable) {
-        return Status::error(
-            "the SoA engine requires plain feed-forward compilation "
-            "options");
-    }
-    if (engine != BatchEngine::PerGenome && soaCapable) {
-        auto soa = BatchEvaluator::compile(defs, options, stats);
-        if (!soa.ok())
-            return soa.status();
-        return std::unique_ptr<BatchNetwork>(std::move(soa.value()));
-    }
-
-    if (stats) {
-        stats->clear();
-        for (const auto &def : defs)
-            stats->push_back(computeNetStats(def));
-    }
-    std::vector<std::unique_ptr<Network>> nets;
-    nets.reserve(defs.size());
-    for (const auto &def : defs) {
-        auto net = compileNetwork(def, options);
-        if (!net.ok())
-            return Status::error("genome ", nets.size(), ": ",
-                                 net.message());
-        nets.push_back(std::move(net.value()));
-    }
-    auto adapter = NetworkBatchAdapter::create(std::move(nets));
-    if (!adapter.ok())
-        return adapter.status();
-    return std::unique_ptr<BatchNetwork>(std::move(adapter.value()));
-}
-
-Result<std::unique_ptr<BatchNetwork>>
-compileReplicated(const NetworkDef &def, size_t lanes,
-                  const NetworkCompileOptions &options,
-                  BatchEngine engine)
-{
-    const bool soaCapable = !options.recurrent && !options.quantization;
-    if (engine == BatchEngine::Soa && !soaCapable) {
-        return Status::error(
-            "the SoA engine requires plain feed-forward compilation "
-            "options");
-    }
-    if (engine != BatchEngine::PerGenome && soaCapable) {
-        auto soa = BatchEvaluator::compileReplicated(def, lanes, options);
-        if (!soa.ok())
-            return soa.status();
-        return std::unique_ptr<BatchNetwork>(std::move(soa.value()));
-    }
-
-    std::vector<std::unique_ptr<Network>> nets;
-    nets.reserve(lanes);
-    for (size_t lane = 0; lane < lanes; ++lane) {
-        auto net = compileNetwork(def, options);
-        if (!net.ok())
-            return net.status();
-        nets.push_back(std::move(net.value()));
-    }
-    auto adapter = NetworkBatchAdapter::create(std::move(nets));
-    if (!adapter.ok())
-        return adapter.status();
-    return std::unique_ptr<BatchNetwork>(std::move(adapter.value()));
+    // The next-tick region is scratch, fully rewritten by every tick.
+    const BatchPlan::LaneProgram &p = plan_.lanes[lane];
+    std::fill_n(values_.begin() + p.valueBase, p.slotCount, 0.0);
 }
 
 } // namespace e3

@@ -1,28 +1,40 @@
 /**
  * @file
- * Population-at-a-time batched inference (ROADMAP item 1).
+ * Population-at-a-time batched inference: the one inference engine.
  *
- * BatchNetwork is the batch-first counterpart of Network: N lanes,
- * each an independent network instance — one genome of a population,
- * or N replicas of one champion for request batching. BatchEvaluator
- * is the structure-of-arrays engine behind it: the whole population is
- * compiled once into flat computation lists (the burds-style
- * (srcSlot, dstSlot, weight) triples, factored as per-node op runs so
- * the destination slot is not repeated per edge), sorted at compile
- * time into dependency order and grouped into segments of consecutive
- * nodes sharing (activation, aggregation) so the inner loops are tight
- * folds with zero per-step allocation. Values live in one contiguous
- * arena with a disjoint region per lane, which is what makes
- * activateLane() safe to call concurrently for distinct lanes.
+ * BatchNetwork holds N lanes, each an independent network instance —
+ * one genome of a population, or N replicas of one champion for
+ * request batching (Network is its one-lane view). The whole
+ * population is compiled once into flat computation lists (the
+ * burds-style (srcSlot, dstSlot, weight) triples, factored as per-node
+ * op runs so the destination slot is not repeated per edge), sorted at
+ * compile time into execution order and grouped into segments of
+ * consecutive nodes sharing (activation, aggregation) so the inner
+ * loops are tight folds with zero per-step allocation. Values live in
+ * one contiguous arena with a disjoint region per lane, which is what
+ * makes activateLane() safe to call concurrently for distinct lanes.
  *
- * Fold-order guarantee: per genome, nodes execute in the analysis's
- * dependency order (layer order, ids ascending within a layer) and
- * each node folds its active ingress ops in def order, seeding the
- * accumulator from the first element like Aggregator does. Results
- * are therefore bit-identical to the verifier's layered per-genome
- * evaluator (verify::ReferenceNetwork) at any batch size and thread
- * count, keeping RngAudit digests and src/verify interval bounds
- * valid unchanged.
+ * Value modes, fixed at compile time by NetworkCompileOptions (like
+ * INAX's one PE datapath: a wide-accumulator MAC and fixed-point value
+ * storage):
+ *  - float: feed-forward in double precision;
+ *  - quantized: inputs and every activated node value are quantized as
+ *    they are stored, over quantizeDef's weights and biases; the MAC
+ *    accumulates at full precision (a wide DSP accumulator);
+ *  - recurrent: one synchronous tick per activation — every node reads
+ *    the previous tick's values (inputs are visible at once) from one
+ *    arena region per lane and writes the next tick into a second.
+ * The mode lives in the engine, not the plan, so a quantized or
+ * recurrent plan has the same text form and E3V301–E3V305 checks.
+ *
+ * Fold-order guarantee: per genome, feed-forward nodes execute in the
+ * analysis's dependency order (layer order, ids ascending within a
+ * layer) and each node folds its active ingress ops in def order,
+ * seeding the accumulator from the first element like Aggregator does.
+ * Results are therefore bit-identical to the verifier's layered
+ * per-genome evaluator (verify::ReferenceNetwork) at any batch size and
+ * thread count, keeping RngAudit digests and src/verify interval
+ * bounds valid unchanged.
  */
 
 #ifndef E3_NN_BATCH_EVAL_HH
@@ -41,55 +53,13 @@
 namespace e3 {
 
 /**
- * Batch-first evaluation interface: a fixed set of lanes, each lane an
- * independent network evaluated from strided input/output rows.
- *
- * Contract: lane i reads numInputs() doubles at inputs + i*inputStride
- * and writes numOutputs() doubles at outputs + i*outputStride;
- * activateLane() is the single-lane entry and must be safe to call
- * concurrently for *distinct* lanes (ParallelEval lanes run out of
- * lockstep). reset() clears any cross-step state on every lane.
- */
-struct BatchPlan;
-
-class BatchNetwork
-{
-  public:
-    virtual ~BatchNetwork() = default;
-
-    /** Evaluate lanes [0, count) from strided rows; count <= lanes(). */
-    virtual void activateBatch(size_t count, const double *inputs,
-                               size_t inputStride, double *outputs,
-                               size_t outputStride) = 0;
-
-    /** Evaluate one lane; thread-safe across distinct lanes. */
-    virtual void activateLane(size_t lane, const double *inputs,
-                              double *outputs) = 0;
-
-    /** Clear cross-step state; default is stateless. */
-    virtual void reset() {}
-
-    virtual size_t lanes() const = 0;
-    virtual size_t numInputs() const = 0;
-    virtual size_t numOutputs() const = 0;
-
-    /**
-     * The compiled SoA program when this implementation executes one
-     * — the verify batch-plan pass (E3V301–E3V306) hooks in here.
-     * nullptr for adapter-backed implementations, which have no flat
-     * plan to certify.
-     */
-    virtual const BatchPlan *plan() const { return nullptr; }
-};
-
-/**
  * The compiled form of a batch: flat structure-of-arrays computation
- * lists over one contiguous value arena. This is BatchEvaluator's
- * entire execution state except the arena values themselves, exposed
- * as plain data so the src/verify batch-plan pass (E3V301–E3V306) can
- * check a compiled population without reaching into the engine — and
- * so a plan can be serialized, corrupted on purpose and re-verified
- * in fixtures.
+ * lists over one contiguous value arena. This is BatchNetwork's
+ * entire execution state except the arena values and the value mode,
+ * exposed as plain data so the src/verify batch-plan pass
+ * (E3V301–E3V306) can check a compiled population without reaching
+ * into the engine — and so a plan can be serialized, corrupted on
+ * purpose and re-verified in fixtures.
  *
  * Invariants (checked by e3::checkPlanInvariants and, independently,
  * by verify::verifyBatchPlan):
@@ -172,20 +142,12 @@ struct BatchPlan
 struct DefAnalysis;
 
 /**
- * The one lane emitter, shared by the feed-forward and recurrent
- * compiles: append @p def to @p plan as a lane at the arena's end.
- * @p nodes are the analysis indices to compute, in execution order;
- * @p slots maps every index to its lane-local value slot. Each node
- * folds its active ingress in def order. Panics on an undefined node.
+ * The one-lane plan of a definition from its analysis, laid out for
+ * the value mode @p mode selects (a quantized plan folds quantizeDef's
+ * parameters; a recurrent one runs its nodes in id order).
  */
-void appendLane(BatchPlan &plan, const NetworkDef &def,
-                const DefAnalysis &analysis,
-                const std::vector<uint32_t> &nodes,
-                const std::vector<uint32_t> &slots);
-
-/** The one-lane plan of an acyclic definition from its analysis. */
-BatchPlan feedForwardPlan(const NetworkDef &def,
-                          const DefAnalysis &analysis);
+BatchPlan lanePlan(const NetworkDef &def, const DefAnalysis &analysis,
+                   const NetworkCompileOptions &mode = {});
 
 /**
  * Cheap structural soundness check over a compiled plan — the
@@ -197,48 +159,39 @@ BatchPlan feedForwardPlan(const NetworkDef &def,
 Status checkPlanInvariants(const BatchPlan &plan);
 
 /**
- * SoA batch engine for plain feed-forward networks. Compile once per
- * generation (or once per champion, replicated), then activate with no
- * allocation: the per-lane programs are flat arrays of ops, node runs
- * and (activation, aggregation) segments over one contiguous value
- * arena.
+ * The batch engine. Compile once per generation (or once per champion,
+ * replicated) through compilePopulation()/compileReplicated(), then
+ * activate with no allocation.
+ *
+ * Contract: lane i reads numInputs() doubles at inputs + i*inputStride
+ * and writes numOutputs() doubles at outputs + i*outputStride;
+ * activateLane() is safe to call concurrently for *distinct* lanes
+ * (ParallelEval lanes run out of lockstep).
  */
-class BatchEvaluator : public BatchNetwork
+class BatchNetwork
 {
   public:
-    /**
-     * Compile one program per definition (a population). All defs must
-     * share input/output arity; options must be plain feed-forward
-     * (no recurrence, no quantization — use the adapter for those).
-     * Each def is analyzed once; when @p stats is given it receives
-     * every def's NetStats from that same analysis, in defs order.
-     */
-    static Result<std::unique_ptr<BatchEvaluator>>
-    compile(const std::vector<NetworkDef> &defs,
-            const NetworkCompileOptions &options = {},
-            std::vector<NetStats> *stats = nullptr);
-
-    /**
-     * Compile one definition shared by @p lanes value lanes — the
-     * serve-side shape, where coalesced same-champion requests land in
-     * one activateBatch() call.
-     */
-    static Result<std::unique_ptr<BatchEvaluator>>
-    compileReplicated(const NetworkDef &def, size_t lanes,
-                      const NetworkCompileOptions &options = {});
-
+    /** Evaluate lanes [0, count) from strided rows; count <= lanes(). */
     void activateBatch(size_t count, const double *inputs,
                        size_t inputStride, double *outputs,
-                       size_t outputStride) override;
+                       size_t outputStride);
 
+    /** Evaluate one lane; thread-safe across distinct lanes. */
     void activateLane(size_t lane, const double *inputs,
-                      double *outputs) override;
+                      double *outputs);
 
-    void reset() override;
+    /** Zero every lane's state. */
+    void reset();
 
-    size_t lanes() const override { return plan_.lanes.size(); }
-    size_t numInputs() const override { return plan_.numInputs; }
-    size_t numOutputs() const override { return plan_.numOutputs; }
+    /**
+     * Zero one lane's state — a recurrent lane's previous tick — before
+     * an episode; thread-safe across distinct lanes.
+     */
+    void resetLane(size_t lane);
+
+    size_t lanes() const { return plan_.lanes.size(); }
+    size_t numInputs() const { return plan_.numInputs; }
+    size_t numOutputs() const { return plan_.numOutputs; }
 
     /**
      * Distinct compiled ops across all lane programs. Replicated
@@ -249,15 +202,24 @@ class BatchEvaluator : public BatchNetwork
     uint64_t totalOps() const { return plan_.ops.size(); }
 
     /** The compiled plan (the verifier's view of this engine). */
-    const BatchPlan *plan() const override { return &plan_; }
+    const BatchPlan &plan() const { return plan_; }
 
   private:
-    friend class FeedForwardNetwork;
+    friend class Network;
+    friend Result<std::unique_ptr<BatchNetwork>>
+    compilePopulation(const std::vector<NetworkDef> &defs,
+                      const NetworkCompileOptions &options,
+                      std::vector<NetStats> *stats);
+    friend Result<std::unique_ptr<BatchNetwork>>
+    compileReplicated(const NetworkDef &def, size_t lanes,
+                      const NetworkCompileOptions &options);
 
-    BatchEvaluator() = default;
+    /** An engine running @p plan in @p mode over a zeroed arena. */
+    BatchNetwork(BatchPlan plan, const NetworkCompileOptions &mode);
 
-    /** An evaluator running @p plan over a zeroed value arena. */
-    static std::unique_ptr<BatchEvaluator> fromPlan(BatchPlan plan);
+    /** activateLane with quantize-on-store fixed at compile time. */
+    template <bool Quantize>
+    void runLane(size_t lane, const double *inputs, double *outputs);
 
     /**
      * The compiled program. Op is kept as an {slot, weight} pair (one
@@ -266,71 +228,54 @@ class BatchEvaluator : public BatchNetwork
      * is faster at population 128 and no worse at 256.
      */
     BatchPlan plan_;
-    std::vector<double> values_; ///< contiguous per-lane value arena
-};
-
-/**
- * Loop-over-Network adapter: the same BatchNetwork contract backed by
- * one compiled Network per lane, so recurrent and quantized options
- * (and any future Network implementation) keep working behind the
- * batch-first API.
- */
-class NetworkBatchAdapter : public BatchNetwork
-{
-  public:
-    /** Wrap pre-compiled networks; all must share arity. */
-    static Result<std::unique_ptr<NetworkBatchAdapter>>
-    create(std::vector<std::unique_ptr<Network>> nets);
-
-    void activateBatch(size_t count, const double *inputs,
-                       size_t inputStride, double *outputs,
-                       size_t outputStride) override;
-
-    void activateLane(size_t lane, const double *inputs,
-                      double *outputs) override;
-
-    void reset() override;
-
-    size_t lanes() const override { return nets_.size(); }
-    size_t numInputs() const override { return numInputs_; }
-    size_t numOutputs() const override { return numOutputs_; }
-
-  private:
-    explicit NetworkBatchAdapter(
-        std::vector<std::unique_ptr<Network>> nets);
-
-    size_t numInputs_ = 0;
-    size_t numOutputs_ = 0;
-    std::vector<std::unique_ptr<Network>> nets_;
-};
-
-/** Engine selection for the population-compile entry points. */
-enum class BatchEngine
-{
-    Auto,      ///< SoA when the options allow it, adapter otherwise
-    Soa,       ///< force the SoA engine (error on unsupported options)
-    PerGenome, ///< force the loop-over-Network adapter
+    NetworkCompileOptions mode_; ///< the value mode
+    /**
+     * Contiguous per-lane value arena; a recurrent engine keeps the
+     * next tick's regions in a second arena behind the first.
+     */
+    std::vector<double> values_;
 };
 
 /**
  * The one population-compile entry point: turn a population of
- * definitions into a BatchNetwork. Both the platform's evaluation
- * path and serve go through here, so the batch engine can intercept
- * whole populations regardless of caller. When @p stats is given it
- * receives every def's NetStats, in defs order; the SoA engine reads
- * them off the analysis it compiles from.
+ * definitions into a BatchNetwork in the value mode @p options selects.
+ * The platform's evaluation path, serve and the tools all go through
+ * here. All defs must share input/output arity; a malformed def
+ * (checkDefInvariants) is an error naming its genome index. Each def
+ * is analyzed once; when @p stats is given it receives every def's
+ * NetStats from that same analysis, in defs order.
  */
 Result<std::unique_ptr<BatchNetwork>>
 compilePopulation(const std::vector<NetworkDef> &defs,
                   const NetworkCompileOptions &options = {},
-                  BatchEngine engine = BatchEngine::Auto,
                   std::vector<NetStats> *stats = nullptr);
 
-/** Same, for one definition replicated across @p lanes lanes. */
+/**
+ * One definition shared by @p lanes value lanes — the serve-side shape,
+ * where coalesced same-champion requests land in one activateBatch()
+ * call. The lanes share one program.
+ */
 Result<std::unique_ptr<BatchNetwork>>
 compileReplicated(const NetworkDef &def, size_t lanes,
-                  const NetworkCompileOptions &options = {},
-                  BatchEngine engine = BatchEngine::Auto);
+                  const NetworkCompileOptions &options = {});
+
+/**
+ * Engine names kept only so hostbench's traced driver compiles, like
+ * batchedFunctionalInference(): there is one engine, and both
+ * enumerators select it. Goes once that driver runs on
+ * E3Platform::run.
+ */
+enum class BatchEngine
+{
+    Auto,
+    PerGenome,
+};
+
+/** compilePopulation(defs, options); @p engine is ignored. */
+Result<std::unique_ptr<BatchNetwork>>
+compilePopulation(const std::vector<NetworkDef> &defs,
+                  const NetworkCompileOptions &options,
+                  BatchEngine engine);
 
 } // namespace e3
 

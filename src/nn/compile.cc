@@ -1,12 +1,19 @@
 #include "nn/compile.hh"
 
-#include <utility>
-
-#include "common/logging.hh"
 #include "nn/layering.hh"
-#include "nn/recurrent.hh"
 
 namespace e3 {
+
+Status
+NetworkCompileOptions::validate() const
+{
+    if (recurrent && quantization)
+        return Status::error(
+            "quantized recurrent evaluation is not supported");
+    if (quantization)
+        return quantization->validate();
+    return Status();
+}
 
 Status
 checkDefInvariants(const DefAnalysis &analysis, bool recurrent)
@@ -23,33 +30,6 @@ Status
 checkDefInvariants(const NetworkDef &def, bool recurrent)
 {
     return checkDefInvariants(analyzeDef(def), recurrent);
-}
-
-Result<std::unique_ptr<Network>>
-compileNetwork(const NetworkDef &def,
-               const NetworkCompileOptions &options)
-{
-    if (options.recurrent && options.quantization)
-        return Status::error(
-            "quantized recurrent evaluation is not supported");
-    if (Status invariants = checkDefInvariants(def, options.recurrent);
-        !invariants.ok()) {
-        return Status::error("malformed NetworkDef: ",
-                             invariants.message());
-    }
-    if (options.quantization) {
-        if (Status format = options.quantization->validate();
-            !format.ok())
-            return format;
-        return std::unique_ptr<Network>(std::make_unique<QuantizedNetwork>(
-            QuantizedNetwork::create(def, *options.quantization)));
-    }
-    if (options.recurrent) {
-        return std::unique_ptr<Network>(std::make_unique<RecurrentNetwork>(
-            RecurrentNetwork::create(def)));
-    }
-    return std::unique_ptr<Network>(std::make_unique<FeedForwardNetwork>(
-        FeedForwardNetwork::create(def)));
 }
 
 } // namespace e3

@@ -1,17 +1,17 @@
 /**
  * @file
- * One front door for turning a NetworkDef into an executable Network.
+ * What a NetworkDef compiles into, and what every compile checks.
  *
  * Callers describe *what* they need (recurrent evaluation? the
- * fixed-point deployment view?) and get back the right implementation
- * behind the shared Network interface — no more switching on concrete
- * network types in evaluators, benches or the replay path.
+ * fixed-point deployment view?) as NetworkCompileOptions; every
+ * compile entry point (Network::create, compileNetwork,
+ * compilePopulation, compileReplicated) turns them into the value
+ * mode of the one batch engine (nn/batch_eval.hh).
  */
 
 #ifndef E3_NN_COMPILE_HH
 #define E3_NN_COMPILE_HH
 
-#include <memory>
 #include <optional>
 
 #include "common/result.hh"
@@ -29,33 +29,27 @@ struct NetworkCompileOptions
     bool recurrent = false;
 
     /**
-     * Run inference through the fixed-point evaluator at this format —
-     * the accelerator's datapath view. Feed-forward only.
+     * Store inputs and node values at this fixed-point format — the
+     * accelerator's datapath view. Feed-forward only.
      */
     std::optional<FixedPointFormat> quantization;
-};
 
-/**
- * Compile a definition into the matching executable form:
- * quantized feed-forward when a format is given, recurrent when
- * requested, plain feed-forward otherwise. A malformed definition
- * (checkDefInvariants), an invalid fixed-point format, or the
- * unsupported recurrent+quantized combination comes back as an error
- * Status — compiling user-supplied genomes never aborts the process.
- */
-Result<std::unique_ptr<Network>>
-compileNetwork(const NetworkDef &def,
-               const NetworkCompileOptions &options = {});
+    /**
+     * The options themselves: an invalid fixed-point format, or the
+     * unsupported recurrent+quantized combination, as an error Status.
+     */
+    Status validate() const;
+};
 
 /**
  * Structural invariants every compilable definition must satisfy:
  * unique node ids and connection keys, every output id defined,
  * connection endpoints resolving to inputs or nodes, finite weights
  * and biases, and (unless @p recurrent) acyclicity. Returns the first
- * violation as an error Status. compileNetwork() checks this before
- * handing the def to the evaluators, whose own e3_asserts are
- * narrower; the full verifier (src/verify) reports the same defects
- * as cataloged diagnostics.
+ * violation as an error Status. compileNetwork() and
+ * compilePopulation() check this before building a plan, whose own
+ * e3_asserts are narrower; the full verifier (src/verify) reports the
+ * same defects as cataloged diagnostics.
  */
 Status checkDefInvariants(const NetworkDef &def, bool recurrent = false);
 

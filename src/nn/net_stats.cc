@@ -60,7 +60,7 @@ computeNetStats(const NetworkDef &def)
 }
 
 double
-measureActivationDensity(FeedForwardNetwork &net, size_t samples,
+measureActivationDensity(Network &net, size_t samples,
                          Rng &rng)
 {
     e3_assert(samples > 0, "need at least one sample");

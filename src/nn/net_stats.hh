@@ -74,7 +74,7 @@ NetStats netStatsOf(const NetworkDef &def, const DefAnalysis &analysis);
  * @param rng input-sampling stream (inputs uniform in [-1, 1])
  * @return executed-MAC fraction in (0, 1]; 1.0 for link-free nets
  */
-double measureActivationDensity(FeedForwardNetwork &net,
+double measureActivationDensity(Network &net,
                                 size_t samples, Rng &rng);
 
 /**

@@ -21,22 +21,35 @@ NetworkDef::empty(size_t numInputs, size_t numOutputs)
     return def;
 }
 
-FeedForwardNetwork::FeedForwardNetwork() = default;
-FeedForwardNetwork::FeedForwardNetwork(FeedForwardNetwork &&) noexcept =
-    default;
-FeedForwardNetwork &
-FeedForwardNetwork::operator=(FeedForwardNetwork &&) noexcept = default;
-FeedForwardNetwork::~FeedForwardNetwork() = default;
+Network::Network() = default;
+Network::Network(Network &&) noexcept = default;
+Network &Network::operator=(Network &&) noexcept = default;
+Network::~Network() = default;
 
-FeedForwardNetwork
-FeedForwardNetwork::create(const NetworkDef &def)
+Network
+Network::create(const NetworkDef &def, const NetworkCompileOptions &options)
 {
     const DefAnalysis &a = analyzeDef(def);
     a.assertBuildable(def);
-    a.assertAcyclic();
-    FeedForwardNetwork net;
-    net.lane_ = BatchEvaluator::fromPlan(feedForwardPlan(def, a));
+    if (!options.recurrent)
+        a.assertAcyclic();
+    assertOk(options.validate());
+    Network net;
+    net.lane_.reset(new BatchNetwork(lanePlan(def, a, options), options));
     return net;
+}
+
+Result<Network>
+compileNetwork(const NetworkDef &def, const NetworkCompileOptions &options)
+{
+    if (Status mode = options.validate(); !mode.ok())
+        return mode;
+    if (Status invariants = checkDefInvariants(def, options.recurrent);
+        !invariants.ok()) {
+        return Status::error("malformed NetworkDef: ",
+                             invariants.message());
+    }
+    return Network::create(def, options);
 }
 
 std::vector<double>
@@ -50,39 +63,46 @@ Network::activate(const std::vector<double> &inputs)
 }
 
 E3_HOT void
-FeedForwardNetwork::activateInto(const double *inputs, double *outputs)
+Network::activateInto(const double *inputs, double *outputs)
 {
-    lane_->BatchEvaluator::activateLane(0, inputs, outputs);
+    lane_->activateLane(0, inputs, outputs);
+}
+
+void
+Network::reset()
+{
+    lane_->reset();
 }
 
 size_t
-FeedForwardNetwork::numInputs() const
+Network::numInputs() const
 {
     return lane_->numInputs();
 }
 
 size_t
-FeedForwardNetwork::numOutputs() const
+Network::numOutputs() const
 {
     return lane_->numOutputs();
 }
 
 size_t
-FeedForwardNetwork::valueSlots() const
+Network::valueSlots() const
 {
-    return lane_->values_.size();
+    return lane_->plan_.arenaSize;
 }
 
 std::span<const double>
-FeedForwardNetwork::values() const
+Network::values() const
 {
-    return lane_->values_; // one lane: the whole arena
+    // One lane: the whole state arena.
+    return {lane_->values_.data(), lane_->plan_.arenaSize};
 }
 
 const BatchPlan &
-FeedForwardNetwork::plan() const
+Network::plan() const
 {
-    return *lane_->plan();
+    return lane_->plan_;
 }
 
 } // namespace e3

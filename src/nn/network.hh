@@ -9,10 +9,11 @@
  * (-1..-n), output nodes are 0..o-1, and hidden nodes are >= o. Inputs
  * are pure value sources and carry no bias/activation.
  *
- * FeedForwardNetwork is the one-network view of the compiled form: a
- * one-lane SoA plan (nn/batch_eval.hh) holding only the nodes required
- * for the outputs, in dependency order, over a flat value array. The
- * INAX model schedules the same analysis's layers (NetStats).
+ * Network is the one-network view of the compiled form: a one-lane
+ * batch engine (nn/batch_eval.hh) whose plan holds only the nodes
+ * required for the outputs, over a flat value array, in whichever
+ * value mode NetworkCompileOptions selects. The INAX model schedules
+ * the same analysis's layers (NetStats).
  */
 
 #ifndef E3_NN_NETWORK_HH
@@ -23,8 +24,10 @@
 #include <span>
 #include <vector>
 
+#include "common/result.hh"
 #include "nn/activations.hh"
 #include "nn/aggregations.hh"
+#include "nn/compile.hh"
 
 namespace e3 {
 
@@ -57,74 +60,54 @@ struct NetworkDef
     static NetworkDef empty(size_t numInputs, size_t numOutputs);
 };
 
+class BatchNetwork;
+struct BatchPlan;
+
 /**
- * Common interface of every executable network form (feed-forward,
- * recurrent, quantized). Evaluators, benches and the replay path
- * program against this contract instead of switching on concrete
- * types; compileNetwork() (nn/compile.hh) picks the implementation.
+ * Compiled network: a one-lane view over the batch engine, for callers
+ * that evaluate one network at a time. Every output id has a slot (an
+ * output never reached by any connection still exists and emits its
+ * activated bias).
  *
- * Contract: the span-style activateInto() core reads one value per
- * input in inputIds order and writes one value per output in outputIds
- * order; the std::vector activate() overload is a thin allocating
- * wrapper over it. reset() clears any cross-step state (a no-op for
- * stateless networks) and must be called between episodes.
+ * Contract: activateInto() reads one value per input in inputIds order
+ * and writes one value per output in outputIds order, without
+ * allocating; the std::vector activate() overload is a thin allocating
+ * wrapper over it. A recurrent network advances one synchronous tick
+ * per call; reset() clears that state and must be called between
+ * episodes (a no-op in effect for the stateless modes).
  */
 class Network
 {
   public:
-    virtual ~Network() = default;
+    /**
+     * Compile a definition in the value mode @p options selects (prunes
+     * nodes not required for the outputs). Panics on a def no
+     * evaluator can build: missing inputs or outputs, duplicate node
+     * ids, an undefined output, a cycle in a feed-forward compile, or
+     * invalid options. compileNetwork() is the checked entry point.
+     */
+    static Network create(const NetworkDef &def,
+                          const NetworkCompileOptions &options = {});
+
+    Network(Network &&) noexcept;
+    Network &operator=(Network &&) noexcept;
+    ~Network();
 
     /**
-     * Run one inference (one synchronous tick for stateful nets).
-     * Reads exactly numInputs() doubles from @p inputs and writes
-     * exactly numOutputs() doubles to @p outputs; implementations do
-     * not allocate. This is the core every batch evaluator drives.
+     * Run one inference (one tick for a recurrent network).
+     * @param inputs one value per input id, in inputIds order
+     * @param outputs one value per output id, in outputIds order
      */
-    virtual void activateInto(const double *inputs,
-                              double *outputs) = 0;
+    void activateInto(const double *inputs, double *outputs);
 
     /** Convenience wrapper over activateInto(). */
     std::vector<double> activate(const std::vector<double> &inputs);
 
-    /** Clear cross-step state; default is stateless. */
-    virtual void reset() {}
+    /** Clear cross-step state (the start of an episode). */
+    void reset();
 
-    virtual size_t numInputs() const = 0;
-    virtual size_t numOutputs() const = 0;
-};
-
-class BatchEvaluator;
-struct BatchPlan;
-
-/**
- * Compiled irregular feed-forward network: a one-lane view over the
- * SoA batch engine, for callers that evaluate one network at a time.
- * Every output id has a slot (an output never reached by any
- * connection still exists and emits its activated bias).
- */
-class FeedForwardNetwork : public Network
-{
-  public:
-    /**
-     * Compile a definition (prunes nodes not required for the
-     * outputs). Panics on a def no evaluator can build: missing inputs
-     * or outputs, duplicate node ids, an undefined output or a cycle.
-     */
-    static FeedForwardNetwork create(const NetworkDef &def);
-
-    FeedForwardNetwork(FeedForwardNetwork &&) noexcept;
-    FeedForwardNetwork &operator=(FeedForwardNetwork &&) noexcept;
-    ~FeedForwardNetwork() override;
-
-    /**
-     * Run one inference.
-     * @param inputs one value per input id, in inputIds order
-     * @param outputs one value per output id, in outputIds order
-     */
-    void activateInto(const double *inputs, double *outputs) override;
-
-    size_t numInputs() const override;
-    size_t numOutputs() const override;
+    size_t numInputs() const;
+    size_t numOutputs() const;
 
     /** Total value-array slots (inputs + compiled nodes). */
     size_t valueSlots() const;
@@ -141,10 +124,19 @@ class FeedForwardNetwork : public Network
     const BatchPlan &plan() const;
 
   private:
-    FeedForwardNetwork();
+    Network();
 
-    std::unique_ptr<BatchEvaluator> lane_;
+    std::unique_ptr<BatchNetwork> lane_;
 };
+
+/**
+ * Compile a definition like Network::create, but report a malformed
+ * definition (checkDefInvariants), an invalid fixed-point format or
+ * the unsupported recurrent+quantized combination as an error Status —
+ * compiling user-supplied genomes never aborts the process.
+ */
+Result<Network> compileNetwork(const NetworkDef &def,
+                               const NetworkCompileOptions &options = {});
 
 } // namespace e3
 

@@ -5,7 +5,7 @@
 #include <sstream>
 
 #include "common/logging.hh"
-#include "nn/batch_eval.hh"
+#include "nn/network.hh"
 
 namespace e3 {
 
@@ -68,44 +68,6 @@ quantizeDef(const NetworkDef &def, const FixedPointFormat &format)
     for (auto &conn : out.conns)
         conn.weight = format.quantize(conn.weight);
     return out;
-}
-
-QuantizedNetwork::QuantizedNetwork(FeedForwardNetwork net,
-                                   FixedPointFormat format)
-    : net_(std::move(net)), format_(format),
-      values_(net_.valueSlots(), 0.0)
-{
-}
-
-QuantizedNetwork
-QuantizedNetwork::create(const NetworkDef &def,
-                         const FixedPointFormat &format)
-{
-    assertOk(format.validate());
-    return QuantizedNetwork(
-        FeedForwardNetwork::create(quantizeDef(def, format)), format);
-}
-
-void
-QuantizedNetwork::activateInto(const double *inputs, double *outputs)
-{
-    const BatchPlan &plan = net_.plan();
-    for (size_t i = 0; i < plan.numInputs; ++i)
-        values_[i] = format_.quantize(inputs[i]);
-
-    plan.forEachNode(0, [&](const BatchPlan::Segment &seg,
-                            const BatchPlan::NodeRun &node) {
-        // Full-precision accumulation (wide DSP accumulator), then
-        // quantize the activated output as it enters the value buffer.
-        Aggregator agg(seg.agg);
-        for (const BatchPlan::Op &op : plan.opsOf(node))
-            agg.add(values_[op.srcSlot] * op.weight);
-        values_[node.dstSlot] = format_.quantize(
-            applyActivation(seg.act, agg.result() + node.bias));
-    });
-
-    for (size_t o = 0; o < plan.numOutputs; ++o)
-        outputs[o] = values_[plan.outputSlots[o]];
 }
 
 } // namespace e3

@@ -19,7 +19,7 @@ ParallelEval::ParallelEval(const RuntimeConfig &cfg) : cfg_(cfg)
 ParallelEval::~ParallelEval() = default;
 
 E3_HOT void
-ParallelEval::runLane(const EvalPlan::Policy &policy,
+ParallelEval::runLane(const EvalPlan &plan, const EvalPlan::Policy &policy,
                       std::vector<std::unique_ptr<VectorEnv>> &venvs,
                       double *action, EvalOutcome &out, size_t lane) const
 {
@@ -33,6 +33,8 @@ ParallelEval::runLane(const EvalPlan::Policy &policy,
     for (size_t e = 0; e < venvs.size(); ++e) {
         VectorEnv &venv = *venvs[e];
         venv.resetLane(lane);
+        if (plan.resetLane)
+            plan.resetLane(lane);
         const double *observation = venv.observation(lane).data();
         bool finished = venv.done(lane);
         while (!finished) {
@@ -98,7 +100,7 @@ ParallelEval::evaluate(const EvalPlan &plan)
         };
     }
     auto runLaneAt = [&](size_t i) {
-        runLane(policy, venvs, actions.lane(i), out, i);
+        runLane(plan, policy, venvs, actions.lane(i), out, i);
     };
 
     // Determinism sentinel: fold every lane's stream digest in fixed

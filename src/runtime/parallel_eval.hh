@@ -74,6 +74,14 @@ struct EvalPlan
      */
     std::function<Action(size_t lane, const Observation &obs)> act;
 
+    /**
+     * Optional: clear lane i's policy state (a recurrent network's
+     * previous tick) at the start of every episode round, so no round
+     * depends on the one before it. Called concurrently for distinct
+     * lanes.
+     */
+    std::function<void(size_t lane)> resetLane;
+
     /** A set of lanes whose completion unlocks follow-up work. */
     struct Group
     {
@@ -136,7 +144,7 @@ class ParallelEval
     RngAudit auditDeterminism() const { return audit_; }
 
   private:
-    void runLane(const EvalPlan::Policy &policy,
+    void runLane(const EvalPlan &plan, const EvalPlan::Policy &policy,
                  std::vector<std::unique_ptr<VectorEnv>> &venvs,
                  double *action, EvalOutcome &out, size_t lane) const;
 

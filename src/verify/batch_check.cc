@@ -384,11 +384,20 @@ verifyBatchPlanFold(const BatchPlan &plan,
 
 Report
 verifyBatchPlan(const BatchPlan &plan,
-                const std::vector<NetworkDef> &defs)
+                const std::vector<NetworkDef> &defs,
+                const NetworkCompileOptions &mode)
 {
     Report report = verifyBatchPlanStructure(plan);
-    if (!defs.empty() && !report.hasErrors())
-        report.merge(verifyBatchPlanFold(plan, defs));
+    if (defs.empty() || mode.recurrent || report.hasErrors())
+        return report;
+    std::vector<NetworkDef> quantized;
+    if (mode.quantization) {
+        quantized.reserve(defs.size());
+        for (const NetworkDef &def : defs)
+            quantized.push_back(quantizeDef(def, *mode.quantization));
+    }
+    report.merge(
+        verifyBatchPlanFold(plan, mode.quantization ? quantized : defs));
     return report;
 }
 

@@ -3,7 +3,7 @@
  * Batch-plan soundness (E3V301–E3V306).
  *
  * Certifies a compiled BatchPlan — the SoA program
- * compilePopulation()/compileReplicated() hand to the evaluator — as
+ * compilePopulation()/compileReplicated() hand to the engine — as
  * diagnostics instead of fatals: every op and node index inside its
  * lane's slot range and the shared arrays (E3V301), per-lane segments
  * exactly partitioning the node list in execution order (E3V302),
@@ -15,7 +15,9 @@
  * bit-identical to the plan the verifier's own reference layering
  * (verify/reference_layering.hh) prescribes, so fold order and with it
  * every intermediate rounding is proven unchanged (E3V306) by code
- * independent of the compiler under test.
+ * independent of the compiler under test. A quantized plan is compared
+ * against quantizeDef's parameters; a recurrent plan gets E3V301–E3V305
+ * only.
  *
  * Plans also round-trip through a line-oriented text form (doubles at
  * full %.17g precision), which is how the seeded-corrupt fixtures
@@ -52,12 +54,17 @@ Report verifyBatchPlanFold(const BatchPlan &plan,
                            const std::vector<NetworkDef> &defs);
 
 /**
- * The full pass: structure always, fold equivalence when @p defs is
- * non-empty. The fold check is skipped (not failed) on a structurally
- * broken plan — its indices cannot be trusted enough to compare.
+ * The full pass over a plan compiled in value mode @p mode: structure
+ * always, fold equivalence when @p defs is non-empty — against
+ * quantizeDef(defs) for a quantized plan, and not at all for a
+ * recurrent one (E3V306's reference prescribes a feed-forward
+ * layering; a recurrent lane runs its nodes in id order). The fold
+ * check is skipped (not failed) on a structurally broken plan — its
+ * indices cannot be trusted enough to compare.
  */
 Report verifyBatchPlan(const BatchPlan &plan,
-                       const std::vector<NetworkDef> &defs = {});
+                       const std::vector<NetworkDef> &defs = {},
+                       const NetworkCompileOptions &mode = {});
 
 /** Serialize @p plan to the line-oriented text form. */
 std::string batchPlanToText(const BatchPlan &plan);

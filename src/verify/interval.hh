@@ -97,18 +97,17 @@ struct NodeInterval
 };
 
 /**
- * Propagate input bounds through lane 0 of a compiled plan (for one
- * network, FeedForwardNetwork::plan()) and bound every value-array
+ * Propagate input bounds through lane 0 of a compiled feed-forward
+ * plan (for one network, Network::plan()) and bound every value-array
  * slot: slots [0, numInputs) carry the given input bounds, each
  * compiled node's slot the bound of its stored post-activation value.
- * The result is indexed exactly like FeedForwardNetwork::values(), so
- * a runtime activation can be checked against its static bound slot
- * for slot.
+ * The result is indexed exactly like Network::values(), so a runtime
+ * activation can be checked against its static bound slot for slot.
  *
  * With @p storage, inputs and activated outputs are stored quantized
- * to that format, as QuantizedNetwork stores them (the MAC stays full
- * precision). With @p nodes, every node's pre- and post-activation
- * bound is appended in execution order.
+ * to that format, as the engine's quantized mode stores them (the MAC
+ * stays full precision). With @p nodes, every node's pre- and
+ * post-activation bound is appended in execution order.
  * @pre inputBounds.size() == plan.numInputs
  */
 std::vector<Interval>

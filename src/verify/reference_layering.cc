@@ -139,6 +139,16 @@ ReferenceNetwork::activateInto(const double *inputs, double *outputs)
         outputs[o] = values_[outputSlots_[o]];
 }
 
+std::vector<double>
+ReferenceNetwork::activate(const std::vector<double> &inputs)
+{
+    e3_assert(inputs.size() == numInputs_, "expected ", numInputs_,
+              " inputs, got ", inputs.size());
+    std::vector<double> out(outputSlots_.size());
+    activateInto(inputs.data(), out.data());
+    return out;
+}
+
 void
 ReferenceNetwork::appendLaneTo(BatchPlan &plan) const
 {

@@ -47,16 +47,20 @@ bool referenceIsAcyclic(const NetworkDef &def);
  * ingress links from inputs or required nodes, in def order, and folds
  * them with Aggregator.
  */
-class ReferenceNetwork : public Network
+class ReferenceNetwork
 {
   public:
     /** Compile @p def. @pre def verifies clean (verifyNetworkDef). */
     static ReferenceNetwork create(const NetworkDef &def);
 
-    void activateInto(const double *inputs, double *outputs) override;
+    /** Run one inference, with Network::activateInto's contract. */
+    void activateInto(const double *inputs, double *outputs);
 
-    size_t numInputs() const override { return numInputs_; }
-    size_t numOutputs() const override { return outputSlots_.size(); }
+    /** Allocating wrapper over activateInto(). */
+    std::vector<double> activate(const std::vector<double> &inputs);
+
+    size_t numInputs() const { return numInputs_; }
+    size_t numOutputs() const { return outputSlots_.size(); }
 
     /**
      * Append this network to @p plan as one lane program, after the

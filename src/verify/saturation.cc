@@ -136,13 +136,13 @@ analyzeQuantization(const NetworkDef &def,
     }
 
     // Propagate through the *quantized* network with quantized value
-    // storage — the exact dataflow QuantizedNetwork::activate runs.
+    // storage — the exact dataflow of the engine's quantized mode.
     const NetworkDef quantized = quantizeDef(def, format);
     const DefAnalysis &a = analyzeDef(quantized);
     a.assertBuildable(quantized);
     a.assertAcyclic();
     std::vector<NodeInterval> bounds;
-    networkValueBounds(feedForwardPlan(quantized, a), inputBounds, &format,
+    networkValueBounds(lanePlan(quantized, a), inputBounds, &format,
                        &bounds);
     for (size_t k = 0; k < bounds.size(); ++k) {
         NodeBound bound{bounds[k], a.ids[a.order[k]], a.slot[a.order[k]]};

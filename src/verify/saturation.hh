@@ -55,11 +55,11 @@ bool formatClips(const FixedPointFormat &format, double v);
 /**
  * Analyze a (float) definition under @p format: check every weight and
  * bias (E3V101 saturates / E3V102 underflows-to-zero), then propagate
- * @p inputBounds through the quantized network exactly as
- * QuantizedNetwork executes it — quantized input and value storage,
- * full-precision MAC — flagging may-clip inputs (E3V103) and nodes
- * whose post-activation interval can cross the representable range
- * (E3V104).
+ * @p inputBounds through the quantized network exactly as the batch
+ * engine's quantized mode executes it — quantized input and value
+ * storage, full-precision MAC — flagging may-clip inputs (E3V103) and
+ * nodes whose post-activation interval can cross the representable
+ * range (E3V104).
  *
  * @pre def verifies clean of structural errors
  * @pre inputBounds.size() == def.inputIds.size()

@@ -54,7 +54,8 @@ Report verifyGenome(const Genome &genome, const GenomeInterface &iface);
  * output coverage (E3V003), endpoints (E3V001/E3V002), finite
  * parameters (E3V007), self-loops/acyclicity when @p feedForward, and
  * pruned-node warnings (E3V008). A def with no errors is safe to
- * compile (compileNetwork, compilePopulation).
+ * compile (compileNetwork, compilePopulation) — in the recurrent mode
+ * when @p feedForward is false.
  */
 Report verifyNetworkDef(const NetworkDef &def, bool feedForward = true);
 

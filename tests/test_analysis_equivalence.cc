@@ -9,7 +9,7 @@
  * Layer order, NetStats (density compared bit for bit) and every
  * checkDefInvariants message must agree, the INAX cost read off
  * NetStats must equal the one scheduled from the reference layers, and
- * every compilable def's one-lane FeedForwardNetwork must reproduce
+ * every compilable def's one-lane Network must reproduce
  * verify::ReferenceNetwork's outputs bit for bit.
  */
 
@@ -328,7 +328,7 @@ expectEquivalent(const NetworkDef &def, const InaxConfig &cfg,
             ASSERT_EQ(got.valueBufferWords, want.valueBufferWords);
         }
 
-        FeedForwardNetwork net = FeedForwardNetwork::create(def);
+        Network net = Network::create(def);
         ReferenceNetwork ref = ReferenceNetwork::create(def);
         Rng inputs(compiledCount);
         std::vector<double> in(def.inputIds.size());

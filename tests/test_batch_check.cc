@@ -66,10 +66,10 @@ directDef()
 BatchPlan
 compiledPlan(const std::vector<NetworkDef> &defs)
 {
-    Result<std::unique_ptr<BatchEvaluator>> compiled =
-        BatchEvaluator::compile(defs);
+    Result<std::unique_ptr<BatchNetwork>> compiled =
+        compilePopulation(defs);
     EXPECT_TRUE(compiled.ok()) << compiled.message();
-    return *(*compiled)->plan();
+    return (*compiled)->plan();
 }
 
 // --- clean plans are silent ---
@@ -86,10 +86,10 @@ TEST(BatchCheck, CleanPopulationPlanIsClean)
 TEST(BatchCheck, CleanReplicatedPlanIsClean)
 {
     const NetworkDef def = twoLayerDef();
-    Result<std::unique_ptr<BatchEvaluator>> compiled =
-        BatchEvaluator::compileReplicated(def, 4);
+    Result<std::unique_ptr<BatchNetwork>> compiled =
+        compileReplicated(def, 4);
     ASSERT_TRUE(compiled.ok()) << compiled.message();
-    const BatchPlan &plan = *(*compiled)->plan();
+    const BatchPlan &plan = (*compiled)->plan();
     EXPECT_EQ(plan.lanes.size(), 4u);
     EXPECT_TRUE(verifyBatchPlan(plan, {def}).empty());
 }
@@ -268,10 +268,10 @@ TEST(BatchCheck, FoldCheckWithoutDefsIsStructureOnly)
 TEST(BatchCheck, ReplicatedFoldCoversEveryLane)
 {
     const NetworkDef def = twoLayerDef();
-    Result<std::unique_ptr<BatchEvaluator>> compiled =
-        BatchEvaluator::compileReplicated(def, 3);
+    Result<std::unique_ptr<BatchNetwork>> compiled =
+        compileReplicated(def, 3);
     ASSERT_TRUE(compiled.ok()) << compiled.message();
-    BatchPlan plan = *(*compiled)->plan();
+    BatchPlan plan = (*compiled)->plan();
     EXPECT_TRUE(verifyBatchPlan(plan, {def}).empty());
     plan.nodes.back().bias += 0.5;
     EXPECT_TRUE(hasRule(verifyBatchPlan(plan, {def}),

@@ -86,7 +86,7 @@ TEST(Crossover, ChildDecodable)
     a.fitness = 1.0;
     b.fitness = 2.0;
     const Genome child = crossoverGenomes(9, a, b, rng);
-    auto net = FeedForwardNetwork::create(child.toNetworkDef(cfg));
+    auto net = Network::create(child.toNetworkDef(cfg));
     const auto out = net.activate({0.1, 0.2, 0.3});
     ASSERT_EQ(out.size(), 2u);
 }

@@ -68,7 +68,7 @@ TEST(Genome, DecodedNetworkIsRunnable)
     Rng rng(5);
     Genome g(0);
     g.configureNew(cfg, rng);
-    auto net = FeedForwardNetwork::create(g.toNetworkDef(cfg));
+    auto net = Network::create(g.toNetworkDef(cfg));
     const auto out = net.activate({0.1, 0.2, 0.3, 0.4});
     ASSERT_EQ(out.size(), 2u);
     for (double o : out) {

@@ -137,7 +137,7 @@ TEST(Mutation, FullPassKeepsGenomeWellFormed)
         }
         const auto def = f.genome.toNetworkDef(f.cfg);
         ASSERT_TRUE(isAcyclic(def));
-        auto net = FeedForwardNetwork::create(def);
+        auto net = Network::create(def);
         const auto out = net.activate({0.3, -0.3});
         ASSERT_EQ(out.size(), 1u);
         ASSERT_TRUE(std::isfinite(out[0]));

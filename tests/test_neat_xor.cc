@@ -18,7 +18,7 @@ namespace {
 double
 xorFitness(const Genome &genome, const NeatConfig &cfg)
 {
-    auto net = FeedForwardNetwork::create(genome.toNetworkDef(cfg));
+    auto net = Network::create(genome.toNetworkDef(cfg));
     static const double cases[4][3] = {
         {0, 0, 0}, {0, 1, 1}, {1, 0, 1}, {1, 1, 0}};
     double fitness = 4.0;
@@ -50,7 +50,7 @@ TEST(NeatXor, EvolvesASolution)
                 solved = true;
                 usedGenerations = pop.generation();
                 // The winning network must actually compute XOR.
-                auto net = FeedForwardNetwork::create(
+                auto net = Network::create(
                     pop.best().toNetworkDef(cfg));
                 EXPECT_GT(net.activate({0, 1})[0], 0.5);
                 EXPECT_GT(net.activate({1, 0})[0], 0.5);

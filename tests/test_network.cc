@@ -29,7 +29,7 @@ TEST(Network, SingleConnectionForward)
     auto def = NetworkDef::empty(1, 1);
     def.nodes[0].bias = 0.0;
     def.conns = {{-1, 0, 2.0}};
-    auto net = FeedForwardNetwork::create(def);
+    auto net = Network::create(def);
     const auto out = net.activate({0.5});
     ASSERT_EQ(out.size(), 1u);
     EXPECT_NEAR(out[0], sigmoid(1.0), 1e-12);
@@ -40,7 +40,7 @@ TEST(Network, BiasAppliesBeforeActivation)
     auto def = NetworkDef::empty(1, 1);
     def.nodes[0].bias = 0.7;
     def.conns = {{-1, 0, 1.0}};
-    auto net = FeedForwardNetwork::create(def);
+    auto net = Network::create(def);
     EXPECT_NEAR(net.activate({0.3})[0], sigmoid(1.0), 1e-12);
 }
 
@@ -48,7 +48,7 @@ TEST(Network, DisconnectedOutputEmitsActivatedBias)
 {
     auto def = NetworkDef::empty(2, 1);
     def.nodes[0].bias = 0.0;
-    auto net = FeedForwardNetwork::create(def);
+    auto net = Network::create(def);
     EXPECT_NEAR(net.activate({5.0, -5.0})[0], 0.5, 1e-12);
 }
 
@@ -60,7 +60,7 @@ TEST(Network, HiddenChainComputesComposition)
     def.nodes[0].bias = -0.2;
     def.nodes[0].act = Activation::Identity;
     def.conns = {{-1, 7, 3.0}, {7, 0, 0.5}};
-    auto net = FeedForwardNetwork::create(def);
+    auto net = Network::create(def);
     // h = 3*x + 0.1; out = 0.5*h - 0.2
     EXPECT_NEAR(net.activate({2.0})[0], 0.5 * 6.1 - 0.2, 1e-12);
 }
@@ -73,7 +73,7 @@ TEST(Network, SkipConnectionAddsBothPaths)
     def.nodes[0].bias = 0.0;
     def.nodes[0].act = Activation::Identity;
     def.conns = {{-1, 5, 1.0}, {5, 0, 1.0}, {-1, 0, 1.0}};
-    auto net = FeedForwardNetwork::create(def);
+    auto net = Network::create(def);
     // out = h + x = x + x = 2x
     EXPECT_NEAR(net.activate({1.5})[0], 3.0, 1e-12);
 }
@@ -87,7 +87,7 @@ TEST(Network, PrunedNodesDoNotExecute)
     const NetStats stats = computeNetStats(def);
     EXPECT_EQ(stats.activeNodes, 1u);       // only the output survives
     EXPECT_EQ(stats.activeConnections, 1u); // -1 -> 0
-    auto net = FeedForwardNetwork::create(def);
+    auto net = Network::create(def);
     EXPECT_EQ(net.valueSlots(), 1u + 1u);
     EXPECT_EQ(net.plan().ops.size(), 1u);
 }
@@ -98,7 +98,7 @@ TEST(Network, MultiOutputOrderingMatchesOutputIds)
     def.nodes[0].act = Activation::Identity;
     def.nodes[1].act = Activation::Identity;
     def.conns = {{-1, 0, 1.0}, {-1, 1, -1.0}};
-    auto net = FeedForwardNetwork::create(def);
+    auto net = Network::create(def);
     const auto out = net.activate({2.0});
     EXPECT_DOUBLE_EQ(out[0], 2.0);
     EXPECT_DOUBLE_EQ(out[1], -2.0);
@@ -110,7 +110,7 @@ TEST(Network, AggregationVariantsChangeNodeSemantics)
     def.nodes[0].act = Activation::Identity;
     def.nodes[0].agg = Aggregation::Max;
     def.conns = {{-1, 0, 1.0}, {-2, 0, 1.0}};
-    auto net = FeedForwardNetwork::create(def);
+    auto net = Network::create(def);
     EXPECT_DOUBLE_EQ(net.activate({3.0, 7.0})[0], 7.0);
     EXPECT_DOUBLE_EQ(net.activate({9.0, 7.0})[0], 9.0);
 }
@@ -119,7 +119,7 @@ TEST(Network, ActivateIsRepeatableAndStateless)
 {
     auto def = NetworkDef::empty(2, 1);
     def.conns = {{-1, 0, 0.3}, {-2, 0, -0.8}};
-    auto net = FeedForwardNetwork::create(def);
+    auto net = Network::create(def);
     const auto a = net.activate({0.1, 0.9});
     net.activate({-5.0, 5.0}); // perturb internal values
     const auto b = net.activate({0.1, 0.9});
@@ -136,7 +136,7 @@ TEST(Network, CountsMatchStructure)
     const NetStats stats = computeNetStats(def);
     EXPECT_EQ(stats.activeNodes, 3u);
     EXPECT_EQ(stats.activeConnections, 5u);
-    auto net = FeedForwardNetwork::create(def);
+    auto net = Network::create(def);
     EXPECT_EQ(net.numInputs(), 2u);
     EXPECT_EQ(net.numOutputs(), 2u);
     EXPECT_EQ(net.valueSlots(), 2u + 3u);
@@ -146,7 +146,7 @@ TEST(NetworkDeath, WrongInputArityPanics)
 {
     auto def = NetworkDef::empty(2, 1);
     def.conns = {{-1, 0, 1.0}};
-    auto net = FeedForwardNetwork::create(def);
+    auto net = Network::create(def);
     EXPECT_DEATH(net.activate({1.0}), "inputs");
 }
 
@@ -156,7 +156,7 @@ TEST(NetworkDeath, MissingOutputNodePanics)
     def.inputIds = {-1};
     def.outputIds = {0};
     // def.nodes intentionally left empty.
-    EXPECT_DEATH(FeedForwardNetwork::create(def), "output node");
+    EXPECT_DEATH(Network::create(def), "output node");
 }
 
 TEST(NetworkDeath, DuplicateNodeIdPanics)
@@ -164,7 +164,7 @@ TEST(NetworkDeath, DuplicateNodeIdPanics)
     auto def = NetworkDef::empty(1, 1);
     def.nodes.push_back({0, 0.0, Activation::Sigmoid,
                          Aggregation::Sum});
-    EXPECT_DEATH(FeedForwardNetwork::create(def), "duplicate");
+    EXPECT_DEATH(Network::create(def), "duplicate");
 }
 
 } // namespace

@@ -160,6 +160,21 @@ TEST(Platform, QuantizedDeploymentStillLearns)
     EXPECT_TRUE(r.solved);
 }
 
+TEST(Platform, VerifyGateCertifiesQuantizedPlans)
+{
+    // A quantized population compiles to a plan like any other, so the
+    // --verify gate certifies it (E3V306 against quantizeDef's
+    // parameters) and a sound run reports nothing.
+    PlatformConfig cfg = smallConfig("cartpole");
+    cfg.maxGenerations = 5;
+    cfg.quantization = FixedPointFormat{16, 8};
+    cfg.verifyGenomes = true;
+    const RunResult r =
+        E3Platform(cfg, std::make_unique<CpuBackend>()).run();
+    EXPECT_TRUE(r.verifyReport.empty())
+        << verify::formatText(r.verifyReport);
+}
+
 TEST(Platform, QuantizationChangesFunctionalTrajectory)
 {
     // Coarse quantization perturbs decisions, so the evolution trace

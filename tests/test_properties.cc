@@ -15,10 +15,10 @@
 #include "inax/pu.hh"
 #include "inax/systolic.hh"
 #include "neat/mutation.hh"
-#include "nn/quantize.hh"
-#include "nn/recurrent.hh"
 #include "nn/layering.hh"
 #include "nn/net_stats.hh"
+#include "nn/network.hh"
+#include "nn/quantize.hh"
 
 namespace e3 {
 namespace {
@@ -143,7 +143,7 @@ TEST_P(SparsityProperty, NetsAreAcyclicRunnableAndRequired)
     for (int i = 0; i < 5; ++i) {
         const auto def = syntheticIrregularNet(params, rng);
         ASSERT_TRUE(isAcyclic(def));
-        auto net = FeedForwardNetwork::create(def);
+        auto net = Network::create(def);
         const auto out = net.activate(
             std::vector<double>(params.numInputs, 0.25));
         ASSERT_EQ(out.size(), params.numOutputs);
@@ -238,7 +238,7 @@ TEST_P(MutationRateProperty, LongMutationChainsStayWellFormed)
         ASSERT_EQ(genome.nodes.count(1), 1u);
         const auto def = genome.toNetworkDef(cfg);
         ASSERT_TRUE(isAcyclic(def));
-        auto net = FeedForwardNetwork::create(def);
+        auto net = Network::create(def);
         const auto out = net.activate({0.1, 0.2, 0.3, 0.4});
         ASSERT_EQ(out.size(), 2u);
     }
@@ -264,7 +264,7 @@ TEST_P(BitWidthProperty, QuantizedOutputsStayOnGridAndFinite)
     Rng rng(41);
     for (int i = 0; i < 2; ++i) {
         const auto def = syntheticIrregularNet(params, rng);
-        auto qnet = QuantizedNetwork::create(def, fmt);
+        auto qnet = Network::create(def, {.quantization = fmt});
         Rng inputRng(43);
         for (int s = 0; s < 5; ++s) {
             std::vector<double> x(params.numInputs);
@@ -302,7 +302,9 @@ TEST_P(RecurrentSeedProperty, CyclicEvolutionStaysEvaluable)
     for (int i = 0; i < 40; ++i)
         mutateGenome(genome, cfg, rng, innovation);
 
-    auto net = RecurrentNetwork::create(genome.toNetworkDef(cfg));
+    NetworkCompileOptions recurrent;
+    recurrent.recurrent = true;
+    auto net = Network::create(genome.toNetworkDef(cfg), recurrent);
     for (int t = 0; t < 20; ++t) {
         const auto out = net.activate({0.1, -0.2, 0.3});
         ASSERT_EQ(out.size(), 2u);

@@ -76,8 +76,9 @@ TEST(QuantizedNetwork, WideFormatTracksFloat)
     params.numIndividuals = 1;
     const auto def = syntheticIrregularNet(params, rng);
 
-    auto floatNet = FeedForwardNetwork::create(def);
-    auto qnet = QuantizedNetwork::create(def, {32, 20});
+    auto floatNet = Network::create(def);
+    auto qnet =
+        Network::create(def, {.quantization = FixedPointFormat{32, 20}});
 
     Rng inputRng(3);
     for (int s = 0; s < 20; ++s) {
@@ -98,11 +99,11 @@ TEST(QuantizedNetwork, ErrorShrinksWithMoreBits)
     SyntheticParams params;
     params.numIndividuals = 1;
     const auto def = syntheticIrregularNet(params, rng);
-    auto floatNet = FeedForwardNetwork::create(def);
+    auto floatNet = Network::create(def);
 
     auto maxError = [&](int totalBits, int fracBits) {
-        auto qnet = QuantizedNetwork::create(
-            def, {totalBits, fracBits});
+        auto qnet = Network::create(
+            def, {.quantization = FixedPointFormat{totalBits, fracBits}});
         Rng inputRng(5);
         double worst = 0.0;
         for (int s = 0; s < 30; ++s) {
@@ -127,7 +128,7 @@ TEST(QuantizedNetwork, OutputsAreOnTheGrid)
     params.numIndividuals = 1;
     const auto def = syntheticIrregularNet(params, rng);
     const FixedPointFormat fmt{8, 4};
-    auto qnet = QuantizedNetwork::create(def, fmt);
+    auto qnet = Network::create(def, {.quantization = fmt});
     const auto out = qnet.activate(
         std::vector<double>(params.numInputs, 0.33));
     for (double o : out)
@@ -199,7 +200,7 @@ TEST(QuantizedNetwork, StaysInsideVerifierIntervals)
     const verify::QuantizationAnalysis analysis =
         verify::analyzeQuantization(def, inputBounds, fmt);
 
-    auto qnet = QuantizedNetwork::create(def, fmt);
+    auto qnet = Network::create(def, {.quantization = fmt});
     // Output bounds: postActivation of the nodes owning output slots
     // is quantized on the way out, so check the quantized interval.
     Rng inputRng(9);
@@ -234,8 +235,8 @@ TEST(QuantizedNetwork, OutputsFollowOutputIdsOrder)
     def.nodes = {{0, 0.25, Activation::Identity, Aggregation::Sum},
                  {1, 0.75, Activation::Identity, Aggregation::Sum}};
     ASSERT_TRUE(checkDefInvariants(def).ok());
-    auto floatNet = FeedForwardNetwork::create(def);
-    auto qnet = QuantizedNetwork::create(def, {16, 8});
+    auto floatNet = Network::create(def);
+    auto qnet = Network::create(def, {.quantization = FixedPointFormat{16, 8}});
     const std::vector<double> expect{0.75, 0.25};
     EXPECT_EQ(floatNet.activate({2.0}), expect);
     EXPECT_EQ(qnet.activate({2.0}), expect);
@@ -249,7 +250,7 @@ TEST(QuantizedNetwork, OutputIdsNeedNotStartAtZero)
     def.outputIds = {7};
     def.nodes = {{7, 1.0, Activation::Identity, Aggregation::Sum}};
     ASSERT_TRUE(checkDefInvariants(def).ok());
-    auto qnet = QuantizedNetwork::create(def, {16, 8});
+    auto qnet = Network::create(def, {.quantization = FixedPointFormat{16, 8}});
     EXPECT_EQ(qnet.activate({2.0}), std::vector<double>{1.0});
 }
 
@@ -257,7 +258,7 @@ TEST(QuantizedNetworkDeath, WrongArityPanics)
 {
     auto def = NetworkDef::empty(2, 1);
     def.conns = {{-1, 0, 1.0}};
-    auto qnet = QuantizedNetwork::create(def, {16, 8});
+    auto qnet = Network::create(def, {.quantization = FixedPointFormat{16, 8}});
     EXPECT_DEATH(qnet.activate({1.0}), "inputs");
 }
 

@@ -1,15 +1,17 @@
-#include "nn/recurrent.hh"
-
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "neat/mutation.hh"
+#include "nn/batch_eval.hh"
 #include "nn/layering.hh"
 #include "nn/net_stats.hh"
 
 namespace e3 {
 namespace {
+
+/** Compile options for synchronous-tick (recurrent) evaluation. */
+const NetworkCompileOptions kRecurrent{.recurrent = true, .quantization = {}};
 
 TEST(Recurrent, SelfLoopIntegratesOverTicks)
 {
@@ -17,7 +19,7 @@ TEST(Recurrent, SelfLoopIntegratesOverTicks)
     auto def = NetworkDef::empty(1, 1);
     def.nodes[0].act = Activation::Identity;
     def.conns = {{-1, 0, 1.0}, {0, 0, 1.0}};
-    auto net = RecurrentNetwork::create(def);
+    auto net = Network::create(def, kRecurrent);
 
     EXPECT_DOUBLE_EQ(net.activate({1.0})[0], 1.0);
     EXPECT_DOUBLE_EQ(net.activate({1.0})[0], 2.0);
@@ -33,7 +35,7 @@ TEST(Recurrent, TwoNodeOscillator)
     def.nodes[0].act = Activation::Identity; // a (output 0)
     def.nodes[1].act = Activation::Identity; // b (output 1)
     def.conns = {{-1, 0, 1.0}, {1, 0, -1.0}, {0, 1, 1.0}};
-    auto net = RecurrentNetwork::create(def);
+    auto net = Network::create(def, kRecurrent);
 
     // Kick with one unit of input, then run free.
     auto o = net.activate({1.0}); // a=1, b=0
@@ -57,11 +59,11 @@ TEST(Recurrent, FeedForwardDefSettlesToFeedForwardOutput)
     def.conns = {{-1, 1, 0.8}, {-2, 1, -0.5}, {1, 2, 1.2},
                  {2, 0, 0.7},  {-1, 0, 0.4}};
 
-    auto ff = FeedForwardNetwork::create(def);
+    auto ff = Network::create(def);
     const std::vector<double> x{0.6, -0.9};
     const auto expected = ff.activate(x);
 
-    auto rec = RecurrentNetwork::create(def);
+    auto rec = Network::create(def, kRecurrent);
     const size_t layers = computeNetStats(def).layerSizes.size();
     std::vector<double> out;
     for (size_t t = 0; t < layers; ++t)
@@ -76,16 +78,16 @@ TEST(Recurrent, PrunesUnrequiredNodes)
     def.nodes.push_back({1, 0.0, Activation::Sigmoid,
                          Aggregation::Sum}); // dead-end
     def.conns = {{-1, 0, 1.0}, {-1, 1, 1.0}};
-    const auto net = RecurrentNetwork::create(def);
-    EXPECT_EQ(net.nodeCount(), 1u);
-    EXPECT_EQ(net.connectionCount(), 1u);
+    const auto net = Network::create(def, kRecurrent);
+    EXPECT_EQ(net.plan().nodes.size(), 1u);
+    EXPECT_EQ(net.plan().ops.size(), 1u);
 }
 
 TEST(RecurrentDeath, WrongArityPanics)
 {
     auto def = NetworkDef::empty(2, 1);
     def.conns = {{-1, 0, 1.0}};
-    auto net = RecurrentNetwork::create(def);
+    auto net = Network::create(def, kRecurrent);
     EXPECT_DEATH(net.activate({1.0}), "inputs");
 }
 
@@ -108,7 +110,7 @@ TEST(RecurrentEvolution, NonFeedForwardConfigGrowsCycles)
         << "no cycle evolved in 200 unconstrained mutations";
 
     // And the recurrent evaluator still runs it.
-    auto net = RecurrentNetwork::create(genome.toNetworkDef(cfg));
+    auto net = Network::create(genome.toNetworkDef(cfg), kRecurrent);
     for (int t = 0; t < 10; ++t) {
         const auto out = net.activate({0.5, -0.5});
         ASSERT_EQ(out.size(), 1u);

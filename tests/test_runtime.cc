@@ -14,6 +14,8 @@
 #include <vector>
 
 #include "e3/experiment.hh"
+#include "e3/synthetic.hh"
+#include "nn/batch_eval.hh"
 #include "runtime/parallel_eval.hh"
 #include "runtime/task_graph.hh"
 #include "runtime/thread_pool.hh"
@@ -172,7 +174,57 @@ evalCartpole(size_t threads, bool asyncOverlap)
     return runtime.evaluate(plan);
 }
 
+/**
+ * Per-round episode lengths of a recurrent cartpole population whose
+ * nodes all feed back into themselves, wired like the platform wires
+ * a compiled population: the rollout policy plus a per-round reset.
+ */
+std::vector<std::vector<int>>
+recurrentEpisodeLengths(std::vector<uint64_t> seeds, size_t threads)
+{
+    const EnvSpec &spec = envSpec("cartpole");
+    SyntheticParams params;
+    params.numIndividuals = 16;
+    params.numInputs = spec.numInputs;
+    params.numOutputs = spec.numOutputs;
+    params.numHidden = 6;
+    std::vector<NetworkDef> defs = syntheticPopulation(params, 5);
+    for (NetworkDef &def : defs) {
+        for (const NetworkDef::Node &node : def.nodes)
+            def.conns.push_back({node.id, node.id, 3.0});
+    }
+    NetworkCompileOptions recurrent;
+    recurrent.recurrent = true;
+    const std::unique_ptr<BatchNetwork> batch =
+        compilePopulation(defs, recurrent).value();
+
+    RuntimeConfig cfg;
+    cfg.threads = threads;
+    ParallelEval runtime(cfg);
+    EvalPlan plan;
+    plan.spec = &spec;
+    plan.lanes = defs.size();
+    plan.episodeSeeds = std::move(seeds);
+    plan.policy = rolloutPolicy(*batch, spec);
+    plan.resetLane = [&batch](size_t lane) { batch->resetLane(lane); };
+    return runtime.evaluate(plan).episodeLengths;
+}
+
 } // namespace
+
+TEST(ParallelEval, RecurrentRoundDoesNotDependOnTheRoundBefore)
+{
+    // Each episode round starts every lane from zero recurrent state,
+    // so round s2 plays the same alone as after round s1.
+    for (size_t threads : {1u, 4u}) {
+        const std::vector<std::vector<int>> alone =
+            recurrentEpisodeLengths({22}, threads);
+        const std::vector<std::vector<int>> after =
+            recurrentEpisodeLengths({11, 22}, threads);
+        ASSERT_EQ(after.size(), 2u);
+        EXPECT_EQ(alone[0], after[1]) << threads << " threads";
+    }
+}
 
 TEST(ParallelEval, BitIdenticalAcrossThreadCounts)
 {

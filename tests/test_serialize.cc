@@ -66,8 +66,8 @@ TEST(Serialize, LoadedGenomeDecodesIdentically)
     Result<Genome> copy = genomeFromString(genomeToString(original));
     ASSERT_TRUE(copy.ok()) << copy.message();
 
-    auto netA = FeedForwardNetwork::create(original.toNetworkDef(cfg));
-    auto netB = FeedForwardNetwork::create(copy->toNetworkDef(cfg));
+    auto netA = Network::create(original.toNetworkDef(cfg));
+    auto netB = Network::create(copy->toNetworkDef(cfg));
     const std::vector<double> x{0.25, -0.5, 0.75};
     EXPECT_EQ(netA.activate(x), netB.activate(x));
 }

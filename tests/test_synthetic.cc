@@ -42,7 +42,7 @@ TEST(Synthetic, NetworksAreRunnable)
     SyntheticParams params;
     Rng rng(2);
     const auto def = syntheticIrregularNet(params, rng);
-    auto net = FeedForwardNetwork::create(def);
+    auto net = Network::create(def);
     const auto out =
         net.activate(std::vector<double>(params.numInputs, 0.3));
     ASSERT_EQ(out.size(), params.numOutputs);

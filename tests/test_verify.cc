@@ -230,7 +230,7 @@ TEST(NetworkValueBounds, HandComputedTwoLayerNetwork)
     def.conns.push_back({-1, 5, 2.0});
     def.conns.push_back({-2, 5, -1.0});
     def.conns.push_back({5, 0, 0.5});
-    const FeedForwardNetwork net = FeedForwardNetwork::create(def);
+    const Network net = Network::create(def);
     const std::vector<Interval> bounds =
         networkValueBounds(net.plan(), {{-1.0, 1.0}, {0.0, 2.0}});
     ASSERT_EQ(bounds.size(), net.valueSlots());
@@ -607,7 +607,7 @@ TEST(Saturation, OutOfRangeInputIsE3V103Warning)
 
 TEST(Saturation, IntervalsMatchQuantizedNetworkExecution)
 {
-    // Cross-check: run the QuantizedNetwork the analysis models and
+    // Cross-check: run the quantized Network the analysis models and
     // assert every sampled output lands inside the analyzed bound.
     NetworkDef def = NetworkDef::empty(2, 1);
     def.nodes.push_back({5, 0.25, Activation::Tanh,
@@ -622,7 +622,7 @@ TEST(Saturation, IntervalsMatchQuantizedNetworkExecution)
     // monotone, so the endpoint-quantized bound must contain them.
     const Interval outBound =
         quantizeInterval(fmt, a.nodes.back().postActivation);
-    QuantizedNetwork qnet = QuantizedNetwork::create(def, fmt);
+    Network qnet = Network::create(def, {.quantization = fmt});
     for (double x : {-2.0, -1.3, 0.0, 0.7, 2.0}) {
         for (double y : {-2.0, -0.4, 1.1, 2.0}) {
             const double v = qnet.activate({x, y})[0];
@@ -773,7 +773,7 @@ checkEmpiricalSoundness(const std::string &envName, uint64_t seed)
     size_t checkedActivations = 0;
     // A spread of the evolved population: every 6th individual.
     for (size_t d = 0; d < defs.size(); d += 6) {
-        FeedForwardNetwork net = FeedForwardNetwork::create(defs[d]);
+        Network net = Network::create(defs[d]);
         const std::vector<Interval> bounds =
             networkValueBounds(net.plan(), inputBounds);
         auto env = spec.make();

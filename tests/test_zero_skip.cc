@@ -20,7 +20,7 @@ TEST(ActivationDensity, SigmoidNetsAreFullyDense)
     params.numIndividuals = 1;
     Rng rng(1);
     auto def = syntheticIrregularNet(params, rng);
-    auto net = FeedForwardNetwork::create(def);
+    auto net = Network::create(def);
     Rng sampleRng(2);
     // Sigmoid outputs are never exactly zero; random inputs are never
     // exactly zero either.
@@ -38,7 +38,7 @@ TEST(ActivationDensity, ReluNetsShowSparsity)
         if (node.id >= static_cast<int>(params.numOutputs))
             node.act = Activation::ReLU;
     }
-    auto net = FeedForwardNetwork::create(def);
+    auto net = Network::create(def);
     Rng sampleRng(4);
     const double density = measureActivationDensity(net, 20, sampleRng);
     EXPECT_LT(density, 0.95);
@@ -48,7 +48,7 @@ TEST(ActivationDensity, ReluNetsShowSparsity)
 TEST(ActivationDensity, LinkFreeNetReportsOne)
 {
     auto def = NetworkDef::empty(1, 1); // disconnected output
-    auto net = FeedForwardNetwork::create(def);
+    auto net = Network::create(def);
     Rng rng(5);
     EXPECT_DOUBLE_EQ(measureActivationDensity(net, 4, rng), 1.0);
 }

@@ -17,6 +17,7 @@
  *   e3_cli verify --env pendulum --checkpoint-dir ckpt [--strict]
  *   e3_cli verify --batch --env pendulum --genome champion.genome
  *          [--lanes 8] [--plan plan.txt] [--dump-plan plan.txt]
+ *          [--recurrent | --bits 16 --frac 8]
  *
  * `run` evolves a controller and prints the generation trace; `replay`
  * loads a saved champion and flies fresh episodes with it. --trace
@@ -30,7 +31,8 @@
  * snapshot in a checkpoint directory. `verify --batch` runs the
  * batch-plan pass (E3V3xx) over a compiled SoA population program —
  * from a genome (optionally replicated across --lanes) or a plan text
- * file — and --dump-plan writes the plan's text form. Exit 0 means
+ * file — compiled in the value mode --recurrent or --bits/--frac name,
+ * and --dump-plan writes the plan's text form. Exit 0 means
  * clean, 1 means findings (errors; or any finding under --strict).
  * `run --verify` gates every decoded network through the structural
  * pass and exits 3 if anything fired.
@@ -60,7 +62,7 @@
 #include "common/logging.hh"
 #include "e3/experiment.hh"
 #include "neat/serialize.hh"
-#include "nn/compile.hh"
+#include "nn/batch_eval.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "persist/checkpoint.hh"
@@ -424,11 +426,10 @@ cmdReplay(const Args &args)
     const Genome genome = *std::move(loaded);
     const NeatConfig cfg = NeatConfig::forTask(
         spec.numInputs, spec.numOutputs, spec.requiredFitness);
-    Result<std::unique_ptr<Network>> compiledNet =
-        compileNetwork(genome.toNetworkDef(cfg));
+    Result<Network> compiledNet = compileNetwork(genome.toNetworkDef(cfg));
     if (!compiledNet.ok())
         e3_fatal(compiledNet.message());
-    const std::unique_ptr<Network> net = std::move(compiledNet).value();
+    Network net = std::move(compiledNet).value();
 
     Rng rng(seed);
     double total = 0.0;
@@ -438,7 +439,7 @@ cmdReplay(const Args &args)
         double episodeReward = 0.0;
         for (int t = 0; t < env->maxEpisodeSteps(); ++t) {
             const StepResult r =
-                env->step(decodeAction(spec, net->activate(obs)));
+                env->step(decodeAction(spec, net.activate(obs)));
             obs = r.observation;
             episodeReward += r.reward;
             if (r.done)
@@ -478,17 +479,20 @@ reportVerifyResult(const verify::Report &full, size_t artifacts,
  * `verify --batch`: the batch-plan pass (E3V301–E3V306) over either a
  * freshly compiled plan for --genome (replicated across --lanes) or a
  * plan text file (--plan), optionally cross-checked for fold-order
- * equivalence against the genome when both are given. --dump-plan
- * writes the compiled plan's text form, which is how the seeded
- * fixture plans were produced.
+ * equivalence against the genome when both are given. The plan is
+ * compiled and certified in the value mode @p mode names (--bits/--frac,
+ * --recurrent). --dump-plan writes the compiled plan's text form,
+ * which is how the seeded fixture plans were produced.
  */
 int
-cmdVerifyBatch(const EnvSpec &spec, const verify::GenomeInterface &iface,
+cmdVerifyBatch(const EnvSpec &spec, const NetworkCompileOptions &mode,
                const std::string &genomePath,
                const std::string &planPath,
                const std::string &dumpPlanPath, size_t lanes,
                bool json, bool strict)
 {
+    const verify::GenomeInterface iface =
+        verify::interfaceFor(spec, !mode.recurrent);
     verify::Report full;
     size_t artifacts = 0;
 
@@ -536,13 +540,12 @@ cmdVerifyBatch(const EnvSpec &spec, const verify::GenomeInterface &iface,
     } else {
         ++artifacts;
         planArtifact = genomePath + ":plan";
-        Result<std::unique_ptr<BatchEvaluator>> compiled =
-            lanes > 1
-                ? BatchEvaluator::compileReplicated(defs.front(), lanes)
-                : BatchEvaluator::compile(defs);
+        Result<std::unique_ptr<BatchNetwork>> compiled =
+            lanes > 1 ? compileReplicated(defs.front(), lanes, mode)
+                      : compilePopulation(defs, mode);
         if (!compiled.ok())
             e3_fatal("batch compile failed: ", compiled.message());
-        plan = *(*compiled)->plan();
+        plan = (*compiled)->plan();
     }
 
     if (!dumpPlanPath.empty()) {
@@ -552,7 +555,7 @@ cmdVerifyBatch(const EnvSpec &spec, const verify::GenomeInterface &iface,
             e3_fatal(written.message());
     }
 
-    verify::Report report = verify::verifyBatchPlan(plan, defs);
+    verify::Report report = verify::verifyBatchPlan(plan, defs, mode);
     report.setArtifact(planArtifact);
     full.merge(std::move(report));
     return reportVerifyResult(full, artifacts, json, strict);
@@ -596,6 +599,14 @@ cmdVerify(const Args &args)
         e3_fatal(valid.message());
     args.checkAllUsed();
 
+    std::optional<FixedPointFormat> format;
+    if (bits > 0) {
+        format = FixedPointFormat{static_cast<int>(bits),
+                                  static_cast<int>(frac)};
+        if (Status valid = format->validate(); !valid.ok())
+            e3_fatal(valid.message());
+    }
+
     if (batch) {
         if (!checkpointDir.empty())
             e3_fatal("verify --batch works on one genome/plan, "
@@ -605,9 +616,12 @@ cmdVerify(const Args &args)
                      "--plan <file>");
         if (lanes > 1 && genomePath.empty())
             e3_fatal("--lanes needs --genome to replicate");
-        return cmdVerifyBatch(spec, verify::interfaceFor(spec, !recurrent),
-                              genomePath, planPath, dumpPlanPath,
-                              static_cast<size_t>(lanes), json, strict);
+        NetworkCompileOptions mode;
+        mode.recurrent = recurrent;
+        mode.quantization = format;
+        return cmdVerifyBatch(spec, mode, genomePath, planPath,
+                              dumpPlanPath, static_cast<size_t>(lanes),
+                              json, strict);
     }
     if (!planPath.empty() || !dumpPlanPath.empty())
         e3_fatal("--plan/--dump-plan need --batch");
@@ -616,13 +630,6 @@ cmdVerify(const Args &args)
         e3_fatal("verify needs exactly one of --genome <file> or "
                  "--checkpoint-dir <dir>");
 
-    std::optional<FixedPointFormat> format;
-    if (bits > 0) {
-        format = FixedPointFormat{static_cast<int>(bits),
-                                  static_cast<int>(frac)};
-        if (Status valid = format->validate(); !valid.ok())
-            e3_fatal(valid.message());
-    }
     const verify::GenomeInterface iface =
         verify::interfaceFor(spec, !recurrent);
     const std::vector<verify::Interval> inputBounds =
@@ -915,7 +922,8 @@ usage(std::FILE *out)
         "         [--json] [--strict]\n"
         "  e3_cli verify --batch --env <name>\n"
         "         (--genome <file> [--lanes N] | --plan <file>)\n"
-        "         [--dump-plan <file>] [--recurrent]\n"
+        "         [--dump-plan <file>]\n"
+        "         [--recurrent | --bits N [--frac N]]\n"
         "         [--json] [--strict]\n"
         "  e3_cli serve (--champion env=dir[,env=dir...] |\n"
         "         --env <name> --checkpoint-dir <dir>)\n"
