@@ -286,7 +286,6 @@ E3Platform::run()
     // Resume: restore the newest usable snapshot. Any failure here —
     // missing directory, corrupt files, format or config mismatch —
     // degrades to a warning and a fresh start; it never crashes.
-    std::optional<Genome> bestGenome;
     std::optional<Population> restored;
     int startGen = 0;
     if (checkpointing && cfg_.resume) {
@@ -323,10 +322,10 @@ E3Platform::run()
                 startGen = ck.generation;
                 envSteps_ = ck.envSteps;
                 result.bestFitness = ck.bestFitness;
-                bestGenome = ck.champion;
-                if (bestGenome) {
+                result.champion = ck.champion;
+                if (result.champion) {
                     result.bestNetStats = computeNetStats(
-                        bestGenome->toNetworkDef(neatCfg_));
+                        result.champion->toNetworkDef(neatCfg_));
                 }
                 for (const auto &[phase, seconds] : ck.phaseSeconds)
                     result.modeled.add(phase, seconds);
@@ -396,7 +395,7 @@ E3Platform::run()
         ck.generation = nextGen;
         ck.envSteps = envSteps_;
         ck.bestFitness = result.bestFitness;
-        ck.champion = bestGenome;
+        ck.champion = result.champion;
         ck.population = pop.saveState();
         for (const std::string &phase : result.modeled.phases())
             ck.phaseSeconds.emplace_back(
@@ -455,14 +454,14 @@ E3Platform::run()
 
         result.generations = gen + 1;
         if (pop.best().fitness >= result.bestFitness ||
-            (result.trace.size() == 1 && !bestGenome)) {
+            (result.trace.size() == 1 && !result.champion)) {
             const Genome &best = pop.best();
             const auto lane = std::distance(pop.genomes().begin(),
                                             pop.genomes().find(best.key()));
             result.bestFitness = best.fitness;
             result.bestNetStats =
                 trace.individuals[static_cast<size_t>(lane)];
-            bestGenome = best;
+            result.champion = best;
         }
 
         if (pop.solved()) {

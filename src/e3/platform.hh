@@ -131,6 +131,11 @@ struct RunResult
     int generations = 0;
     double bestFitness = 0.0;
     NetStats bestNetStats;       ///< structure of the final champion
+    /**
+     * The genome that scored bestFitness (the latest one on a tie),
+     * restored on resume; empty if no generation was evaluated.
+     */
+    std::optional<Genome> champion;
     PhaseTimer modeled;          ///< evaluate / env / evolve / createnet
     std::vector<GenerationPoint> trace;
     EnergyBreakdownInput energyInput;

@@ -13,6 +13,10 @@ const char *speciesSection = "DefaultSpeciesSet";
 const char *reproSection = "DefaultReproduction";
 const char *stagnationSection = "DefaultStagnation";
 
+/** Upper bounds of the integer keys: population-sized counts, nodes. */
+constexpr long kMaxCount = 1'000'000;
+constexpr long kMaxNodes = 1 << 16;
+
 /** Split a space/comma separated token list. */
 std::vector<std::string>
 splitTokens(const std::string &text)
@@ -108,6 +112,24 @@ class IniReader
         return take(ini_.getDouble(section, key, fallback), fallback);
     }
 
+    /**
+     * A count read as a size_t: a value outside [@p min, @p max] is
+     * an error naming the key and the range, never a wrapped cast.
+     */
+    size_t
+    getCount(const std::string &section, const char *key,
+             size_t fallback, long min, long max)
+    {
+        const long value =
+            getInt(section, key, static_cast<long>(fallback));
+        if (value < min || value > max) {
+            note(Status::error("[", section, "] ", key, " = ", value,
+                               " is outside [", min, ", ", max, "]"));
+            return fallback;
+        }
+        return static_cast<size_t>(value);
+    }
+
     bool
     getBool(const std::string &section, const char *key, bool fallback)
     {
@@ -165,9 +187,8 @@ neatConfigFromIni(const IniFile &ini, const NeatConfig &base)
 
     in.rejectUnknownKeys(neatSection,
                          {"pop_size", "fitness_threshold"});
-    cfg.populationSize = static_cast<size_t>(in.getInt(
-        neatSection, "pop_size",
-        static_cast<long>(base.populationSize)));
+    cfg.populationSize = in.getCount(neatSection, "pop_size",
+                                     base.populationSize, 2, kMaxCount);
     cfg.fitnessThreshold = in.getDouble(
         neatSection, "fitness_threshold", base.fitnessThreshold);
 
@@ -186,19 +207,16 @@ neatConfigFromIni(const IniFile &ini, const NeatConfig &base)
          "node_add_prob", "node_delete_prob",
          "initial_connection_fraction"});
 
-    auto gi = [&](const char *key, long fallback) {
-        return in.getInt(genomeSection, key, fallback);
-    };
     auto gd = [&](const char *key, double fallback) {
         return in.getDouble(genomeSection, key, fallback);
     };
 
-    cfg.numInputs = static_cast<size_t>(
-        gi("num_inputs", static_cast<long>(base.numInputs)));
-    cfg.numOutputs = static_cast<size_t>(
-        gi("num_outputs", static_cast<long>(base.numOutputs)));
-    cfg.numHidden = static_cast<size_t>(
-        gi("num_hidden", static_cast<long>(base.numHidden)));
+    cfg.numInputs = in.getCount(genomeSection, "num_inputs",
+                                base.numInputs, 1, kMaxNodes);
+    cfg.numOutputs = in.getCount(genomeSection, "num_outputs",
+                                 base.numOutputs, 1, kMaxNodes);
+    cfg.numHidden = in.getCount(genomeSection, "num_hidden",
+                                base.numHidden, 0, kMaxNodes);
     cfg.feedForward =
         in.getBool(genomeSection, "feed_forward", base.feedForward);
 
@@ -282,24 +300,22 @@ neatConfigFromIni(const IniFile &ini, const NeatConfig &base)
     in.rejectUnknownKeys(reproSection,
                          {"elitism", "survival_threshold",
                           "min_species_size", "crossover_rate"});
-    cfg.elitism = static_cast<size_t>(in.getInt(
-        reproSection, "elitism", static_cast<long>(base.elitism)));
+    cfg.elitism =
+        in.getCount(reproSection, "elitism", base.elitism, 0, kMaxCount);
     cfg.survivalThreshold = in.getDouble(
         reproSection, "survival_threshold", base.survivalThreshold);
-    cfg.minSpeciesSize = static_cast<size_t>(
-        in.getInt(reproSection, "min_species_size",
-                  static_cast<long>(base.minSpeciesSize)));
+    cfg.minSpeciesSize = in.getCount(reproSection, "min_species_size",
+                                     base.minSpeciesSize, 0, kMaxCount);
     cfg.crossoverRate = in.getDouble(reproSection, "crossover_rate",
                                      base.crossoverRate);
 
     in.rejectUnknownKeys(stagnationSection,
                          {"max_stagnation", "species_elitism"});
-    cfg.maxStagnation = static_cast<size_t>(
-        in.getInt(stagnationSection, "max_stagnation",
-                  static_cast<long>(base.maxStagnation)));
-    cfg.speciesElitism = static_cast<size_t>(
-        in.getInt(stagnationSection, "species_elitism",
-                  static_cast<long>(base.speciesElitism)));
+    cfg.maxStagnation = in.getCount(stagnationSection, "max_stagnation",
+                                    base.maxStagnation, 0, kMaxCount);
+    cfg.speciesElitism =
+        in.getCount(stagnationSection, "species_elitism",
+                    base.speciesElitism, 0, kMaxCount);
 
     if (!in.status().ok())
         return in.status();

@@ -252,7 +252,7 @@ compilePopulation(const std::vector<NetworkDef> &defs,
 
 /**
  * One definition shared by @p lanes value lanes — the serve-side shape,
- * where coalesced same-champion requests land in one activateBatch()
+ * where queued same-champion requests land in one activateBatch()
  * call. The lanes share one program.
  */
 Result<std::unique_ptr<BatchNetwork>>

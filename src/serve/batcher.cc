@@ -28,20 +28,17 @@ Batcher::submit(PendingRequest &&pending, StatusCode &reason)
     {
         MutexLock lock(mutex_);
         if (draining_) {
-            ++stats_.rejectedDraining;
             reason = StatusCode::Draining;
             return false;
         }
         if (queue_.size() >= options_.maxQueueDepth) {
-            ++stats_.rejectedOverload;
             reason = StatusCode::Overloaded;
             return false;
         }
-        ++stats_.accepted;
         queue_.push_back(std::move(pending));
         stats_.queueDepth = queue_.size();
     }
-    cv_.notify_all();
+    cv_.notify_one();
     return true;
 }
 
@@ -69,17 +66,6 @@ Batcher::stats() const
     return stats_;
 }
 
-size_t
-Batcher::countFor(uint64_t fingerprint) const
-{
-    size_t n = 0;
-    for (const auto &pending : queue_) {
-        if (pending.request.fingerprint == fingerprint)
-            ++n;
-    }
-    return n;
-}
-
 void
 Batcher::workerLoop()
 {
@@ -92,21 +78,10 @@ Batcher::workerLoop()
             if (queue_.empty())
                 return; // draining and dry
 
-            // The oldest request pins the group's champion; wait out
-            // the coalescing window for same-champion company unless
-            // the group is already full or the server is draining.
+            // The oldest request pins the group's champion; every
+            // other queued request for it joins, up to maxBatchSize.
             const uint64_t fingerprint =
                 queue_.front().request.fingerprint;
-            const auto deadline =
-                queue_.front().enqueued + options_.maxBatchDelay;
-            while (!draining_ &&
-                   countFor(fingerprint) < options_.maxBatchSize &&
-                   std::chrono::steady_clock::now() < deadline) {
-                if (cv_.wait_until(lock, deadline) ==
-                    std::cv_status::timeout)
-                    break;
-            }
-
             for (auto it = queue_.begin();
                  it != queue_.end() &&
                  batch.size() < options_.maxBatchSize;) {
@@ -117,10 +92,6 @@ Batcher::workerLoop()
                     ++it;
                 }
             }
-            // Another worker may have raced us to this group while we
-            // waited out the window; nothing left is not a batch.
-            if (batch.empty())
-                continue;
             ++stats_.batches;
             stats_.batchedRequests += batch.size();
             stats_.maxBatchSize =

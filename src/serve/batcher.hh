@@ -1,14 +1,15 @@
 /**
  * @file
- * Request-coalescing batcher with admission control.
+ * Request batcher with admission control.
  *
  * Incoming inference requests land in one bounded FIFO. Worker threads
  * pull *groups*: the oldest request pins the champion fingerprint, and
- * the worker waits up to a bounded window (maxBatchDelay) for more
- * requests to the same champion before dispatching, up to maxBatchSize
- * per group. Grouping amortizes the cache lookup and the champion's
- * eval-mutex acquisition across requests; the window bounds the
- * latency cost a request can pay for that amortization.
+ * the worker takes it together with every other request already queued
+ * for the same champion, up to maxBatchSize, and dispatches them at
+ * once. A worker never waits for company: groups form when requests
+ * queue behind busy workers, and a request that finds a worker idle is
+ * answered alone. Grouping amortizes the cache lookup and the
+ * champion's eval-mutex acquisition across requests.
  *
  * Admission control: when the queue holds maxQueueDepth requests,
  * submit() rejects with Overloaded — a retriable condition — instead
@@ -45,12 +46,12 @@ struct PendingRequest
     std::chrono::steady_clock::time_point enqueued;
 };
 
-/** Counters the batcher maintains (all monotonic except depth). */
+/**
+ * Counters the batcher maintains (all monotonic except depth).
+ * Admissions and rejections are counted by ServerCounters.
+ */
 struct BatcherStats
 {
-    uint64_t accepted = 0;
-    uint64_t rejectedOverload = 0;
-    uint64_t rejectedDraining = 0;
     uint64_t batches = 0;
     uint64_t batchedRequests = 0;
     size_t maxBatchSize = 0;
@@ -63,7 +64,6 @@ class Batcher
     struct Options
     {
         size_t maxBatchSize = 16;
-        std::chrono::microseconds maxBatchDelay{200};
         size_t maxQueueDepth = 256;
         size_t threads = 1;
     };
@@ -102,9 +102,6 @@ class Batcher
 
   private:
     void workerLoop();
-
-    /** Queued requests for @p fingerprint. */
-    size_t countFor(uint64_t fingerprint) const E3_REQUIRES(mutex_);
 
     Options options_;
     Evaluator evaluator_;

@@ -14,13 +14,13 @@
  * network out from under a batch that is mid-inference — the batch
  * keeps its reference and the entry is destroyed when the last user
  * drops it. Each champion compiles to a replicated BatchNetwork
- * (compileReplicated) with one lane per batcher slot, so a coalesced
- * group of same-champion requests is answered by ONE activateBatch()
- * call. Each entry carries its own eval mutex: activation mutates the
- * engine's value arena, so concurrent batches for the same champion
- * serialize on it (and, activation being a pure function of
- * (definition, observation), responses stay bit-identical at any
- * batch size or thread count).
+ * (compileReplicated) with one lane per batcher slot, so a group of
+ * same-champion requests queued behind a busy worker is answered by
+ * ONE activateBatch() call. Each entry carries its own eval mutex:
+ * activation mutates the engine's value arena, so concurrent batches
+ * for the same champion serialize on it (and, activation being a pure
+ * function of (definition, observation), responses stay bit-identical
+ * at any batch size or thread count).
  */
 
 #ifndef E3_SERVE_GENOME_CACHE_HH
@@ -50,8 +50,8 @@ struct CompiledChampion
     std::unique_ptr<BatchNetwork> batch;
     Mutex evalMutex;
     /**
-     * Staging buffers for one coalesced batch, sized once in acquire()
-     * to lanes x numInputs / lanes x numOutputs — the serve hot path
+     * Staging buffers for one batch, sized once in acquire() to
+     * lanes x numInputs / lanes x numOutputs — the serve hot path
      * (E3_HOT evaluateBatch) must not allocate per batch.
      */
     std::vector<double> inScratch E3_GUARDED_BY(evalMutex);

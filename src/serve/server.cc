@@ -94,7 +94,6 @@ ChampionServer::ChampionServer(const ServeOptions &options)
 {
     Batcher::Options batcherOptions;
     batcherOptions.maxBatchSize = options.maxBatchSize;
-    batcherOptions.maxBatchDelay = options.maxBatchDelay;
     batcherOptions.maxQueueDepth = options.maxQueueDepth;
     batcherOptions.threads = options.threads;
     batcher_ = std::make_unique<Batcher>(
@@ -282,10 +281,10 @@ ChampionServer::evaluateBatch(std::vector<PendingRequest> &batch)
     const std::shared_ptr<CompiledChampion> compiled =
         std::move(acquired).value();
 
-    // The whole coalesced group lands in one activateBatch() call per
-    // chunk of lanes, under the champion's eval mutex: activation is a
-    // pure function of (def, observation), so each response is
-    // bit-identical no matter how requests were grouped.
+    // The whole group lands in one activateBatch() call per chunk of
+    // lanes, under the champion's eval mutex: activation is a pure
+    // function of (def, observation), so each response is bit-identical
+    // no matter how requests were grouped.
     BatchNetwork &net = *compiled->batch;
     const size_t numIn = net.numInputs();
     const size_t numOut = net.numOutputs();

@@ -9,9 +9,10 @@
  * static analyzer (an artifact with verification errors is never
  * served — the load returns a tagged error instead), compiles it into
  * a replicated batch engine (compileReplicated), and serves it through
- * a request-coalescing batcher backed by an LRU compiled-network cache
- * keyed on the checkpoint manifest fingerprint — each coalesced group
- * of same-champion requests is answered by one activateBatch() call.
+ * a request batcher backed by an LRU compiled-network cache keyed on
+ * the checkpoint manifest fingerprint — each group of same-champion
+ * requests queued behind a busy worker is answered by one
+ * activateBatch() call.
  *
  * Two front ends share one request path: submit()/infer() for
  * in-process callers (tests, the bench driver) and a length-prefixed
@@ -57,8 +58,8 @@ struct ServeOptions
     /** Compiled networks kept resident (LRU beyond this). */
     size_t cacheCapacity = 8;
 
+    /** Most queued same-champion requests one batch answers. */
     size_t maxBatchSize = 16;
-    std::chrono::microseconds maxBatchDelay{200};
     size_t maxQueueDepth = 256;
 
     /** Batcher worker threads. */

@@ -126,6 +126,37 @@ TEST(ConfigIo, InvalidValuesError)
     const Result<NeatConfig> cfg = neatConfigFromIni(ini);
     ASSERT_FALSE(cfg.ok());
     EXPECT_NE(cfg.message().find("probability"), std::string::npos);
+
+    // Integer counts are range-checked where they are read, so a
+    // negative one never wraps to a huge size_t. Each error names the
+    // key and its range.
+    const struct
+    {
+        const char *text;
+        const char *expected;
+    } counts[] = {
+        {"[NEAT]\npop_size = -3\n", "pop_size = -3 is outside [2, "},
+        {"[NEAT]\npop_size = 1\n", "pop_size = 1 is outside [2, "},
+        {"[NEAT]\npop_size = 99999999999\n", "pop_size"},
+        {"[DefaultGenome]\nnum_inputs = 0\n", "num_inputs = 0"},
+        {"[DefaultGenome]\nnum_outputs = -2\n", "num_outputs = -2"},
+        {"[DefaultGenome]\nnum_hidden = -1\n",
+         "num_hidden = -1 is outside [0, 65536]"},
+        {"[DefaultGenome]\nnum_hidden = 70000\n", "num_hidden = 70000"},
+        {"[DefaultReproduction]\nelitism = -1\n", "elitism = -1"},
+        {"[DefaultReproduction]\nmin_species_size = -4\n",
+         "min_species_size = -4"},
+        {"[DefaultStagnation]\nmax_stagnation = -15\n",
+         "max_stagnation = -15"},
+        {"[DefaultStagnation]\nspecies_elitism = 2000000\n",
+         "species_elitism = 2000000 is outside [0, 1000000]"},
+    };
+    for (const auto &c : counts) {
+        const Result<NeatConfig> bad = neatConfigFromIni(parseOk(c.text));
+        ASSERT_FALSE(bad.ok()) << c.text;
+        EXPECT_NE(bad.message().find(c.expected), std::string::npos)
+            << c.text << " -> " << bad.message();
+    }
 }
 
 TEST(ConfigIo, BadActivationError)

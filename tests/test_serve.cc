@@ -399,16 +399,19 @@ TEST(ServeBatcher, OverloadRejectsAndDrainAnswersEverything)
     ASSERT_TRUE(batcher.submit(pend(2), reason));
     ASSERT_TRUE(batcher.submit(pend(3), reason));
     // Queue now holds maxQueueDepth: admission control kicks in.
-    EXPECT_FALSE(batcher.submit(pend(4), reason));
+    PendingRequest rejected = pend(4);
+    EXPECT_FALSE(batcher.submit(std::move(rejected), reason));
     EXPECT_EQ(reason, StatusCode::Overloaded);
-    EXPECT_EQ(batcher.stats().rejectedOverload, 1u);
+    // A rejected request is handed back intact, callback included.
+    EXPECT_EQ(rejected.request.requestId, 4u);
+    EXPECT_TRUE(static_cast<bool>(rejected.done));
 
     release.set_value();
     batcher.drain();
     // Every accepted request was answered exactly once; the rejected
     // one was not.
     EXPECT_EQ(answered.load(), 3);
-    EXPECT_EQ(batcher.stats().accepted, 3u);
+    EXPECT_EQ(batcher.stats().batchedRequests, 3u);
 
     // After drain, submissions reject with Draining.
     EXPECT_FALSE(batcher.submit(pend(5), reason));
@@ -682,6 +685,69 @@ TEST(ServeDeterminism, BitIdenticalAcrossBatchSizeAndThreads)
             }
             EXPECT_GE(server->batcherStats().batches, 1u);
         }
+    }
+}
+
+TEST(ServeDeterminism, QueuedRequestsShareBatchesOfAtMostMaxBatchSize)
+{
+    // One worker, batches of at most 4. The first request's callback
+    // runs on that worker and queues 6 more requests for the same
+    // champion before it returns, so they wait behind a busy worker and
+    // must be answered as a group of 4 and a group of 2, each action
+    // bit-identical to the batch-1 reference.
+    const std::string dir = championDir("cartpole", "group", 17);
+    const uint64_t fp = fingerprintOf(dir);
+    std::vector<std::vector<double>> observations;
+    for (int k = 0; k < 7; ++k)
+        observations.push_back(
+            observationFor("cartpole", 0.1 * k - 0.3));
+    auto request = [&](size_t i) {
+        InferRequest req;
+        req.requestId = i;
+        req.fingerprint = fp;
+        req.observation = observations[i];
+        return req;
+    };
+
+    std::vector<std::vector<uint64_t>> reference;
+    {
+        auto server = serverFor({{dir, "cartpole"}},
+                                /*cache=*/8, /*batch=*/1,
+                                /*threads=*/1);
+        ASSERT_NE(server, nullptr);
+        for (size_t i = 0; i < observations.size(); ++i) {
+            const InferResponse resp = server->infer(request(i));
+            ASSERT_EQ(resp.status, StatusCode::Ok);
+            reference.push_back(bits(resp.action));
+        }
+    }
+
+    auto server = serverFor({{dir, "cartpole"}}, /*cache=*/8,
+                            /*batch=*/4, /*threads=*/1);
+    ASSERT_NE(server, nullptr);
+    std::vector<InferResponse> responses(observations.size());
+    std::atomic<size_t> doneCount{0};
+    std::promise<void> allDone;
+    auto record = [&](const InferResponse &resp) {
+        responses[resp.requestId] = resp;
+        if (++doneCount == observations.size())
+            allDone.set_value();
+    };
+    server->submit(request(0), [&](const InferResponse &resp) {
+        for (size_t i = 1; i < observations.size(); ++i)
+            server->submit(request(i), record);
+        record(resp);
+    });
+    allDone.get_future().wait();
+
+    const BatcherStats stats = server->batcherStats();
+    EXPECT_EQ(stats.batches, 3u); // {0}, {1, 2, 3, 4}, {5, 6}
+    EXPECT_EQ(stats.batchedRequests, observations.size());
+    EXPECT_EQ(stats.maxBatchSize, 4u);
+    for (size_t i = 0; i < observations.size(); ++i) {
+        ASSERT_EQ(responses[i].status, StatusCode::Ok) << i;
+        EXPECT_EQ(bits(responses[i].action), reference[i])
+            << "observation " << i;
     }
 }
 

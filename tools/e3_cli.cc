@@ -382,9 +382,10 @@ cmdRun(const Args &args)
     }
 
     if (!savePath.empty()) {
-        const Genome champion = evolvedChampion(
-            envName, options.maxGenerations, options.populationSize,
-            options.seed);
+        if (!result.champion)
+            e3_fatal("--save: the run evaluated no generation, so it "
+                     "has no champion");
+        const Genome &champion = *result.champion;
         const Status saved = saveGenomeFile(champion, savePath);
         if (!saved.ok())
             e3_fatal(saved.message());
@@ -711,17 +712,7 @@ cmdVerify(const Args &args)
         }
     }
 
-    if (json) {
-        std::fputs(verify::toJson(full).c_str(), stdout);
-    } else {
-        if (!full.empty())
-            std::fputs(verify::formatText(full).c_str(), stdout);
-        std::printf("verify: %zu artifact(s), %zu error(s), "
-                    "%zu warning(s)%s\n",
-                    artifacts, full.errorCount(), full.warningCount(),
-                    full.failed(strict) ? "" : " -- clean");
-    }
-    return full.failed(strict) ? 1 : 0;
+    return reportVerifyResult(full, artifacts, json, strict);
 }
 
 std::atomic<bool> serveStopRequested{false};
@@ -776,8 +767,6 @@ cmdServe(const Args &args)
         args.getInt("cache", 8, 1, kMaxHardwareUnits));
     options.maxBatchSize = static_cast<size_t>(
         args.getInt("batch", 16, 1, kMaxHardwareUnits));
-    options.maxBatchDelay = std::chrono::microseconds(
-        args.getInt("batch-delay-us", 200, 0, 10'000'000));
     options.maxQueueDepth = static_cast<size_t>(
         args.getInt("queue", 256, 1, kMaxPopulation));
     options.threads = static_cast<size_t>(
@@ -929,7 +918,7 @@ usage(std::FILE *out)
         "         --env <name> --checkpoint-dir <dir>)\n"
         "         [--port N] [--port-file file] [--serve-seconds S]\n"
         "         [--threads N] [--cache N] [--batch N]\n"
-        "         [--batch-delay-us N] [--queue N] [--strict]\n"
+        "         [--queue N] [--strict]\n"
         "         [--metrics out.csv|out.json] [--trace out.json]\n"
         "         [--trace-detail phase|task|hw] [--quiet]\n");
 }
