@@ -48,22 +48,6 @@ canonicalConfig(const PlatformConfig &cfg)
     return oss.str();
 }
 
-persist::TraceRow
-toTraceRow(const GenerationPoint &p)
-{
-    persist::TraceRow row;
-    row.generation = p.generation;
-    row.bestFitness = p.bestFitness;
-    row.meanFitness = p.meanFitness;
-    row.normalizedBest = p.normalizedBest;
-    row.cumulativeSeconds = p.cumulativeSeconds;
-    row.meanNodes = p.meanNodes;
-    row.meanConnections = p.meanConnections;
-    row.meanDensity = p.meanDensity;
-    row.numSpecies = p.numSpecies;
-    return row;
-}
-
 /** First error diagnostic of a report, formatted for a warn() line. */
 std::string
 firstErrorLine(const verify::Report &report)
@@ -74,22 +58,6 @@ firstErrorLine(const verify::Report &report)
         return d.ruleId + " [" + d.locus + "] " + d.message;
     }
     return {};
-}
-
-GenerationPoint
-fromTraceRow(const persist::TraceRow &row)
-{
-    GenerationPoint p;
-    p.generation = row.generation;
-    p.bestFitness = row.bestFitness;
-    p.meanFitness = row.meanFitness;
-    p.normalizedBest = row.normalizedBest;
-    p.cumulativeSeconds = row.cumulativeSeconds;
-    p.meanNodes = row.meanNodes;
-    p.meanConnections = row.meanConnections;
-    p.meanDensity = row.meanDensity;
-    p.numSpecies = row.numSpecies;
-    return p;
 }
 
 /** One policy step of a lane, through its output slot @p out. */
@@ -329,9 +297,7 @@ E3Platform::run()
                 }
                 for (const auto &[phase, seconds] : ck.phaseSeconds)
                     result.modeled.add(phase, seconds);
-                result.trace.reserve(ck.trace.size());
-                for (const persist::TraceRow &row : ck.trace)
-                    result.trace.push_back(fromTraceRow(row));
+                result.trace = ck.trace;
                 result.generations =
                     static_cast<int>(result.trace.size());
                 inform("resumed '", cfg_.envName, "' from '",
@@ -400,9 +366,7 @@ E3Platform::run()
         for (const std::string &phase : result.modeled.phases())
             ck.phaseSeconds.emplace_back(
                 phase, result.modeled.seconds(phase));
-        ck.trace.reserve(result.trace.size());
-        for (const GenerationPoint &point : result.trace)
-            ck.trace.push_back(toTraceRow(point));
+        ck.trace = result.trace;
         persist::WriteStats stats;
         Status written = persist::writeCheckpoint(
             cfg_.checkpointDir, ck, cfg_.checkpointKeep, &stats);

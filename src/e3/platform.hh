@@ -24,6 +24,7 @@
 #include "neat/population.hh"
 #include "nn/quantize.hh"
 #include "obs/metrics.hh"
+#include "persist/checkpoint.hh"
 #include "runtime/parallel_eval.hh"
 #include "verify/diagnostics.hh"
 
@@ -108,19 +109,11 @@ struct PlatformConfig
     bool verifyGenomes = false;
 };
 
-/** One generation's summary point (the Fig. 2(d) trace). */
-struct GenerationPoint
-{
-    int generation = 0;
-    double bestFitness = 0.0;
-    double meanFitness = 0.0;
-    double normalizedBest = 0.0; ///< against the env's required fitness
-    double cumulativeSeconds = 0.0; ///< modeled platform time so far
-    double meanNodes = 0.0;
-    double meanConnections = 0.0;
-    double meanDensity = 0.0;
-    size_t numSpecies = 0;
-};
+/**
+ * One generation's summary point (the Fig. 2(d) trace); checkpoints
+ * store the trace as is.
+ */
+using GenerationPoint = persist::TraceRow;
 
 /** Result of one E3 run. */
 struct RunResult

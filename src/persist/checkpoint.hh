@@ -53,8 +53,8 @@ struct TraceRow
     int generation = 0;
     double bestFitness = 0.0;
     double meanFitness = 0.0;
-    double normalizedBest = 0.0;
-    double cumulativeSeconds = 0.0;
+    double normalizedBest = 0.0; ///< against the env's required fitness
+    double cumulativeSeconds = 0.0; ///< modeled platform time so far
     double meanNodes = 0.0;
     double meanConnections = 0.0;
     double meanDensity = 0.0;

@@ -1,12 +1,12 @@
 #include "runtime/parallel_eval.hh"
 
 #include <algorithm>
+#include <atomic>
 
 #include "common/hot.hh"
 #include "common/logging.hh"
 #include "obs/trace.hh"
 #include "runtime/lane_buffer.hh"
-#include "runtime/task_graph.hh"
 
 namespace e3::runtime {
 
@@ -55,10 +55,18 @@ ParallelEval::evaluate(const EvalPlan &plan)
     e3_assert(plan.policy || plan.act, "evaluation plan needs a policy");
     e3_assert(!plan.episodeSeeds.empty(),
               "evaluation plan needs at least one episode round");
-    for (const auto &group : plan.groups) {
+    // groupOf[lane] = index of the one group that lists the lane.
+    constexpr size_t kNoGroup = ~size_t{0};
+    std::vector<size_t> groupOf(plan.lanes, kNoGroup);
+    for (size_t g = 0; g < plan.groups.size(); ++g) {
+        const EvalPlan::Group &group = plan.groups[g];
         for (size_t lane : group.lanes) {
             e3_assert(lane < plan.lanes, "group ", group.id,
                       " references lane ", lane, " of ", plan.lanes);
+            e3_assert(groupOf[lane] == kNoGroup, "lane ", lane,
+                      " is in group ", plan.groups[groupOf[lane]].id,
+                      " and group ", group.id);
+            groupOf[lane] = g;
         }
     }
 
@@ -99,27 +107,61 @@ ParallelEval::evaluate(const EvalPlan &plan)
             std::copy(a.begin(), a.begin() + actionSize, action);
         };
     }
+
+    auto runGroup = [&](const EvalPlan::Group &group) {
+        obs::TraceSpan span("species_summary", obs::TraceDetail::Task);
+        plan.onGroupDone(group, out.fitness);
+    };
+
+    // Async overlap: each group counts down its unfinished lanes, and
+    // the worker whose lane reaches zero runs the group's callback at
+    // once, while other groups are still rolling out. acq_rel makes
+    // every fitness the group's lanes wrote visible to that worker.
+    // A lane that throws never counts down, so its group's callback
+    // does not run.
+    const bool overlap = pool_ && cfg_.asyncOverlap && plan.onGroupDone;
+    std::vector<std::atomic<size_t>> unfinished(
+        overlap ? plan.groups.size() : 0);
+    for (size_t g = 0; g < unfinished.size(); ++g)
+        unfinished[g].store(plan.groups[g].lanes.size(),
+                            std::memory_order_relaxed);
     auto runLaneAt = [&](size_t i) {
         runLane(plan, policy, venvs, actions.lane(i), out, i);
+        const size_t g = groupOf[i];
+        if (overlap && g != kNoGroup &&
+            unfinished[g].fetch_sub(1, std::memory_order_acq_rel) == 1)
+            runGroup(plan.groups[g]);
     };
+
+    if (pool_) {
+        pool_->parallelFor(plan.lanes, runLaneAt);
+    } else {
+        for (size_t i = 0; i < plan.lanes; ++i)
+            runLaneAt(i);
+    }
+
+    // Fan-in, on the calling thread. Callbacks the countdown did not
+    // run (no overlap, or a group with no lanes) run here in group
+    // order.
+    if (plan.onGroupDone) {
+        for (const EvalPlan::Group &group : plan.groups) {
+            if (!overlap || group.lanes.empty())
+                runGroup(group);
+        }
+    }
 
     // Determinism sentinel: fold every lane's stream digest in fixed
     // (episode round, lane) order — independent of which worker ran
-    // what when — and accumulate into the run-level digest. Runs once
-    // per evaluation, after fan-in, on the calling thread.
-    auto foldAudit = [&] {
-        for (const auto &venv : venvs) {
-            for (size_t i = 0; i < plan.lanes; ++i)
-                out.rngAudit.mixAudit(venv->laneAudit(i));
-        }
-        audit_.mixAudit(out.rngAudit);
-    };
+    // what when — and accumulate into the run-level digest.
+    for (const auto &venv : venvs) {
+        for (size_t i = 0; i < plan.lanes; ++i)
+            out.rngAudit.mixAudit(venv->laneAudit(i));
+    }
+    audit_.mixAudit(out.rngAudit);
 
     // One sample per evaluation on the env-step counter track: the
     // rollout volume behind this generation's evaluate phase.
-    auto emitStepCounter = [&out] {
-        if (!obs::traceEnabled())
-            return;
+    if (obs::traceEnabled()) {
         double steps = 0.0;
         for (const auto &round : out.episodeLengths) {
             for (int s : round)
@@ -127,60 +169,7 @@ ParallelEval::evaluate(const EvalPlan &plan)
         }
         obs::traceCounter("eval.env_steps", steps,
                           obs::TraceDetail::Phase);
-    };
-
-    if (!pool_) {
-        for (size_t i = 0; i < plan.lanes; ++i)
-            runLaneAt(i);
-        if (plan.onGroupDone) {
-            for (const auto &group : plan.groups) {
-                obs::TraceSpan span("species_summary",
-                                    obs::TraceDetail::Task);
-                plan.onGroupDone(group, out.fitness);
-            }
-        }
-        foldAudit();
-        emitStepCounter();
-        return out;
     }
-
-    const bool overlap =
-        cfg_.asyncOverlap && plan.onGroupDone && !plan.groups.empty();
-    if (!overlap) {
-        pool_->parallelFor(plan.lanes, runLaneAt);
-        if (plan.onGroupDone) {
-            for (const auto &group : plan.groups) {
-                obs::TraceSpan span("species_summary",
-                                    obs::TraceDetail::Task);
-                plan.onGroupDone(group, out.fitness);
-            }
-        }
-        foldAudit();
-        emitStepCounter();
-        return out;
-    }
-
-    // Async overlap: each group's summary task depends only on its own
-    // lanes, so it runs while other groups' episodes are still going.
-    TaskGraph graph;
-    std::vector<TaskGraph::TaskId> laneTask(plan.lanes);
-    for (size_t i = 0; i < plan.lanes; ++i) {
-        laneTask[i] = graph.add(
-            "lane" + std::to_string(i),
-            [&, i] { runLaneAt(i); });
-    }
-    for (const auto &group : plan.groups) {
-        const TaskGraph::TaskId summary = graph.add(
-            "group" + std::to_string(group.id),
-            [&, &group = group] {
-                plan.onGroupDone(group, out.fitness);
-            });
-        for (size_t lane : group.lanes)
-            graph.dependsOn(summary, laneTask[lane]);
-    }
-    graph.run(*pool_);
-    foldAudit();
-    emitStepCounter();
     return out;
 }
 

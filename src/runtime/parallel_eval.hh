@@ -40,8 +40,9 @@ struct RuntimeConfig
 
     /**
      * Overlap per-group (per-species) evolve-side summary work with
-     * the evaluate tail via the task graph. Functionally identical to
-     * the non-overlapped path; only wall-clock differs.
+     * the evaluate tail: a group's callback runs on the worker that
+     * finishes its last lane. Functionally identical to the
+     * non-overlapped path; only wall-clock differs.
      */
     bool asyncOverlap = false;
 };
@@ -88,13 +89,17 @@ struct EvalPlan
         int id = 0;                ///< caller's key (e.g. species id)
         std::vector<size_t> lanes; ///< member lane indices
     };
+    /** Disjoint: no lane belongs to two groups. */
     std::vector<Group> groups;
 
     /**
-     * Runs once per group after all its lanes finished — on a worker
-     * in async-overlap mode, inline after evaluation otherwise. The
-     * per-lane mean fitness of the group's lanes is final when called.
-     * Must write only group-private state.
+     * Runs once per group after all its lanes finished — in async
+     * overlap mode on the worker that finished the group's last lane,
+     * otherwise (and for a group with no lanes) on the calling thread
+     * after fan-in, in group order. The per-lane mean fitness of the
+     * group's lanes is final when called; other lanes may still be
+     * running. Must read only its own lanes and write only
+     * group-private state. Skipped for a group whose lane threw.
      */
     std::function<void(const Group &group,
                        const std::vector<double> &laneFitness)>

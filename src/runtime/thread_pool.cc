@@ -51,21 +51,6 @@ ThreadPool::enqueue(size_t worker, Task task)
     workAvailable_.notify_all();
 }
 
-void
-ThreadPool::submit(Task task)
-{
-    const size_t worker =
-        nextWorker_.fetch_add(1, std::memory_order_relaxed) %
-        workers_.size();
-    enqueue(worker, std::move(task));
-}
-
-void
-ThreadPool::submitTo(size_t worker, Task task)
-{
-    enqueue(worker, std::move(task));
-}
-
 bool
 ThreadPool::popOwn(size_t index, Task &task)
 {
@@ -130,7 +115,7 @@ ThreadPool::workerLoop(size_t index)
             continue;
         }
 
-        // Nothing anywhere: sleep until a submit bumps the epoch. A
+        // Nothing anywhere: sleep until an enqueue bumps the epoch. A
         // task pushed after the scan above bumped the epoch past
         // `seen`, so the predicate fails and we rescan immediately.
         MutexLock lock(sleepMutex_);
@@ -178,7 +163,7 @@ ThreadPool::parallelFor(size_t n,
         // starts on deque c * W / chunks, so neighbouring iterations
         // (and the state they write) stay on one worker. Stealing may
         // move a chunk, but results are index-disjoint.
-        submitTo(c * workers_.size() / chunks, [&batch, &body, lo, hi] {
+        enqueue(c * workers_.size() / chunks, [&batch, &body, lo, hi] {
             std::exception_ptr error;
             if (!batch.failed.load(std::memory_order_relaxed)) {
                 try {

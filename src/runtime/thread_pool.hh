@@ -6,12 +6,12 @@
  * individual, each terminating on its own schedule (paper Sec. V-B) —
  * but episode lengths vary wildly (the irregularity of Fig. 4), so a
  * static partition of lanes leaves workers idle behind the longest
- * episodes. Each worker therefore owns a deque: a batch of tasks is
- * dealt at submit time in contiguous blocks (a deterministic initial
- * placement that keeps neighbouring tasks, and the neighbouring state
- * they write, on one worker), owners pop oldest-first, and an idle
- * worker steals from the back of a victim's deque. Stealing only
- * moves *where* a task executes; tasks write disjoint results, so
+ * episodes. Each worker therefore owns a deque: parallelFor deals its
+ * chunks in contiguous blocks (a deterministic initial placement that
+ * keeps neighbouring iterations, and the neighbouring state they
+ * write, on one worker), owners pop oldest-first, and an idle worker
+ * steals from the back of a victim's deque. Stealing only moves
+ * *where* a chunk executes; iterations write disjoint results, so
  * outcomes are schedule-independent.
  *
  * Per-worker counters (tasks run, tasks stolen, idle seconds) feed the
@@ -47,8 +47,6 @@ struct WorkerStats
 class ThreadPool
 {
   public:
-    using Task = std::function<void()>;
-
     /** Spawn @p workers threads (at least one). */
     explicit ThreadPool(size_t workers);
 
@@ -59,12 +57,6 @@ class ThreadPool
     ThreadPool &operator=(const ThreadPool &) = delete;
 
     size_t workerCount() const { return workers_.size(); }
-
-    /** Enqueue a task on the next deque (round-robin). */
-    void submit(Task task);
-
-    /** Enqueue a task on a specific worker's deque. */
-    void submitTo(size_t worker, Task task);
 
     /**
      * Deterministic fan-out/fan-in: run body(i) for every i in [0, n)
@@ -91,6 +83,8 @@ class ThreadPool
                         const std::string &prefix = "runtime.") const;
 
   private:
+    using Task = std::function<void()>;
+
     struct Worker
     {
         mutable Mutex mutex;
@@ -108,15 +102,13 @@ class ThreadPool
     std::vector<std::unique_ptr<Worker>> workers_;
     std::vector<std::thread> threads_;
 
-    /** Sleep/wake protocol: epoch bumps on every submit. */
+    /** Sleep/wake protocol: epoch bumps on every enqueue. */
     Mutex sleepMutex_;
     CondVar workAvailable_;
     uint64_t epoch_ E3_GUARDED_BY(sleepMutex_) = 0;
     bool stop_ E3_GUARDED_BY(sleepMutex_) = false;
 
-    std::atomic<size_t> nextWorker_{0}; ///< round-robin deal cursor
-
-    /** Tasks submitted but not yet claimed (trace queue-depth track). */
+    /** Tasks enqueued but not yet claimed (trace queue-depth track). */
     std::atomic<int64_t> queued_{0};
 };
 

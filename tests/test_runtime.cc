@@ -1,14 +1,16 @@
 /**
  * @file
  * src/runtime: worker pool lifecycle, exception propagation, work
- * stealing, task-graph ordering, and the determinism contract — the
- * parallel evaluator must produce bit-identical results to the serial
- * path for every thread count, with and without async overlap.
+ * stealing, the group callbacks of the async overlap, and the
+ * determinism contract — the parallel evaluator must produce
+ * bit-identical results to the serial path for every thread count,
+ * with and without async overlap.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <future>
 #include <stdexcept>
 #include <vector>
@@ -17,7 +19,6 @@
 #include "e3/synthetic.hh"
 #include "nn/batch_eval.hh"
 #include "runtime/parallel_eval.hh"
-#include "runtime/task_graph.hh"
 #include "runtime/thread_pool.hh"
 
 using namespace e3;
@@ -77,20 +78,19 @@ TEST(ThreadPool, IdleWorkerStealsFromBusyVictim)
 {
     ThreadPool pool(2);
 
-    // Both tasks go to worker 0's deque. The first blocks its worker
-    // until the second has run — which is only possible if worker 1
-    // steals one of them.
-    std::promise<void> unblock;
-    std::shared_future<void> gate = unblock.get_future().share();
-    std::promise<void> secondRan;
-    pool.submitTo(0, [gate] { gate.wait(); });
-    pool.submitTo(0, [&secondRan] { secondRan.set_value(); });
+    // Three chunks over two workers: chunks 0 and 1 start on worker
+    // 0's deque, chunk 2 on worker 1's. Iteration 0 blocks its worker
+    // until iteration 1 has run on the other one, so worker 1 must
+    // steal chunk 0 or chunk 1 from worker 0.
+    std::promise<void> oneRan;
+    std::shared_future<void> gate = oneRan.get_future().share();
+    pool.parallelFor(3, [&](size_t i) {
+        if (i == 0)
+            gate.wait();
+        else if (i == 1)
+            oneRan.set_value();
+    });
 
-    secondRan.get_future().wait();
-    unblock.set_value();
-
-    // Drain so counters are final before we read them.
-    pool.parallelFor(1, [](size_t) {});
     uint64_t stolen = 0;
     for (const WorkerStats &ws : pool.stats())
         stolen += ws.tasksStolen;
@@ -109,43 +109,6 @@ TEST(ThreadPool, CountersAccountEveryTask)
     Counters exported;
     pool.exportCounters(exported);
     EXPECT_DOUBLE_EQ(exported.get("runtime.tasks_run"), 500.0);
-}
-
-TEST(TaskGraph, RespectsDependencies)
-{
-    ThreadPool pool(4);
-    TaskGraph graph;
-    // Diamond: a -> {b, c} -> d. Each node reads only finished inputs.
-    int va = 0;
-    int vb = 0;
-    int vc = 0;
-    int vd = 0;
-    const auto a = graph.add("a", [&] { va = 7; });
-    const auto b = graph.add("b", [&] { vb = va + 1; });
-    const auto c = graph.add("c", [&] { vc = va + 2; });
-    const auto d = graph.add("d", [&] { vd = vb + vc; });
-    graph.dependsOn(b, a);
-    graph.dependsOn(c, a);
-    graph.dependsOn(d, b);
-    graph.dependsOn(d, c);
-    graph.run(pool);
-    EXPECT_EQ(va, 7);
-    EXPECT_EQ(vb, 8);
-    EXPECT_EQ(vc, 9);
-    EXPECT_EQ(vd, 17);
-}
-
-TEST(TaskGraph, FailurePropagatesAndSkipsDependents)
-{
-    ThreadPool pool(2);
-    TaskGraph graph;
-    bool dependentRan = false;
-    const auto boom =
-        graph.add("boom", [] { throw std::runtime_error("boom"); });
-    const auto after = graph.add("after", [&] { dependentRan = true; });
-    graph.dependsOn(after, boom);
-    EXPECT_THROW(graph.run(pool), std::runtime_error);
-    EXPECT_FALSE(dependentRan);
 }
 
 namespace {
@@ -257,41 +220,138 @@ TEST(ParallelEval, RngAuditIdenticalAcrossThreadCounts)
         << "4 threads + async overlap";
 }
 
-TEST(ParallelEval, GroupCallbackSeesFinalGroupFitness)
+namespace {
+
+/** A cartpole plan with a fixed policy over @p lanes lanes. */
+EvalPlan
+cartpolePlan(size_t lanes)
 {
     const EnvSpec &spec = envSpec("cartpole");
-    RuntimeConfig cfg;
-    cfg.threads = 4;
-    cfg.asyncOverlap = true;
-    ParallelEval runtime(cfg);
-
     EvalPlan plan;
     plan.spec = &spec;
-    plan.lanes = 12;
+    plan.lanes = lanes;
     plan.episodeSeeds = {5};
-    plan.act = [&](size_t, const Observation &obs) {
-        return decodeAction(spec,
-                            {obs[2] > 0.0 ? 1.0 : 0.0});
+    plan.act = [&spec](size_t, const Observation &obs) {
+        return decodeAction(spec, {obs[2] > 0.0 ? 1.0 : 0.0});
     };
-    plan.groups = {{1, {0, 1, 2, 3}}, {2, {4, 5, 6, 7}},
-                   {3, {8, 9, 10, 11}}};
-    std::vector<double> groupMeans(4, -1.0);
-    plan.onGroupDone = [&](const EvalPlan::Group &group,
-                           const std::vector<double> &laneFitness) {
-        double sum = 0.0;
-        for (size_t lane : group.lanes)
-            sum += laneFitness[lane];
-        groupMeans[static_cast<size_t>(group.id)] =
-            sum / static_cast<double>(group.lanes.size());
-    };
+    return plan;
+}
 
-    const EvalOutcome out = runtime.evaluate(plan);
-    for (int gid = 1; gid <= 3; ++gid) {
-        double sum = 0.0;
-        for (size_t lane = (gid - 1) * 4u; lane < gid * 4u; ++lane)
-            sum += out.fitness[lane];
-        EXPECT_DOUBLE_EQ(groupMeans[static_cast<size_t>(gid)],
-                         sum / 4.0);
+} // namespace
+
+TEST(ParallelEval, GroupCallbackSeesFinalGroupFitness)
+{
+    for (size_t threads : {1u, 4u}) {
+        for (bool async : {false, true}) {
+            SCOPED_TRACE(std::to_string(threads) + " threads" +
+                         (async ? " + async overlap" : ""));
+            RuntimeConfig cfg;
+            cfg.threads = threads;
+            cfg.asyncOverlap = async;
+            ParallelEval runtime(cfg);
+
+            EvalPlan plan = cartpolePlan(12);
+            plan.groups = {{1, {0, 1, 2, 3}},
+                           {2, {4, 5, 6, 7}},
+                           {3, {8, 9, 10, 11}},
+                           {4, {}}};
+            // Each callback writes only its own group's slots.
+            std::vector<double> groupMeans(5, -1.0);
+            std::vector<int> calls(5, 0);
+            plan.onGroupDone = [&](const EvalPlan::Group &group,
+                                   const std::vector<double> &laneFitness) {
+                const auto gid = static_cast<size_t>(group.id);
+                ++calls[gid];
+                if (group.lanes.empty())
+                    return;
+                double sum = 0.0;
+                for (size_t lane : group.lanes)
+                    sum += laneFitness[lane];
+                groupMeans[gid] =
+                    sum / static_cast<double>(group.lanes.size());
+            };
+
+            const EvalOutcome out = runtime.evaluate(plan);
+            for (size_t gid = 1; gid <= 4; ++gid)
+                EXPECT_EQ(calls[gid], 1) << "group " << gid;
+            for (size_t gid = 1; gid <= 3; ++gid) {
+                double sum = 0.0;
+                for (size_t lane = (gid - 1) * 4; lane < gid * 4; ++lane)
+                    sum += out.fitness[lane];
+                EXPECT_DOUBLE_EQ(groupMeans[gid], sum / 4.0)
+                    << "group " << gid;
+            }
+        }
+    }
+}
+
+TEST(ParallelEval, AsyncGroupCallbackRunsBeforeFanIn)
+{
+    // Lane 1 waits for group 1's callback, which can only run before
+    // fan-in when async overlap hands it to the worker that finished
+    // lane 0. Without overlap the wait times out.
+    for (bool async : {false, true}) {
+        RuntimeConfig cfg;
+        cfg.threads = 2;
+        cfg.asyncOverlap = async;
+        ParallelEval runtime(cfg);
+
+        std::promise<void> group1Done;
+        std::shared_future<void> gate = group1Done.get_future().share();
+        bool waited = false;
+        bool sawGroup1 = false;
+        EvalPlan plan = cartpolePlan(2);
+        plan.act = [&, act = plan.act](size_t lane,
+                                       const Observation &obs) {
+            if (lane == 1 && !waited) {
+                waited = true;
+                sawGroup1 = gate.wait_for(std::chrono::seconds(1)) ==
+                            std::future_status::ready;
+            }
+            return act(lane, obs);
+        };
+        plan.groups = {{1, {0}}, {2, {1}}};
+        plan.onGroupDone = [&](const EvalPlan::Group &group,
+                               const std::vector<double> &) {
+            if (group.id == 1)
+                group1Done.set_value();
+        };
+
+        runtime.evaluate(plan);
+        EXPECT_TRUE(waited);
+        EXPECT_EQ(sawGroup1, async) << (async ? "async" : "no async");
+    }
+}
+
+TEST(ParallelEval, ThrowingLaneSkipsItsGroupCallback)
+{
+    for (size_t threads : {1u, 4u}) {
+        for (bool async : {false, true}) {
+            SCOPED_TRACE(std::to_string(threads) + " threads" +
+                         (async ? " + async overlap" : ""));
+            RuntimeConfig cfg;
+            cfg.threads = threads;
+            cfg.asyncOverlap = async;
+            ParallelEval runtime(cfg);
+
+            EvalPlan plan = cartpolePlan(8);
+            plan.act = [act = plan.act](size_t lane,
+                                        const Observation &obs) {
+                if (lane == 5)
+                    throw std::runtime_error("lane 5");
+                return act(lane, obs);
+            };
+            plan.groups = {{1, {0, 1, 2, 3}}, {2, {4, 5, 6, 7}}};
+            std::atomic<bool> group2Ran{false};
+            plan.onGroupDone = [&](const EvalPlan::Group &group,
+                                   const std::vector<double> &) {
+                if (group.id == 2)
+                    group2Ran.store(true);
+            };
+
+            EXPECT_THROW(runtime.evaluate(plan), std::runtime_error);
+            EXPECT_FALSE(group2Ran.load());
+        }
     }
 }
 

@@ -309,15 +309,21 @@ cmdRun(const Args &args)
         e3_fatal(run.message());
     const RunResult result = std::move(run).value();
 
-    if (!tracePath.empty() && obs::traceStop(tracePath) && !quiet)
-        std::printf("trace written to %s\n", tracePath.c_str());
+    if (!tracePath.empty()) {
+        if (!obs::traceStop(tracePath))
+            e3_fatal("--trace: cannot write '", tracePath, "'");
+        if (!quiet)
+            std::printf("trace written to %s\n", tracePath.c_str());
+    }
     if (!metricsPath.empty()) {
         const bool json = metricsPath.size() > 5 &&
                           metricsPath.compare(metricsPath.size() - 5, 5,
                                               ".json") == 0;
         const bool ok = json ? result.metrics.writeJson(metricsPath)
                              : result.metrics.writeCsv(metricsPath);
-        if (ok && !quiet)
+        if (!ok)
+            e3_fatal("--metrics: cannot write '", metricsPath, "'");
+        if (!quiet)
             std::printf("metrics written to %s\n", metricsPath.c_str());
     }
 
@@ -377,8 +383,9 @@ cmdRun(const Args &args)
                      std::to_string(p.numSpecies),
                      std::to_string(p.cumulativeSeconds)});
         }
-        if (csv.writeFile(csvPath))
-            std::printf("trace written to %s\n", csvPath.c_str());
+        if (!csv.writeFile(csvPath))
+            e3_fatal("--csv: cannot write '", csvPath, "'");
+        std::printf("trace written to %s\n", csvPath.c_str());
     }
 
     if (!savePath.empty()) {
