@@ -7,6 +7,7 @@
 #include "common/hot.hh"
 #include "common/logging.hh"
 #include "e3/inax_backend.hh"
+#include "neat/config_io.hh"
 #include "nn/batch_eval.hh"
 #include "obs/trace.hh"
 #include "persist/checkpoint.hh"
@@ -28,13 +29,14 @@ runtimeConfigOf(const PlatformConfig &cfg)
 
 /**
  * Canonical string hashed into the checkpoint fingerprint. Only the
- * knobs that shape functional evolution belong here: threads, async
- * overlap, generation caps and time budgets are deliberately excluded
- * so a run may be resumed with more generations or a different worker
- * count and still replay bit-identically.
+ * knobs that shape functional evolution belong here, every NEAT
+ * setting included: threads, async overlap, generation caps and time
+ * budgets are deliberately excluded so a run may be resumed with more
+ * generations or a different worker count and still replay
+ * bit-identically.
  */
 std::string
-canonicalConfig(const PlatformConfig &cfg)
+canonicalConfig(const PlatformConfig &cfg, const NeatConfig &neat)
 {
     std::ostringstream oss;
     oss << "env=" << cfg.envName << ";seed=" << cfg.seed
@@ -45,6 +47,7 @@ canonicalConfig(const PlatformConfig &cfg)
             << cfg.quantization->fracBits;
     else
         oss << "none";
+    oss << ";neat=" << neatConfigToIni(neat);
     return oss.str();
 }
 
@@ -249,7 +252,7 @@ E3Platform::run()
 
     const bool checkpointing = !cfg_.checkpointDir.empty();
     const uint64_t configHash =
-        persist::fingerprint(canonicalConfig(cfg_));
+        persist::fingerprint(canonicalConfig(cfg_, neatCfg_));
 
     // Resume: restore the newest usable snapshot. Any failure here —
     // missing directory, corrupt files, format or config mismatch —

@@ -11,7 +11,8 @@
 #define E3_NEAT_CONFIG_HH
 
 #include <cstddef>
-#include <string>
+#include <span>
+#include <variant>
 #include <vector>
 
 #include "common/result.hh"
@@ -100,9 +101,42 @@ struct NeatConfig
     static NeatConfig forTask(size_t numInputs, size_t numOutputs,
                               double fitnessThreshold);
 
-    /** Error if any field is out of its valid range. */
+    /** Error naming the first broken key rule or cross-field check. */
     Status validate() const;
+
+    bool operator==(const NeatConfig &) const = default;
 };
+
+/**
+ * One NEAT setting: its neat-python INI section and key, the
+ * NeatConfig member holding it and the rule its value obeys. The INI
+ * reader and writer (neat/config_io) and NeatConfig::validate() all
+ * walk neatConfigKeys(), which lists every setting once.
+ */
+struct NeatConfigKey
+{
+    /** The check on a value; a Count must lie in [min, max]. */
+    enum class Rule { None, Count, Probability, Finite };
+
+    using Member =
+        std::variant<size_t NeatConfig::*, double NeatConfig::*,
+                     bool NeatConfig::*, Activation NeatConfig::*,
+                     Aggregation NeatConfig::*,
+                     std::vector<Activation> NeatConfig::*,
+                     std::vector<Aggregation> NeatConfig::*>;
+
+    const char *section;
+    const char *key;
+    Member member;
+    Rule rule = Rule::None;
+    long min = 0, max = 0; ///< Count bounds
+
+    /** Error naming the key if @p cfg's value breaks the rule. */
+    Status checkRule(const NeatConfig &cfg) const;
+};
+
+/** Every NEAT setting, grouped by INI section. */
+std::span<const NeatConfigKey> neatConfigKeys();
 
 } // namespace e3
 

@@ -1,23 +1,16 @@
 /**
  * @file
  * NeatConfig <-> INI file mapping, in the naming style of neat-python's
- * config sections:
- *
- *   [NEAT]
- *   pop_size = 200
- *   fitness_threshold = 475
- *
- *   [DefaultGenome]
- *   num_inputs = 4
- *   num_outputs = 1
- *   conn_add_prob = 0.5
- *   ...
- *
- * Unknown keys are rejected (typos in experiment configs should fail
- * loudly, not silently fall back to defaults). All load paths report
- * bad input as an error value — unknown keys, unparsable numbers,
- * values a NeatConfig::validate() pass rejects — so callers choose
- * whether to die (the CLI) or degrade.
+ * config sections ([NEAT] pop_size = 200, [DefaultGenome]
+ * conn_add_prob = 0.5, ...). Both directions walk the one key table,
+ * neatConfigKeys(). A key outside it is rejected: typos in experiment
+ * configs should fail loudly, not silently fall back to defaults.
+ * Option lists take names separated by spaces and/or commas. Every
+ * load path reports the first bad input as an error value naming its
+ * key (an unknown key, an unparsable or non-finite number, a count out
+ * of range, a probability outside [0, 1], anything else
+ * NeatConfig::validate() rejects), so callers choose whether to die
+ * (the CLI) or degrade.
  */
 
 #ifndef E3_NEAT_CONFIG_IO_HH
@@ -30,9 +23,8 @@
 namespace e3 {
 
 /**
- * Build a NeatConfig from an INI document, starting from `base` (so
- * callers can layer a file over task defaults). Error on unknown
- * keys or invalid values.
+ * Build a NeatConfig from an INI document layered over @p base (task
+ * defaults); error on the first unknown key or invalid value.
  */
 Result<NeatConfig>
 neatConfigFromIni(const IniFile &ini,
@@ -42,7 +34,7 @@ neatConfigFromIni(const IniFile &ini,
 Result<NeatConfig> loadNeatConfig(const std::string &path,
                                   const NeatConfig &base = NeatConfig{});
 
-/** Serialize a config to INI text (round-trips with the loader). */
+/** Every key as INI text, sorted; round-trips with the loader. */
 std::string neatConfigToIni(const NeatConfig &cfg);
 
 } // namespace e3

@@ -1,7 +1,5 @@
 #include "neat/population.hh"
 
-#include "neat/reporter.hh"
-
 #include "common/logging.hh"
 #include "obs/trace.hh"
 
@@ -53,8 +51,6 @@ Population::evaluateAll(
 {
     for (auto &[key, genome] : genomes_)
         genome.fitness = fitnessFn(genome);
-    for (Reporter *reporter : reporters_)
-        reporter->onEvaluated(*this);
 }
 
 const Genome &
@@ -91,15 +87,6 @@ Population::advance(const std::map<int, SpeciesEvalSummary> *summaries)
         obs::TraceSpan span("speciate");
         species_.speciate(genomes_, cfg_, generation_);
     }
-    for (Reporter *reporter : reporters_)
-        reporter->onAdvanced(*this);
-}
-
-void
-Population::addReporter(Reporter *reporter)
-{
-    e3_assert(reporter, "null reporter");
-    reporters_.push_back(reporter);
 }
 
 GenerationStats

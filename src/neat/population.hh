@@ -114,14 +114,7 @@ class Population
      */
     GenerationStats stats(const std::vector<NetStats> &netStats) const;
 
-    /**
-     * Attach a non-owning observer, notified after evaluateAll() and
-     * after advance(). The reporter must outlive the population.
-     */
-    void addReporter(class Reporter *reporter);
-
   private:
-    std::vector<class Reporter *> reporters_;
     NeatConfig cfg_;
     Rng rng_;
     InnovationTracker innovation_;

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <set>
+#include <sstream>
+
 namespace e3 {
 namespace {
 
@@ -81,6 +85,18 @@ TEST(ConfigIo, AggregationKeys)
     EXPECT_DOUBLE_EQ(cfg.aggregationMutateRate, 0.1);
     ASSERT_EQ(cfg.aggregationOptions.size(), 3u);
     EXPECT_EQ(cfg.aggregationOptions[2], Aggregation::Mean);
+
+    // Lists may separate names by commas alone, or by commas and spaces.
+    const NeatConfig commas = fromIniOk(parseOk(
+        "[DefaultGenome]\n"
+        "activation_options = sigmoid,tanh\n"
+        "aggregation_options = sum,max, mean\n"));
+    EXPECT_EQ(commas.activationOptions,
+              (std::vector<Activation>{Activation::Sigmoid,
+                                       Activation::Tanh}));
+    EXPECT_EQ(commas.aggregationOptions,
+              (std::vector<Aggregation>{Aggregation::Sum, Aggregation::Max,
+                                        Aggregation::Mean}));
 }
 
 TEST(ConfigIo, RoundTripsThroughIniText)
@@ -97,16 +113,64 @@ TEST(ConfigIo, RoundTripsThroughIniText)
     original.crossoverRate = 0.9;
 
     const std::string text = neatConfigToIni(original);
-    const NeatConfig copy = fromIniOk(parseOk(text));
-    EXPECT_EQ(copy.populationSize, original.populationSize);
-    EXPECT_DOUBLE_EQ(copy.connAddProb, original.connAddProb);
-    EXPECT_EQ(copy.activationOptions, original.activationOptions);
-    EXPECT_EQ(copy.defaultAggregation, original.defaultAggregation);
-    EXPECT_EQ(copy.aggregationOptions, original.aggregationOptions);
-    EXPECT_EQ(copy.feedForward, original.feedForward);
-    EXPECT_DOUBLE_EQ(copy.crossoverRate, original.crossoverRate);
-    EXPECT_DOUBLE_EQ(copy.fitnessThreshold,
-                     original.fitnessThreshold);
+    EXPECT_EQ(fromIniOk(parseOk(text)), original);
+    EXPECT_EQ(fromIniOk(parseOk(neatConfigToIni(NeatConfig{}))),
+              NeatConfig{});
+}
+
+std::string
+readFixture(const std::string &name)
+{
+    std::ifstream in(std::string(E3_NEAT_CONFIG_FIXTURE_DIR) + "/" + name);
+    EXPECT_TRUE(in) << name;
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
+}
+
+TEST(ConfigIo, WriterOutputMatchesRecordedFixtures)
+{
+    // The fixtures pin every key, section and number format byte for
+    // byte: the checkpoint fingerprint hashes this text, so any change
+    // to it makes every existing snapshot start fresh.
+    EXPECT_EQ(neatConfigToIni(NeatConfig{}), readFixture("default.ini"));
+
+    NeatConfig task = NeatConfig::forTask(3, 2, -180.0);
+    task.populationSize = 77;
+    task.connAddProb = 0.35;
+    task.defaultActivation = Activation::Tanh;
+    task.activationOptions = {Activation::Sigmoid, Activation::Gauss,
+                              Activation::Tanh};
+    task.defaultAggregation = Aggregation::Mean;
+    task.aggregationOptions = {Aggregation::Sum, Aggregation::Mean};
+    task.feedForward = false;
+    task.crossoverRate = 0.9;
+    EXPECT_EQ(neatConfigToIni(task), readFixture("task.ini"));
+}
+
+TEST(ConfigIo, KeyTableListsEveryKeyOnce)
+{
+    std::set<std::string> keys;
+    for (const NeatConfigKey &k : neatConfigKeys())
+        keys.insert(std::string(k.section) + "." + k.key);
+    EXPECT_EQ(keys.size(), neatConfigKeys().size());
+    EXPECT_EQ(keys.size(), 41u);
+}
+
+TEST(ConfigIo, ValidateRangeChecksInCodeConfigs)
+{
+    // A config built in code meets the same caps, with the same
+    // message, as one read from INI text.
+    NeatConfig cfg;
+    cfg.populationSize = 2'000'000;
+    const Status status = cfg.validate();
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.message(),
+              "[NEAT] pop_size = 2000000 is outside [2, 1000000]");
+    const Result<NeatConfig> fromIni =
+        neatConfigFromIni(parseOk("[NEAT]\npop_size = 2000000\n"));
+    ASSERT_FALSE(fromIni.ok());
+    EXPECT_EQ(fromIni.message(), status.message());
 }
 
 TEST(ConfigIo, UnknownKeysError)
@@ -127,14 +191,13 @@ TEST(ConfigIo, InvalidValuesError)
     ASSERT_FALSE(cfg.ok());
     EXPECT_NE(cfg.message().find("probability"), std::string::npos);
 
-    // Integer counts are range-checked where they are read, so a
-    // negative one never wraps to a huge size_t. Each error names the
-    // key and its range.
+    // Counts are range-checked, a negative one printed as written;
+    // reals must be finite. Each error names the key (and the range).
     const struct
     {
         const char *text;
         const char *expected;
-    } counts[] = {
+    } cases[] = {
         {"[NEAT]\npop_size = -3\n", "pop_size = -3 is outside [2, "},
         {"[NEAT]\npop_size = 1\n", "pop_size = 1 is outside [2, "},
         {"[NEAT]\npop_size = 99999999999\n", "pop_size"},
@@ -150,8 +213,17 @@ TEST(ConfigIo, InvalidValuesError)
          "max_stagnation = -15"},
         {"[DefaultStagnation]\nspecies_elitism = 2000000\n",
          "species_elitism = 2000000 is outside [0, 1000000]"},
+        {"[DefaultGenome]\nweight_mutate_power = nan\n",
+         "weight_mutate_power = nan is not finite"},
+        {"[NEAT]\nfitness_threshold = nan\n", "fitness_threshold = nan"},
+        {"[NEAT]\nfitness_threshold = inf\n", "fitness_threshold = inf"},
+        {"[DefaultGenome]\nbias_init_mean = -inf\n",
+         "bias_init_mean = -inf"},
+        {"[DefaultGenome]\nconn_add_prob = nan\n", "conn_add_prob = nan"},
+        {"[DefaultSpeciesSet]\ncompatibility_threshold = inf\n",
+         "compatibility_threshold = inf"},
     };
-    for (const auto &c : counts) {
+    for (const auto &c : cases) {
         const Result<NeatConfig> bad = neatConfigFromIni(parseOk(c.text));
         ASSERT_FALSE(bad.ok()) << c.text;
         EXPECT_NE(bad.message().find(c.expected), std::string::npos)

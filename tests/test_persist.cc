@@ -13,6 +13,7 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 
 #include "common/fs.hh"
 #include "e3/experiment.hh"
@@ -591,6 +592,66 @@ TEST(PersistResume, MismatchedConfigFallsBackToFreshStart)
         runExperiment("cartpole", BackendKind::Cpu, straightOpt);
     expectIdenticalTraces(straight.trace, result.trace,
                           "config-mismatch fallback");
+}
+
+namespace {
+
+/**
+ * Checkpoint lunar_lander for 4 generations under @p firstConfig, then
+ * resume to 6 under @p resumeConfig (each a --neat-config file path, or
+ * none). Returns the resumed run's stderr; its trace must equal a
+ * straight 6-generation run under @p resumeConfig either way.
+ */
+std::string
+resumeUnderNeatConfig(const std::string &tag,
+                      const std::optional<std::string> &firstConfig,
+                      const std::optional<std::string> &resumeConfig)
+{
+    const std::string dir = scratchDir("neat_" + tag);
+    ExperimentOptions first = persistOptions(1, false);
+    first.maxGenerations = 4;
+    first.checkpointDir = dir;
+    first.checkpointEvery = 2;
+    first.neatConfigPath = firstConfig;
+    runExperiment("lunar_lander", BackendKind::Cpu, first);
+
+    ExperimentOptions resumed = first;
+    resumed.maxGenerations = 6;
+    resumed.resume = true;
+    resumed.neatConfigPath = resumeConfig;
+    ::testing::internal::CaptureStderr();
+    const RunResult result =
+        runExperiment("lunar_lander", BackendKind::Cpu, resumed);
+    const std::string err = ::testing::internal::GetCapturedStderr();
+
+    ExperimentOptions straight = persistOptions(1, false);
+    straight.maxGenerations = 6;
+    straight.neatConfigPath = resumeConfig;
+    expectIdenticalTraces(
+        runExperiment("lunar_lander", BackendKind::Cpu, straight).trace,
+        result.trace, "resume under NEAT config, " + tag);
+    return err;
+}
+
+} // namespace
+
+TEST(PersistResume, ChangedNeatConfigStartsFresh)
+{
+    // The fingerprint covers every NEAT setting: a snapshot evolved
+    // under other hyperparameters is not resumed.
+    const std::string ini = ::testing::TempDir() + "e3_persist_other.ini";
+    std::ofstream(ini) << "[DefaultGenome]\nfeed_forward = false\n"
+                          "conn_add_prob = 0.0\nnode_add_prob = 0.0\n";
+    const std::string changed =
+        resumeUnderNeatConfig("changed", std::nullopt, ini);
+    EXPECT_NE(changed.find("starting fresh"), std::string::npos)
+        << changed;
+    EXPECT_EQ(changed.find("resumed"), std::string::npos) << changed;
+
+    const std::string same = resumeUnderNeatConfig("same", ini, ini);
+    EXPECT_NE(same.find("resumed 'lunar_lander'"), std::string::npos)
+        << same;
+    EXPECT_EQ(same.find("starting fresh"), std::string::npos) << same;
 }
 
 TEST(BackendRegistry, BuiltinsRegisteredAndCreatable)
