@@ -13,8 +13,8 @@
 
 #include "common/stats.hh"
 #include "common/table.hh"
-#include "env/vector_env.hh"
-#include "neat/population.hh"
+#include "e3/cpu_backend.hh"
+#include "e3/platform.hh"
 
 using namespace e3;
 
@@ -31,52 +31,24 @@ runConfig(const std::string &envName, bool crossover,
           bool speciation, const std::vector<uint64_t> &seeds,
           int maxGenerations)
 {
-    const EnvSpec &spec = envSpec(envName);
     Outcome outcome;
     for (uint64_t seed : seeds) {
-        NeatConfig cfg = NeatConfig::forTask(
-            spec.numInputs, spec.numOutputs, spec.requiredFitness);
+        PlatformConfig cfg;
+        cfg.envName = envName;
+        cfg.seed = seed;
         cfg.populationSize = 150;
+        cfg.maxGenerations = maxGenerations;
+        E3Platform platform(cfg, std::make_unique<CpuBackend>());
         if (!crossover)
-            cfg.crossoverRate = 0.0;
+            platform.neatConfig().crossoverRate = 0.0;
         if (!speciation) {
             // One giant species: nothing is protected.
-            cfg.compatibilityThreshold = 1e9;
+            platform.neatConfig().compatibilityThreshold = 1e9;
         }
-
-        Population pop(cfg, seed);
-        for (int gen = 0; gen < maxGenerations; ++gen) {
-            const size_t n = pop.genomes().size();
-            std::vector<int> keys;
-            std::vector<Network> nets;
-            for (const auto &[key, genome] : pop.genomes()) {
-                keys.push_back(key);
-                nets.push_back(Network::create(
-                    genome.toNetworkDef(cfg)));
-            }
-            VectorEnv venv(spec, n, seed * 31 + gen);
-            venv.resetAll();
-            while (!venv.allDone()) {
-                std::vector<Action> actions(n);
-                for (size_t i = 0; i < n; ++i) {
-                    actions[i] =
-                        venv.done(i)
-                            ? Action(spec.numOutputs, 0.0)
-                            : decodeAction(spec,
-                                           nets[i].activate(
-                                               venv.observation(i)));
-                }
-                venv.stepAll(actions);
-            }
-            for (size_t i = 0; i < n; ++i)
-                pop.genomes().at(keys[i]).fitness = venv.fitness(i);
-
-            if (pop.solved()) {
-                ++outcome.solvedRuns;
-                outcome.generations.add(gen);
-                break;
-            }
-            pop.advance();
+        const RunResult run = platform.run();
+        if (run.solved) {
+            ++outcome.solvedRuns;
+            outcome.generations.add(run.generations);
         }
     }
     return outcome;

@@ -48,7 +48,9 @@ IniFile::parse(std::istream &in)
         const std::string value = trim(t.substr(eq + 1));
         if (key.empty())
             return Status::error("ini line ", lineNo, ": empty key");
-        ini.data_[section][key] = value;
+        if (!ini.data_[section].emplace(key, value).second)
+            return Status::error("ini line ", lineNo, ": duplicate key '",
+                                 key, "' in [", section, "]");
     }
     return ini;
 }
@@ -157,6 +159,15 @@ IniFile::keys(const std::string &section) const
         for (const auto &[key, value] : sit->second)
             out.insert(key);
     }
+    return out;
+}
+
+std::set<std::string>
+IniFile::sections() const
+{
+    std::set<std::string> out;
+    for (const auto &[section, kvs] : data_)
+        out.insert(section);
     return out;
 }
 

@@ -10,9 +10,10 @@
  *
  * Sections group keys; values are strings with typed accessors.
  * Malformed input — an unclosed section header, a line without '=',
- * a value that fails numeric parsing — is reported as an error value
- * (Result<T>), never by terminating the process: config files are
- * user-supplied bytes and the caller decides how to degrade.
+ * a key repeated within its section, a value that fails numeric
+ * parsing — is reported as an error value (Result<T>), never by
+ * terminating the process: config files are user-supplied bytes and
+ * the caller decides how to degrade.
  */
 
 #ifndef E3_COMMON_INI_HH
@@ -69,6 +70,12 @@ class IniFile
 
     /** All keys of a section (empty set if absent). */
     std::set<std::string> keys(const std::string &section) const;
+
+    /**
+     * Names of the sections that hold at least one key; "" stands for
+     * keys written before any section header.
+     */
+    std::set<std::string> sections() const;
 
     /** Serialize back to INI text. */
     std::string str() const;

@@ -1,11 +1,12 @@
 #include "e3/experiment.hh"
 
+#include <limits>
+
 #include "common/logging.hh"
 #include "e3/cpu_backend.hh"
-#include "neat/config_io.hh"
 #include "e3/gpu_backend.hh"
 #include "e3/inax_backend.hh"
-#include "nn/batch_eval.hh"
+#include "neat/config_io.hh"
 
 namespace e3 {
 
@@ -120,20 +121,8 @@ runExperiment(const std::string &envName,
         return Status::error("unknown environment '", envName, "'");
     const EnvSpec &spec = *specPtr;
 
-    PlatformConfig cfg;
+    PlatformConfig cfg = options;
     cfg.envName = envName;
-    cfg.seed = options.seed;
-    cfg.populationSize = options.populationSize;
-    cfg.episodesPerEval = options.episodesPerEval;
-    cfg.maxGenerations = options.maxGenerations;
-    cfg.modeledSecondsBudget = options.modeledSecondsBudget;
-    cfg.threads = options.threads;
-    cfg.asyncOverlap = options.asyncOverlap;
-    cfg.checkpointDir = options.checkpointDir;
-    cfg.checkpointEvery = options.checkpointEvery;
-    cfg.checkpointKeep = options.checkpointKeep;
-    cfg.resume = options.resume;
-    cfg.verifyGenomes = options.verifyGenomes;
 
     Result<std::unique_ptr<EvalBackend>> backend =
         BackendRegistry::instance().create(backendCliName, options,
@@ -143,105 +132,60 @@ runExperiment(const std::string &envName,
 
     E3Platform platform(cfg, std::move(backend).value());
     if (options.neatConfigPath) {
-        Result<NeatConfig> loaded = loadNeatConfig(
-            *options.neatConfigPath, platform.neatConfig());
+        const std::string &path = *options.neatConfigPath;
+        Result<NeatConfig> loaded =
+            loadNeatConfig(path, platform.neatConfig());
         if (!loaded.ok())
             return loaded.status();
-        NeatConfig layered = *std::move(loaded);
-        // The interface shape is the environment's contract; a config
-        // file cannot change it.
-        layered.numInputs = spec.numInputs;
-        layered.numOutputs = spec.numOutputs;
-        layered.populationSize = cfg.populationSize;
-        platform.neatConfig() = layered;
+        // The population size is the run's and the interface shape the
+        // environment's; a file may restate them but not change them.
+        for (const NeatConfigKey &k : neatConfigKeys()) {
+            const auto *count = std::get_if<size_t NeatConfig::*>(&k.member);
+            if (!count || (*count != &NeatConfig::populationSize &&
+                           *count != &NeatConfig::numInputs &&
+                           *count != &NeatConfig::numOutputs))
+                continue;
+            const size_t fileValue = (*loaded).*(*count);
+            const size_t runValue = platform.neatConfig().*(*count);
+            if (fileValue != runValue)
+                return Status::error(path, ": [", k.section, "] ", k.key,
+                                     " = ", fileValue,
+                                     " conflicts with the run's value ",
+                                     runValue);
+        }
+        platform.neatConfig() = *std::move(loaded);
     }
     return platform.run();
 }
-
-std::vector<RunResult>
-runSuite(BackendKind kind, const ExperimentOptions &options)
-{
-    std::vector<RunResult> results;
-    for (const auto &spec : envSuite()) {
-        ExperimentOptions opt = options;
-        opt.maxGenerations = std::min(
-            options.maxGenerations, suiteGenerationBudget(spec.name));
-        results.push_back(runExperiment(spec.name, kind, opt));
-    }
-    return results;
-}
-
-namespace {
-
-/**
- * Shared evolution loop for the workload-extraction helpers: evaluate
- * with one episode per individual per generation, stop at the
- * generation cap (or, if stopAtSolved, at the fitness threshold) with
- * the final generation evaluated. Rollout runs through the platform's
- * compile pipeline and evaluation runtime, serially.
- */
-Population
-evolveAgainstEnv(const EnvSpec &spec, int generations,
-                 size_t populationSize, uint64_t seed,
-                 bool stopAtSolved)
-{
-    NeatConfig cfg = NeatConfig::forTask(
-        spec.numInputs, spec.numOutputs, spec.requiredFitness);
-    cfg.populationSize = populationSize;
-    Population pop(cfg, seed);
-    runtime::ParallelEval runtime{runtime::RuntimeConfig{}};
-
-    for (int gen = 0;; ++gen) {
-        // Lane i is the i-th genome in key order, in both loops.
-        std::vector<NetworkDef> defs;
-        defs.reserve(pop.genomes().size());
-        for (const auto &[key, genome] : pop.genomes())
-            defs.push_back(genome.toNetworkDef(cfg));
-        const std::unique_ptr<BatchNetwork> batch =
-            compilePopulation(defs).value();
-
-        runtime::EvalPlan plan;
-        plan.spec = &spec;
-        plan.lanes = defs.size();
-        plan.episodeSeeds = {
-            seed ^ (0x51ED270BULL * (static_cast<uint64_t>(gen) + 1))};
-        plan.policy = rolloutPolicy(*batch, spec);
-        const runtime::EvalOutcome outcome = runtime.evaluate(plan);
-        size_t lane = 0;
-        for (auto &[key, genome] : pop.genomes())
-            genome.fitness = outcome.fitness[lane++];
-
-        if (gen >= generations - 1 ||
-            (stopAtSolved && pop.solved()))
-            break;
-        pop.advance();
-    }
-    return pop;
-}
-
-} // namespace
 
 std::vector<NetworkDef>
 evolvedPopulation(const std::string &envName, int generations,
                   size_t populationSize, uint64_t seed)
 {
-    Population pop =
-        evolveAgainstEnv(envSpec(envName), generations, populationSize,
-                         seed, /*stopAtSolved=*/false);
-    std::vector<NetworkDef> defs;
-    for (const auto &[key, genome] : pop.genomes())
-        defs.push_back(genome.toNetworkDef(pop.config()));
-    return defs;
+    PlatformConfig cfg;
+    cfg.envName = envName;
+    cfg.seed = seed;
+    cfg.populationSize = populationSize;
+    cfg.maxGenerations = generations;
+    E3Platform platform(cfg, std::make_unique<CpuBackend>());
+    // Lift the fitness threshold so the run lasts every generation.
+    platform.neatConfig().fitnessThreshold =
+        std::numeric_limits<double>::max();
+    return platform.run().lastGenerationDefs;
 }
 
 Genome
 evolvedChampion(const std::string &envName, int generations,
                 size_t populationSize, uint64_t seed)
 {
-    Population pop =
-        evolveAgainstEnv(envSpec(envName), generations, populationSize,
-                         seed, /*stopAtSolved=*/true);
-    return pop.best();
+    ExperimentOptions options;
+    options.seed = seed;
+    options.populationSize = populationSize;
+    options.maxGenerations = generations;
+    RunResult run = runExperiment(envName, BackendKind::Cpu, options);
+    e3_assert(run.champion, "no generation of '", envName,
+              "' was evaluated");
+    return *std::move(run.champion);
 }
 
 int
@@ -250,21 +194,12 @@ suiteGenerationBudget(const std::string &envName)
     // Budgets sized to each task's convergence behaviour so suite-wide
     // benches complete in minutes; unsolved-at-budget mirrors the
     // paper's "runtime constraint" cut-off.
-    if (envName == "cartpole")
-        return 30;
-    if (envName == "acrobot")
-        return 40;
-    if (envName == "mountain_car")
-        return 60;
-    if (envName == "bipedal_walker")
-        return 60;
-    if (envName == "lunar_lander")
-        return 80;
-    if (envName == "pendulum")
-        return 150;
-    if (envName == "catch")
-        return 60;
-    return 100;
+    static const std::map<std::string, int> budgets{
+        {"cartpole", 30},       {"acrobot", 40},      {"mountain_car", 60},
+        {"bipedal_walker", 60}, {"lunar_lander", 80}, {"pendulum", 150},
+        {"catch", 60}};
+    const auto it = budgets.find(envName);
+    return it == budgets.end() ? 100 : it->second;
 }
 
 } // namespace e3

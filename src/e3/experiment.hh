@@ -1,8 +1,9 @@
 /**
  * @file
- * Experiment drivers shared by the benches and examples: construct a
- * platform for a named backend, run an environment (or the whole
- * suite), and summarize results in the paper's units.
+ * Experiment drivers shared by the CLI, benches and examples: construct
+ * a platform for a named backend, run an environment, and extract
+ * evolved workloads. Each of them evolves through E3Platform::run, the
+ * one generation loop.
  */
 
 #ifndef E3_E3_EXPERIMENT_HH
@@ -32,7 +33,24 @@ std::string backendKindName(BackendKind kind);
 /** CLI name, e.g. "inax" (the registry key for the kind). */
 std::string backendCliName(BackendKind kind);
 
-struct ExperimentOptions;
+/**
+ * Options for one experiment run: a PlatformConfig plus the two
+ * settings only experiments have. runExperiment's envName argument
+ * overrides PlatformConfig::envName.
+ */
+struct ExperimentOptions : PlatformConfig
+{
+    /** INAX config; defaults to the paper's heuristic (PE=#out, PU=50). */
+    std::optional<InaxConfig> inaxConfig;
+
+    /**
+     * Optional neat-python-style INI file layered over the task's
+     * default NEAT hyperparameters. It may restate the run's shape but
+     * not change it: a pop_size other than populationSize, or
+     * num_inputs/num_outputs other than the environment's, is an error.
+     */
+    std::optional<std::string> neatConfigPath;
+};
 
 /**
  * Factory registry mapping CLI backend names ("cpu", "gpu", "inax")
@@ -77,48 +95,6 @@ class BackendRegistry
     std::map<std::string, Entry> entries_;
 };
 
-/** Options for one experiment run. */
-struct ExperimentOptions
-{
-    uint64_t seed = 1;
-    size_t populationSize = 200;
-    size_t episodesPerEval = 1;
-    int maxGenerations = 300;
-    double modeledSecondsBudget = 1e9;
-
-    /**
-     * Evaluation worker threads (PlatformConfig::threads); functional
-     * results are bit-identical for every value, only wall-clock
-     * changes.
-     */
-    size_t threads = 1;
-
-    /** Async evolve/evaluate overlap (PlatformConfig::asyncOverlap). */
-    bool asyncOverlap = false;
-    /** INAX config; defaults to the paper's heuristic (PE=#out, PU=50). */
-    std::optional<InaxConfig> inaxConfig;
-
-    /**
-     * Optional neat-python-style INI file layered over the task's
-     * default NEAT hyperparameters (the interface shape —
-     * inputs/outputs — always follows the environment).
-     */
-    std::optional<std::string> neatConfigPath;
-
-    /** Checkpoint directory (PlatformConfig::checkpointDir); "" off. */
-    std::string checkpointDir;
-    /** Snapshot cadence in generations (PlatformConfig). */
-    int checkpointEvery = 10;
-    /** Snapshot retention count (PlatformConfig). */
-    int checkpointKeep = 3;
-    /** Resume from checkpointDir before running (PlatformConfig). */
-    bool resume = false;
-
-    /** Structural-verifier gate on every decoded network
-     *  (PlatformConfig::verifyGenomes, the CLI's `run --verify`). */
-    bool verifyGenomes = false;
-};
-
 /**
  * Run one environment on one backend.
  *
@@ -136,26 +112,22 @@ RunResult runExperiment(const std::string &envName, BackendKind kind,
 
 /**
  * Same, resolving the backend through BackendRegistry by CLI name.
- * An unknown environment or backend name, or an unreadable NEAT
- * config file, comes back as an error Status — this is the overload
- * for user-supplied input.
+ * An unknown environment or backend name, an unreadable NEAT config
+ * file, or one whose shape keys conflict with the run, comes back as
+ * an error Status — this is the overload for user-supplied input.
  */
 Result<RunResult> runExperiment(const std::string &envName,
                                 const std::string &backendCliName,
-                                const ExperimentOptions &options);
-
-/** Run the whole Env1..Env6 suite on one backend. */
-std::vector<RunResult> runSuite(BackendKind kind,
                                 const ExperimentOptions &options);
 
 /** Generation-budget presets per env, sized so runs finish quickly. */
 int suiteGenerationBudget(const std::string &envName);
 
 /**
- * Evolve a population against an environment for a fixed number of
- * generations and return the final generation's decoded networks —
- * the "evolved NN" workload the hardware studies consume (Figs. 4/11,
- * Table V).
+ * The "evolved NN" workload the hardware studies consume (Tables
+ * IV/V, Fig. 11): run E3Platform on the CPU backend for exactly
+ * @p generations generations (the fitness threshold is lifted) and
+ * return the last generation's decoded networks, in genome-key order.
  */
 std::vector<NetworkDef> evolvedPopulation(const std::string &envName,
                                           int generations,
@@ -163,10 +135,11 @@ std::vector<NetworkDef> evolvedPopulation(const std::string &envName,
                                           uint64_t seed);
 
 /**
- * Evolve against an environment and return the champion genome of the
- * final generation (stopping early once the required fitness is
- * reached). Pair with saveGenomeFile()/loadGenomeFile() for the
- * model-replacement persistence story.
+ * Run E3Platform on the CPU backend (stopping early once the required
+ * fitness is reached) and return the run's champion, as
+ * runExperiment with the same settings would. Pair with
+ * saveGenomeFile()/loadGenomeFile() for the model-replacement
+ * persistence story.
  */
 Genome evolvedChampion(const std::string &envName, int generations,
                        size_t populationSize, uint64_t seed);

@@ -403,6 +403,7 @@ E3Platform::run()
         }
         result.modeled.add(e3_phase::evaluate, evalSeconds);
         backend_->attributeEnergy(evalSeconds, result.energyInput);
+        result.lastGenerationDefs = std::move(trace.defs);
 
         // --- per-generation stats, from CreateNet's NetStats ---
         const GenerationStats stats = pop.stats(trace.individuals);

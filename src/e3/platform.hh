@@ -131,6 +131,12 @@ struct RunResult
     std::optional<Genome> champion;
     PhaseTimer modeled;          ///< evaluate / env / evolve / createnet
     std::vector<GenerationPoint> trace;
+    /**
+     * The last evaluated generation's networks as CreateNet decoded
+     * them, in genome-key order (the evolved-workload extractors'
+     * output); empty if no generation was evaluated.
+     */
+    std::vector<NetworkDef> lastGenerationDefs;
     EnergyBreakdownInput energyInput;
     InaxReport inaxReport;       ///< populated by the INAX backend
     /** Worker utilization (tasks run/stolen, idle s); empty if serial. */

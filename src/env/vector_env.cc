@@ -24,30 +24,6 @@ VectorEnv::VectorEnv(const EnvSpec &spec, size_t lanes, uint64_t seed)
 }
 
 void
-VectorEnv::resetAll()
-{
-    for (size_t i = 0; i < lanes_.size(); ++i)
-        resetLane(i);
-}
-
-size_t
-VectorEnv::stepAll(const std::vector<Action> &actions)
-{
-    e3_assert(actions.size() == lanes_.size(),
-              "need ", lanes_.size(), " actions, got ", actions.size());
-    size_t live = 0;
-    for (size_t i = 0; i < lanes_.size(); ++i) {
-        if (lanes_[i].done)
-            continue;
-        e3_assert(actions[i].size() >= spec_.actionSize(), "lane ", i,
-                  " needs ", spec_.actionSize(), " action element(s)");
-        if (!stepLane(i, actions[i].data()))
-            ++live;
-    }
-    return live;
-}
-
-void
 VectorEnv::resetLane(size_t lane)
 {
     Lane &l = lanes_.at(lane);
@@ -96,29 +72,10 @@ VectorEnv::steps(size_t lane) const
     return lanes_.at(lane).steps;
 }
 
-bool
-VectorEnv::allDone() const
-{
-    for (const auto &lane : lanes_) {
-        if (!lane.done)
-            return false;
-    }
-    return true;
-}
-
 const RngAudit &
 VectorEnv::laneAudit(size_t lane) const
 {
     return lanes_.at(lane).rng.audit();
-}
-
-size_t
-VectorEnv::liveCount() const
-{
-    size_t n = 0;
-    for (const auto &lane : lanes_)
-        n += lane.done ? 0 : 1;
-    return n;
 }
 
 } // namespace e3

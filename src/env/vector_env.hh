@@ -1,13 +1,15 @@
 /**
  * @file
- * A batch of independent environment instances stepped in lockstep.
+ * A batch of independent environment instances, one lane per
+ * individual.
  *
  * E3 evaluates a whole population per generation: one environment per
- * individual, all advanced together, each terminating on its own schedule
- * ("some bad performance individuals can fail, terminate early, and stay
- * idle while the other populations are still running" — paper Sec. V-B).
- * VectorEnv tracks per-lane episode state so both the software baseline
- * and the INAX model see identical episode-length variance.
+ * individual, each terminating on its own schedule ("some bad
+ * performance individuals can fail, terminate early, and stay idle
+ * while the other populations are still running" — paper Sec. V-B).
+ * VectorEnv tracks per-lane episode state so both the software
+ * baseline and the INAX model see identical episode-length variance;
+ * the evaluation runtime (runtime/parallel_eval) steps its lanes.
  */
 
 #ifndef E3_ENV_VECTOR_ENV_HH
@@ -21,7 +23,7 @@
 
 namespace e3 {
 
-/** Lockstep batch of environments of one kind. */
+/** Batch of environments of one kind, stepped lane by lane. */
 class VectorEnv
 {
   public:
@@ -32,23 +34,11 @@ class VectorEnv
      */
     VectorEnv(const EnvSpec &spec, size_t lanes, uint64_t seed);
 
-    /** Restart every lane's episode. */
-    void resetAll();
-
-    /**
-     * Step every live lane with its action; finished lanes ignore their
-     * action and stay idle.
-     * @param actions one action per lane (size() entries)
-     * @return lanes still running after this step (0 = all done)
-     */
-    size_t stepAll(const std::vector<Action> &actions);
-
     /**
      * Restart one lane's episode. Lanes are fully independent — each
      * owns its environment and RNG stream — so distinct lanes may be
-     * reset and stepped concurrently from different threads, and
-     * per-lane stepping out of lockstep produces bit-identical
-     * episodes to resetAll()/stepAll().
+     * reset and stepped concurrently from different threads, in any
+     * interleaving, with bit-identical episodes.
      */
     void resetLane(size_t lane);
 
@@ -78,12 +68,6 @@ class VectorEnv
 
     /** Steps taken in the lane's current episode. */
     int steps(size_t lane) const;
-
-    /** True once every lane is done. */
-    bool allDone() const;
-
-    /** Number of lanes still live. */
-    size_t liveCount() const;
 
     /**
      * Determinism-sentinel digest of one lane's RNG stream: raw draws

@@ -119,9 +119,12 @@ neatConfigFromIni(const IniFile &ini, const NeatConfig &base)
     std::map<std::string, std::set<std::string>> known;
     for (const NeatConfigKey &k : neatConfigKeys())
         known[k.section].insert(k.key);
-    for (const auto &[section, keys] : known) {
+    for (const std::string &section : ini.sections()) {
+        const auto keys = known.find(section);
+        if (keys == known.end())
+            return Status::error("unknown section [", section, "]");
         for (const std::string &key : ini.keys(section)) {
-            if (!keys.count(key))
+            if (!keys->second.count(key))
                 return Status::error("unknown key '", key, "' in [",
                                      section, "]");
         }

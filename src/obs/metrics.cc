@@ -4,6 +4,7 @@
 #include <fstream>
 
 #include "common/csv.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "obs/trace.hh"
 

@@ -10,6 +10,7 @@
 #include <sstream>
 #include <vector>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/thread_annotations.hh"
 
@@ -168,32 +169,6 @@ appendMetadata(std::string &out, int pid, int tid, const char *kind,
 }
 
 } // namespace
-
-std::string
-jsonQuote(const std::string &text)
-{
-    std::string out = "\"";
-    for (char ch : text) {
-        switch (ch) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(ch) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x",
-                              static_cast<unsigned char>(ch));
-                out += buf;
-            } else {
-                out += ch;
-            }
-        }
-    }
-    out += "\"";
-    return out;
-}
 
 bool
 parseTraceDetail(const std::string &text, TraceDetail &out)

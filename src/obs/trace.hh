@@ -114,9 +114,6 @@ void traceCounterOn(const TraceTrack &track, const char *name,
  */
 uint64_t traceClaimHwCycles(uint64_t cycles);
 
-/** JSON string literal (quotes + escapes); shared with metrics. */
-std::string jsonQuote(const std::string &text);
-
 /**
  * RAII scoped span: records the start time at construction and emits a
  * complete event for the enclosed region at destruction. When tracing

@@ -1,9 +1,9 @@
 #include "verify/diagnostics.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 
 namespace e3::verify {
@@ -179,35 +179,6 @@ formatText(const Report &report)
     return oss.str();
 }
 
-namespace {
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 8);
-    for (char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        case '\r': out += "\\r"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-} // namespace
-
 std::string
 toJson(const Report &report)
 {
@@ -220,9 +191,9 @@ toJson(const Report &report)
         oss << "{\"rule\":\"" << d.ruleId << "\""
             << ",\"name\":\"" << d.ruleName << "\""
             << ",\"severity\":\"" << severityName(d.severity) << "\""
-            << ",\"artifact\":\"" << jsonEscape(d.artifact) << "\""
-            << ",\"locus\":\"" << jsonEscape(d.locus) << "\""
-            << ",\"message\":\"" << jsonEscape(d.message) << "\"}";
+            << ",\"artifact\":" << jsonQuote(d.artifact)
+            << ",\"locus\":" << jsonQuote(d.locus)
+            << ",\"message\":" << jsonQuote(d.message) << "}";
     }
     oss << "],\"errors\":" << report.errorCount()
         << ",\"warnings\":" << report.warningCount()

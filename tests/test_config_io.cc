@@ -182,6 +182,21 @@ TEST(ConfigIo, UnknownKeysError)
     EXPECT_NE(cfg.message().find("unknown key"), std::string::npos);
 }
 
+TEST(ConfigIo, UnknownSectionsError)
+{
+    // A misspelled header must not drop the keys under it.
+    const Result<NeatConfig> typo = neatConfigFromIni(
+        parseOk("[DefaultGenom]\nconn_add_prob = 5\n"));
+    ASSERT_FALSE(typo.ok());
+    EXPECT_EQ(typo.message(), "unknown section [DefaultGenom]");
+
+    // So must a key written before any header.
+    const Result<NeatConfig> headless =
+        neatConfigFromIni(parseOk("pop_size = 50\n"));
+    ASSERT_FALSE(headless.ok());
+    EXPECT_EQ(headless.message(), "unknown section []");
+}
+
 TEST(ConfigIo, InvalidValuesError)
 {
     const IniFile ini = parseOk(

@@ -87,6 +87,33 @@ TEST(Ini, MalformedLinesError)
     EXPECT_NE(emptyKey.message().find("empty key"), std::string::npos);
 }
 
+TEST(Ini, DuplicateKeysError)
+{
+    // A repeated key must not silently overwrite the first; the same
+    // key in another section, or a reopened section, is fine.
+    const Result<IniFile> dup = IniFile::parseString(
+        "[DefaultGenome]\nconn_add_prob = 0.1\nconn_add_prob = 5\n");
+    ASSERT_FALSE(dup.ok());
+    EXPECT_EQ(dup.message(),
+              "ini line 3: duplicate key 'conn_add_prob' in "
+              "[DefaultGenome]");
+
+    const Result<IniFile> reopened =
+        IniFile::parseString("[A]\nk = 1\n[B]\nk = 2\n[A]\nk = 3\n");
+    ASSERT_FALSE(reopened.ok());
+    EXPECT_NE(reopened.message().find("ini line 6"), std::string::npos);
+
+    const IniFile ok = parseOk("[A]\nk = 1\n[B]\nk = 2\n[A]\nj = 3\n");
+    EXPECT_EQ(ok.get("A", "j", ""), "3");
+}
+
+TEST(Ini, ListsSectionNames)
+{
+    const IniFile ini =
+        parseOk("top = 1\n[B]\nx = 1\n[Empty]\n[A]\ny = 2\n");
+    EXPECT_EQ(ini.sections(), (std::set<std::string>{"", "A", "B"}));
+}
+
 TEST(Ini, TypeErrorsReportAsErrors)
 {
     const IniFile ini = parseOk("[S]\nx = abc\ny = 1.5z\nz = maybe\n");

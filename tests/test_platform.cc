@@ -6,10 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+
 #include "e3/cpu_backend.hh"
 #include "e3/experiment.hh"
 #include "e3/gpu_backend.hh"
 #include "e3/inax_backend.hh"
+#include "neat/config_io.hh"
+#include "neat/serialize.hh"
 
 namespace e3 {
 namespace {
@@ -204,6 +208,57 @@ TEST(Experiment, EvolvedPopulationShapes)
     for (const auto &def : defs) {
         EXPECT_EQ(def.inputIds.size(), 4u);
         EXPECT_EQ(def.outputIds.size(), 1u);
+    }
+}
+
+TEST(Experiment, EvolvedChampionIsTheRunChampion)
+{
+    // The workload helper evolves through the platform's own loop, so
+    // it returns exactly the champion runExperiment reports.
+    ExperimentOptions opt;
+    opt.seed = 4;
+    opt.populationSize = 30;
+    opt.maxGenerations = 6;
+    const RunResult run =
+        runExperiment("acrobot", BackendKind::Cpu, opt);
+    ASSERT_TRUE(run.champion);
+    EXPECT_EQ(genomeToString(evolvedChampion("acrobot", 6, 30, 4)),
+              genomeToString(*run.champion));
+}
+
+TEST(Experiment, NeatConfigFileMayRestateButNotChangeTheRunShape)
+{
+    ExperimentOptions opt;
+    opt.populationSize = 20;
+    opt.maxGenerations = 2;
+    const EnvSpec &spec = envSpec("cartpole");
+    NeatConfig cfg = NeatConfig::forTask(spec.numInputs, spec.numOutputs,
+                                         spec.requiredFitness);
+    cfg.populationSize = opt.populationSize;
+    opt.neatConfigPath = ::testing::TempDir() + "e3_experiment_shape.ini";
+
+    // The writer's own output for this run loads.
+    std::ofstream(*opt.neatConfigPath) << neatConfigToIni(cfg);
+    EXPECT_TRUE(runExperiment("cartpole", "cpu", opt).ok());
+
+    const struct
+    {
+        const char *text;
+        const char *expected;
+    } conflicts[] = {
+        {"[NEAT]\npop_size = 30\n",
+         "[NEAT] pop_size = 30 conflicts with the run's value 20"},
+        {"[DefaultGenome]\nnum_inputs = 3\n",
+         "[DefaultGenome] num_inputs = 3 conflicts with the run's value 4"},
+        {"[DefaultGenome]\nnum_outputs = 2\n",
+         "[DefaultGenome] num_outputs = 2 conflicts with the run's value 1"},
+    };
+    for (const auto &c : conflicts) {
+        std::ofstream(*opt.neatConfigPath) << c.text;
+        const Result<RunResult> run = runExperiment("cartpole", "cpu", opt);
+        ASSERT_FALSE(run.ok()) << c.text;
+        EXPECT_NE(run.message().find(c.expected), std::string::npos)
+            << run.message();
     }
 }
 

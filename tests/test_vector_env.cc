@@ -2,16 +2,35 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 namespace e3 {
 namespace {
+
+void
+resetLanes(VectorEnv &venv)
+{
+    for (size_t i = 0; i < venv.size(); ++i)
+        venv.resetLane(i);
+}
+
+/** Step every live lane with @p action; returns the lanes still live. */
+size_t
+stepLive(VectorEnv &venv, const Action &action)
+{
+    size_t live = 0;
+    for (size_t i = 0; i < venv.size(); ++i) {
+        if (!venv.done(i) && !venv.stepLane(i, action.data()))
+            ++live;
+    }
+    return live;
+}
 
 TEST(VectorEnv, LanesStartLive)
 {
     VectorEnv venv(envSpec("cartpole"), 8, 42);
-    venv.resetAll();
+    resetLanes(venv);
     EXPECT_EQ(venv.size(), 8u);
-    EXPECT_FALSE(venv.allDone());
-    EXPECT_EQ(venv.liveCount(), 8u);
     for (size_t i = 0; i < venv.size(); ++i) {
         EXPECT_FALSE(venv.done(i));
         EXPECT_EQ(venv.observation(i).size(), 4u);
@@ -22,7 +41,7 @@ TEST(VectorEnv, LanesStartLive)
 TEST(VectorEnv, LanesAreIndependentlySeeded)
 {
     VectorEnv venv(envSpec("cartpole"), 4, 7);
-    venv.resetAll();
+    resetLanes(venv);
     // At least two lanes must differ in their initial observation.
     bool anyDiffer = false;
     for (size_t i = 1; i < venv.size(); ++i)
@@ -33,12 +52,12 @@ TEST(VectorEnv, LanesAreIndependentlySeeded)
 TEST(VectorEnv, DeterministicAcrossInstances)
 {
     VectorEnv a(envSpec("pendulum"), 4, 99), b(envSpec("pendulum"), 4, 99);
-    a.resetAll();
-    b.resetAll();
-    const std::vector<Action> actions(4, Action{0.5});
+    resetLanes(a);
+    resetLanes(b);
+    const Action action{0.5};
     for (int t = 0; t < 10; ++t) {
-        a.stepAll(actions);
-        b.stepAll(actions);
+        stepLive(a, action);
+        stepLive(b, action);
     }
     for (size_t i = 0; i < 4; ++i) {
         EXPECT_EQ(a.observation(i), b.observation(i));
@@ -52,10 +71,9 @@ TEST(VectorEnv, EpisodesTerminateIndependently)
     // different steps — the variance source behind the paper's U(PU)
     // synchronization analysis.
     VectorEnv venv(envSpec("cartpole"), 16, 5);
-    venv.resetAll();
-    const std::vector<Action> actions(16, Action{1.0});
-    while (!venv.allDone())
-        venv.stepAll(actions);
+    resetLanes(venv);
+    while (stepLive(venv, Action{1.0}) > 0) {
+    }
 
     std::set<int> lengths;
     for (size_t i = 0; i < venv.size(); ++i)
@@ -66,34 +84,28 @@ TEST(VectorEnv, EpisodesTerminateIndependently)
 TEST(VectorEnv, DoneLanesFreeze)
 {
     VectorEnv venv(envSpec("mountain_car"), 2, 11);
-    venv.resetAll();
-    const std::vector<Action> actions(2, Action{1.0}); // idle throttle
+    resetLanes(venv);
+    const Action idle{1.0}; // idle throttle
     for (int t = 0; t < 200; ++t)
-        venv.stepAll(actions);
+        stepLive(venv, idle);
     // Truncated at maxEpisodeSteps.
-    EXPECT_TRUE(venv.allDone());
-    const double f0 = venv.fitness(0);
-    const int s0 = venv.steps(0);
-    venv.stepAll(actions); // no-op on finished lanes
-    EXPECT_DOUBLE_EQ(venv.fitness(0), f0);
-    EXPECT_EQ(venv.steps(0), s0);
+    EXPECT_TRUE(venv.done(0));
+    EXPECT_TRUE(venv.done(1));
+    EXPECT_EQ(venv.steps(0), 200);
+    // A finished lane cannot be stepped until it is reset.
+    EXPECT_DEATH((void)venv.stepLane(0, idle.data()), "finished episode");
+    venv.resetLane(0);
+    EXPECT_FALSE(venv.stepLane(0, idle.data()));
+    EXPECT_EQ(venv.steps(0), 1);
 }
 
 TEST(VectorEnv, FitnessAccumulatesReward)
 {
     VectorEnv venv(envSpec("mountain_car"), 1, 3);
-    venv.resetAll();
+    resetLanes(venv);
     for (int t = 0; t < 10; ++t)
-        venv.stepAll({Action{1.0}});
+        stepLive(venv, Action{1.0});
     EXPECT_DOUBLE_EQ(venv.fitness(0), -10.0);
-}
-
-TEST(VectorEnvDeath, WrongActionCountPanics)
-{
-    VectorEnv venv(envSpec("cartpole"), 3, 1);
-    venv.resetAll();
-    std::vector<Action> wrong(2, Action{0.0});
-    EXPECT_DEATH(venv.stepAll(wrong), "actions");
 }
 
 } // namespace

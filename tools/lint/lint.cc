@@ -9,9 +9,10 @@
 #include "lint/lint.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
 #include <sstream>
+
+#include "common/json.hh"
 
 namespace e3::lint {
 
@@ -41,31 +42,6 @@ lintableExtension(const std::string &path)
             return true;
     }
     return false;
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 8);
-    for (char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        case '\r': out += "\\r"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
 }
 
 } // namespace
@@ -363,10 +339,10 @@ toJson(const std::vector<Diagnostic> &diags)
         const Diagnostic &d = diags[i];
         if (i)
             oss << ',';
-        oss << "{\"file\":\"" << jsonEscape(d.file) << "\""
+        oss << "{\"file\":" << jsonQuote(d.file)
             << ",\"line\":" << d.line << ",\"rule\":\"" << d.ruleId
             << "\"" << ",\"name\":\"" << d.ruleName << "\""
-            << ",\"message\":\"" << jsonEscape(d.message) << "\"}";
+            << ",\"message\":" << jsonQuote(d.message) << "}";
     }
     oss << "],\"count\":" << diags.size() << "}\n";
     return oss.str();

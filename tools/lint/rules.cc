@@ -968,15 +968,15 @@ class BlockingUnderLock : public Rule
                     });
                 if (deferred)
                     continue;
-                size_t liveCount = 0;
+                size_t heldLocks = 0;
                 bool livePair = false;
                 for (const LockRegion &lock : fn.locks) {
                     if (i >= lock.begin && i < lock.end) {
-                        ++liveCount;
+                        ++heldLocks;
                         livePair = livePair || lock.pair;
                     }
                 }
-                if (liveCount == 0)
+                if (heldLocks == 0)
                     continue;
                 const bool member =
                     isPunct(ctx.codeTok(i - 1), ".") ||
@@ -988,7 +988,7 @@ class BlockingUnderLock : public Rule
                 if (waitFamily) {
                     // cv.wait(lock) releases its single lock inside;
                     // a second live lock (or a pair) stays held.
-                    if (liveCount > 1 || livePair) {
+                    if (heldLocks > 1 || livePair) {
                         out.push_back(diag(
                             ctx, t.line,
                             "condvar '" + t.text +
