@@ -11,6 +11,12 @@
  * Status (operations with no payload) or Result<T> (operations that
  * produce a value), and thin ...OrDie wrappers recover the old
  * die-on-error behaviour at the application boundary.
+ *
+ * Dropping an error is a compile error, not a lint finding: both
+ * classes are [[nodiscard]] (a discarded call is diagnosed) and
+ * gnu::warn_unused (a local that is never read trips
+ * -Wunused-variable), and every CI build runs -Wall -Wextra -Werror.
+ * A cast to `(void)` is the one sanctioned way to discard on purpose.
  */
 
 #ifndef E3_COMMON_RESULT_HH
@@ -24,8 +30,11 @@
 
 namespace e3 {
 
-/** Success, or an error described by a message. */
-class [[nodiscard]] Status
+/**
+ * Success, or an error described by a message. The compiler rejects a
+ * dropped Status; `(void)` discards one on purpose.
+ */
+class [[nodiscard, gnu::warn_unused]] Status
 {
   public:
     /** Default status is success. */
@@ -58,10 +67,12 @@ class [[nodiscard]] Status
  *
  * Implicitly constructible from both, so functions can `return value;`
  * on success and `return Status::error(...);` on failure. Accessing
- * value() of an error Result is a programming bug and panics.
+ * value() of an error Result is a programming bug and panics. Like
+ * Status, a dropped Result is a compile error; `(void)` discards one on
+ * purpose.
  */
 template <typename T>
-class [[nodiscard]] Result
+class [[nodiscard, gnu::warn_unused]] Result
 {
   public:
     /** Success. */

@@ -46,7 +46,6 @@ InaxBackend::InaxBackend(InaxConfig cfg) : cfg_(cfg)
 double
 InaxBackend::evaluateSeconds(const GenerationTrace &trace)
 {
-    // e3-lint: discard-ok -- GenerationTrace::validate is void; it shares its name with Status-returning validates elsewhere
     trace.validate();
     e3_assert(!trace.episodes.empty(), "trace without episodes");
 

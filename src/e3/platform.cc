@@ -386,7 +386,6 @@ E3Platform::run()
         GenerationTrace trace;
         std::map<int, SpeciesEvalSummary> summaries;
         evaluateFunctional(pop, trace, gen, summaries);
-        // e3-lint: discard-ok -- GenerationTrace::validate is void; it shares its name with Status-returning validates elsewhere
         trace.validate();
 
         // --- modeled timing ---

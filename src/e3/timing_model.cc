@@ -58,7 +58,6 @@ CpuTimingModel::inferenceSeconds(const NetStats &stats) const
 double
 CpuTimingModel::evaluateSeconds(const GenerationTrace &trace) const
 {
-    // e3-lint: discard-ok -- GenerationTrace::validate is void; it shares its name with Status-returning validates elsewhere
     trace.validate();
     double seconds = 0.0;
     for (const auto &episode : trace.episodes) {
@@ -73,7 +72,6 @@ CpuTimingModel::evaluateSeconds(const GenerationTrace &trace) const
 double
 GpuTimingModel::evaluateSeconds(const GenerationTrace &trace) const
 {
-    // e3-lint: discard-ok -- GenerationTrace::validate is void; it shares its name with Status-returning validates elsewhere
     trace.validate();
     double seconds = 0.0;
     for (size_t e = 0; e < trace.episodes.size(); ++e) {

@@ -4,17 +4,42 @@
 
 namespace e3 {
 
+namespace {
+
+// Each rule states when its knob is in range, so a NaN, which fails
+// every comparison, is out of range.
+const InaxKnobRule kKnobRules[] = {
+    {"numPUs", "accelerator needs at least one PU",
+     [](const InaxConfig &c) { return c.numPUs > 0; }},
+    {"numPEs", "a PU needs at least one PE",
+     [](const InaxConfig &c) { return c.numPEs > 0; }},
+    {"clockMhz", "fabric clock must be positive",
+     [](const InaxConfig &c) { return c.clockMhz > 0.0; }},
+    {"weightChannelWidth", "zero-width weight DMA channel",
+     [](const InaxConfig &c) { return c.weightChannelWidth > 0; }},
+    {"ioChannelWidth", "zero-width I/O DMA channel",
+     [](const InaxConfig &c) { return c.ioChannelWidth > 0; }},
+    {"activationDensity", "activation density must be in (0, 1]",
+     [](const InaxConfig &c) {
+         return c.activationDensity > 0.0 && c.activationDensity <= 1.0;
+     }},
+};
+
+} // namespace
+
+std::span<const InaxKnobRule>
+inaxKnobRules()
+{
+    return kKnobRules;
+}
+
 Status
 InaxConfig::validate() const
 {
-    if (numPUs == 0 || numPEs == 0)
-        return Status::error("INAX needs at least one PU and one PE");
-    if (clockMhz <= 0.0)
-        return Status::error("non-positive INAX clock");
-    if (weightChannelWidth == 0 || ioChannelWidth == 0)
-        return Status::error("zero-width DMA channel");
-    if (activationDensity <= 0.0 || activationDensity > 1.0)
-        return Status::error("activation density must be in (0, 1]");
+    for (const InaxKnobRule &rule : kKnobRules) {
+        if (!rule.inRange(*this))
+            return Status::error("INAX ", rule.knob, ": ", rule.message);
+    }
     return Status();
 }
 

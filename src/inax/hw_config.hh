@@ -13,6 +13,7 @@
 #define E3_INAX_HW_CONFIG_HH
 
 #include <cstddef>
+#include <span>
 #include <string>
 
 #include "common/result.hh"
@@ -66,7 +67,7 @@ struct InaxConfig
     /** Seconds per cycle. */
     double secondsPerCycle() const { return 1e-6 / clockMhz; }
 
-    /** Error if any knob is out of range. */
+    /** The first out-of-range knob of inaxKnobRules(), as an error. */
     Status validate() const;
 
     /** One-line description for bench output. */
@@ -78,6 +79,21 @@ struct InaxConfig
      */
     static InaxConfig paperDefault(size_t numOutputs);
 };
+
+/** The range rule of one InaxConfig knob. */
+struct InaxKnobRule
+{
+    const char *knob;    ///< the InaxConfig member it checks
+    const char *message; ///< what an out-of-range value breaks
+    /** True when the knob is in range (false for NaN). */
+    bool (*inRange)(const InaxConfig &cfg);
+};
+
+/**
+ * Every knob range rule, in member order: the one list both
+ * InaxConfig::validate() and the verifier's E3V201 pass walk.
+ */
+std::span<const InaxKnobRule> inaxKnobRules();
 
 } // namespace e3
 

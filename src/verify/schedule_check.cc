@@ -10,32 +10,11 @@ Report
 verifyHwConfig(const InaxConfig &cfg)
 {
     Report report;
-    if (cfg.numPUs == 0) {
-        report.add(makeDiagnostic(rules::kInvalidHwConfig, "numPUs",
-                                  "accelerator needs at least one PU"));
-    }
-    if (cfg.numPEs == 0) {
-        report.add(makeDiagnostic(rules::kInvalidHwConfig, "numPEs",
-                                  "a PU needs at least one PE"));
-    }
-    if (!(cfg.clockMhz > 0.0)) {
-        report.add(makeDiagnostic(rules::kInvalidHwConfig, "clockMhz",
-                                  "fabric clock must be positive"));
-    }
-    if (cfg.weightChannelWidth == 0) {
-        report.add(makeDiagnostic(rules::kInvalidHwConfig,
-                                  "weightChannelWidth",
-                                  "zero-width weight DMA channel"));
-    }
-    if (cfg.ioChannelWidth == 0) {
-        report.add(makeDiagnostic(rules::kInvalidHwConfig,
-                                  "ioChannelWidth",
-                                  "zero-width I/O DMA channel"));
-    }
-    if (!(cfg.activationDensity > 0.0) || cfg.activationDensity > 1.0) {
-        report.add(makeDiagnostic(
-            rules::kInvalidHwConfig, "activationDensity",
-            "activation density must be in (0, 1]"));
+    for (const InaxKnobRule &rule : inaxKnobRules()) {
+        if (!rule.inRange(cfg)) {
+            report.add(makeDiagnostic(rules::kInvalidHwConfig, rule.knob,
+                                      rule.message));
+        }
     }
     return report;
 }

@@ -26,7 +26,7 @@
 
 namespace e3::verify {
 
-/** Diagnostic form of InaxConfig::validate() (E3V201 per bad knob). */
+/** E3V201 for every knob that breaks its inaxKnobRules() rule. */
 Report verifyHwConfig(const InaxConfig &cfg);
 
 /**

@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 
 #include "mini_json.hh"
@@ -643,73 +644,6 @@ TEST(LintLexer, PpFlagCoversDirectiveLinesAcrossSplices)
     EXPECT_TRUE(toks[0].pp);
 }
 
-// --- flow rules: E3L013 discarded-error ---
-
-TEST(LintFlowRules, BareErrorReturningCallViolates)
-{
-    const auto diags =
-        lint("src/nn/x.cc",
-             "Status make() { return Status(); }\n"
-             "void f() {\n"
-             "    make();\n"
-             "}\n");
-    EXPECT_TRUE(hasRule(diags, "E3L013"));
-}
-
-TEST(LintFlowRules, VoidCastOfErrorReturnViolates)
-{
-    const auto diags =
-        lint("src/nn/x.cc",
-             "Status make() { return Status(); }\n"
-             "void f() {\n"
-             "    (void)make();\n"
-             "    static_cast<void>(make());\n"
-             "}\n");
-    ASSERT_EQ(diags.size(), 2u);
-    EXPECT_EQ(diags[0].ruleId, "E3L013");
-    EXPECT_EQ(diags[1].ruleId, "E3L013");
-}
-
-TEST(LintFlowRules, BoundButNeverReadStatusViolates)
-{
-    const auto diags =
-        lint("src/nn/x.cc",
-             "Status make() { return Status(); }\n"
-             "void f() {\n"
-             "    Status st = make();\n"
-             "    done();\n"
-             "}\n");
-    EXPECT_TRUE(hasRule(diags, "E3L013"));
-}
-
-TEST(LintFlowRules, CheckedStatusIsClean)
-{
-    const auto diags =
-        lint("src/nn/x.cc",
-             "Status make() { return Status(); }\n"
-             "void f() {\n"
-             "    Status st = make();\n"
-             "    if (st.ok()) { act(); }\n"
-             "}\n");
-    EXPECT_FALSE(hasRule(diags, "E3L013"));
-}
-
-TEST(LintFlowRules, TernaryArmsAreNotBareStatements)
-{
-    // Regression: the ':' before the second arm must not be mistaken
-    // for a label, which would make `other()` look like a discarded
-    // bare-statement call.
-    const auto diags =
-        lint("src/nn/x.cc",
-             "Status make() { return Status(); }\n"
-             "Status other() { return Status(); }\n"
-             "void f(bool b) {\n"
-             "    Status st = b ? make() : other();\n"
-             "    if (st.ok()) { act(); }\n"
-             "}\n");
-    EXPECT_FALSE(hasRule(diags, "E3L013"));
-}
-
 // --- flow rules: E3L014 blocking-under-lock ---
 
 TEST(LintFlowRules, BlockingCallUnderLockViolates)
@@ -875,23 +809,86 @@ TEST(LintFlowRules, StaleWaiverOkKeepsAnAuditedStaleWaiver)
     EXPECT_FALSE(hasRule(diags, "E3L018"));
 }
 
+TEST(LintFlowRules, WaiverTokenNamingNoRuleIsReported)
+{
+    // A retired rule's token and a misspelt one silence nothing.
+    const auto diags =
+        lint("src/nn/x.cc",
+             "void f() {\n"
+             "    // e3-lint: dropped-ok -- a retired rule's token\n"
+             "    int pips = 4; // e3-lint: ordred-ok\n"
+             "}\n");
+    ASSERT_EQ(diags.size(), 2u);
+    EXPECT_EQ(diags[0].ruleId, "E3L018");
+    EXPECT_EQ(diags[0].line, 2);
+    EXPECT_NE(diags[0].message.find("'dropped-ok' names no"),
+              std::string::npos)
+        << diags[0].message;
+    EXPECT_EQ(diags[1].ruleId, "E3L018");
+    EXPECT_EQ(diags[1].line, 3);
+    EXPECT_NE(diags[1].message.find("'ordred-ok' names no"),
+              std::string::npos)
+        << diags[1].message;
+}
+
+TEST(LintFlowRules, EveryTokenOfAWaiverMustNameARule)
+{
+    // Trailing `-ok` words are tokens too; other words are the audit
+    // note.
+    const auto typo = lint("src/nn/x.cc",
+                           "int f() {\n"
+                           "    return std::rand(); // e3-lint: rand-ok "
+                           "nodiscard-ok -- a second token\n"
+                           "}\n");
+    ASSERT_EQ(typo.size(), 1u);
+    EXPECT_NE(typo[0].message.find("'nodiscard-ok'"), std::string::npos);
+    EXPECT_TRUE(lint("src/nn/x.cc",
+                     "int f() {\n"
+                     "    return std::rand(); // e3-lint: rand-ok "
+                     "seeded by design\n"
+                     "}\n")
+                    .empty());
+    // The token of a rule that is off at this path still names a rule.
+    EXPECT_TRUE(lint("tools/x.cc", "int x; // e3-lint: ordered-ok\n")
+                    .empty());
+}
+
+TEST(LintFlowRules, ProseMentioningTheMarkerIsNotAWaiver)
+{
+    const auto diags =
+        lint("tools/x.cc",
+             "/**\n"
+             " *     // e3-lint: dropped-ok -- a block-comment example\n"
+             " */\n"
+             "// Waivers read `// e3-lint: <token>`; see DESIGN.md.\n"
+             "int x;\n");
+    EXPECT_TRUE(diags.empty()) << diags[0].message;
+    // Nor does such prose waive a real finding on its line.
+    EXPECT_TRUE(hasRule(lint("src/neat/x.cc",
+                             "std::unordered_map<int, int> m; /* unlike "
+                             "e3-lint: ordered-ok users */\n"),
+                        "E3L004"));
+    EXPECT_TRUE(hasRule(lint("src/neat/x.cc",
+                             "std::unordered_map<int, int> m; // see "
+                             "e3-lint: ordered-ok\n"),
+                        "E3L004"));
+}
+
 // --- flow rules: policy scoping ---
 
 TEST(LintPolicy, FlowRulesAreScopedAndForcedOnForFixtures)
 {
     const Policy p = defaultPolicy();
-    // Discarded-error stays quiet in tests (EXPECT_FALSE(st.ok())
-    // idioms), throw-escape is src-only.
-    EXPECT_TRUE(p.enabled("E3L013", "src/neat/genome.cc"));
-    EXPECT_FALSE(p.enabled("E3L013", "tests/test_persist.cc"));
+    // Throw-escape is src-only.
     EXPECT_TRUE(p.enabled("E3L016", "src/nn/network.cc"));
     EXPECT_FALSE(p.enabled("E3L016", "tools/e3_cli.cc"));
+    EXPECT_FALSE(p.enabled("E3L016", "tests/test_persist.cc"));
     // Every flow rule is forced on under the fixture tree so the
     // seeded pairs exercise them at their own paths.
     EXPECT_TRUE(
-        p.enabled("E3L013", "tests/fixtures/lint/e3l013_violation.cc"));
-    EXPECT_TRUE(
         p.enabled("E3L016", "tests/fixtures/lint/e3l016_violation.cc"));
+    EXPECT_TRUE(
+        p.enabled("E3L014", "tests/fixtures/lint/e3l014_violation.cc"));
 }
 
 // --- on-disk fixture pairs (tests/fixtures/lint) ---
@@ -981,15 +978,18 @@ TEST(LintRegistry, AllRulesHaveUniqueIdsAndWaivers)
                 waivers.end());
 }
 
-TEST(LintRegistry, HoldsEighteenRulesInIdOrder)
+TEST(LintRegistry, HoldsTheShippedRulesInIdOrder)
 {
+    // E3L013 (discarded Status/Result) is retired, not reused: the
+    // compiler rejects a dropped error (common/result.hh).
+    const char *const ids[] = {
+        "E3L001", "E3L002", "E3L003", "E3L004", "E3L005", "E3L006",
+        "E3L007", "E3L008", "E3L009", "E3L010", "E3L011", "E3L012",
+        "E3L014", "E3L015", "E3L016", "E3L017", "E3L018"};
     const auto &rules = allRules();
-    ASSERT_EQ(rules.size(), 18u);
-    for (size_t i = 0; i < rules.size(); ++i) {
-        std::ostringstream id;
-        id << "E3L" << (i + 1 < 10 ? "00" : "0") << (i + 1);
-        EXPECT_EQ(rules[i]->id(), id.str());
-    }
+    ASSERT_EQ(rules.size(), std::size(ids));
+    for (size_t i = 0; i < rules.size(); ++i)
+        EXPECT_EQ(rules[i]->id(), ids[i]);
 }
 
 TEST(LintRegistry, CatalogNamesEveryRule)

@@ -1,12 +1,11 @@
 /**
  * @file
- * Unit tests for e3_lint's flow-sensitive core: function recovery
- * (cfg.cc), CFG shape for the structured statements, the scoped symbol
- * and lock-region passes (symbols.cc), the CFG-reachability read query
- * behind E3L013, and the cross-TU call summary (callgraph.cc). The
- * flow rules themselves are covered in test_lint.cc and by the
- * process-level fixture tests; here we pin down the substrate they
- * stand on.
+ * Unit tests for e3_lint's flow-sensitive core: function recovery and
+ * the statement walk's try ranges, throw sites and lock regions
+ * (cfg.cc), lambda bodies and the cross-TU call summary
+ * (callgraph.cc). The flow rules themselves are covered in
+ * test_lint.cc and by the process-level fixture tests; here we pin
+ * down the substrate they stand on.
  */
 
 #include "lint/lint.hh"
@@ -45,41 +44,6 @@ identIdx(const FileContext &ctx, const std::string &text, int nth = 0)
     return ctx.code.size();
 }
 
-/**
- * Code index of the `;` closing the statement that calls @p callee
- * (nth occurrence of a `callee (` shape inside @p fn's body) — the
- * natural "after this statement" start point for liveness queries.
- */
-size_t
-callStmtEnd(const FileContext &ctx, const FlowFunction &fn,
-            const std::string &callee, int nth = 0)
-{
-    int seen = 0;
-    for (size_t i = fn.bodyBegin; i < fn.bodyEnd; ++i) {
-        if (!isIdentTok(ctx.codeTok(i), callee.c_str()) ||
-            i + 1 >= fn.bodyEnd ||
-            !isPunctTok(ctx.codeTok(i + 1), "("))
-            continue;
-        if (seen++ < nth)
-            continue;
-        return matchClose(ctx, i + 1) + 1; // the trailing ';'
-    }
-    return fn.bodyEnd;
-}
-
-/** Does any block hold a range covering code index @p idx? */
-const CfgBlock *
-blockContaining(const FlowFunction &fn, size_t idx)
-{
-    for (const CfgBlock &b : fn.blocks) {
-        for (const auto &r : b.ranges) {
-            if (idx >= r.first && idx < r.second)
-                return &b;
-        }
-    }
-    return nullptr;
-}
-
 // --- function recovery ---
 
 TEST(LintCfg, RecoversDefinitionsNotDeclarations)
@@ -104,10 +68,10 @@ TEST(LintCfg, HeaderFlagsHotAndErrorType)
     const FlowFunction *idle = fnByName(ctx, "idle");
     ASSERT_NE(step, nullptr);
     ASSERT_NE(idle, nullptr);
+    // The Status return type is header text like any other: dropped
+    // errors are the compiler's to catch (common/result.hh).
     EXPECT_TRUE(step->hot);
-    EXPECT_TRUE(step->returnsErrorType);
     EXPECT_FALSE(idle->hot);
-    EXPECT_FALSE(idle->returnsErrorType);
 }
 
 TEST(LintCfg, CtorInitListIsSkippedToTheBody)
@@ -142,60 +106,7 @@ TEST(LintCfg, MatchCloseReportsUnbalancedAsEnd)
     EXPECT_EQ(matchClose(ctx, open), ctx.code.size());
 }
 
-// --- CFG shape ---
-
-TEST(LintCfg, IfElseBuildsBranchesAndJoin)
-{
-    const auto ctx = parse("void f(bool b) {\n"
-                           "    int x = 0;\n"
-                           "    if (b) { x = 1; } else { x = 2; }\n"
-                           "    use(x);\n"
-                           "}\n");
-    ASSERT_EQ(ctx.functions.size(), 1u);
-    const FlowFunction &fn = ctx.functions[0];
-    // entry (decl + condition), then, else, join.
-    ASSERT_EQ(fn.blocks.size(), 4u);
-    EXPECT_EQ(fn.blocks[0].succs.size(), 2u);
-    const CfgBlock *join = blockContaining(fn, identIdx(ctx, "use"));
-    ASSERT_NE(join, nullptr);
-    EXPECT_TRUE(join->succs.empty());
-}
-
-TEST(LintCfg, WhileLoopHasBackEdge)
-{
-    const auto ctx = parse("void f() {\n"
-                           "    while (more()) { step(); }\n"
-                           "    done();\n"
-                           "}\n");
-    ASSERT_EQ(ctx.functions.size(), 1u);
-    const FlowFunction &fn = ctx.functions[0];
-    bool backEdge = false;
-    for (size_t b = 0; b < fn.blocks.size(); ++b) {
-        for (int s : fn.blocks[b].succs) {
-            if (static_cast<size_t>(s) < b)
-                backEdge = true;
-        }
-    }
-    EXPECT_TRUE(backEdge);
-}
-
-TEST(LintCfg, SwitchFansOutToEveryLabel)
-{
-    const auto ctx = parse("void f(int k) {\n"
-                           "    switch (k) {\n"
-                           "    case 0: a(); break;\n"
-                           "    case 1: b(); break;\n"
-                           "    default: c(); break;\n"
-                           "    }\n"
-                           "}\n");
-    ASSERT_EQ(ctx.functions.size(), 1u);
-    const FlowFunction &fn = ctx.functions[0];
-    const CfgBlock *head =
-        blockContaining(fn, identIdx(ctx, "switch"));
-    ASSERT_NE(head, nullptr);
-    // Two case labels, the default, and the no-match exit edge.
-    EXPECT_EQ(head->succs.size(), 4u);
-}
+// --- statement walk ---
 
 TEST(LintCfg, TryCatchRecordsRangesAndThrowSites)
 {
@@ -220,98 +131,44 @@ TEST(LintCfg, TryCatchRecordsRangesAndThrowSites)
     ASSERT_EQ(g->throwSites.size(), 1u);
 }
 
-// --- liveness / reachability ---
-
-TEST(LintCfg, ReadAfterEarlyReturnIsUnreachable)
+TEST(LintCfg, WalkScopesEveryStatementForm)
 {
-    const auto ctx = parse("Status make();\n"
-                           "void f() {\n"
-                           "    Status st = make();\n"
-                           "    return;\n"
-                           "    st.ok();\n"
-                           "}\n");
-    const FlowFunction *f = fnByName(ctx, "f");
-    ASSERT_NE(f, nullptr);
-    const size_t from = callStmtEnd(ctx, *f, "make");
-    EXPECT_FALSE(identifierReadAfter(ctx, *f, from, "st"));
-}
-
-TEST(LintCfg, ReadInsideBranchIsReachable)
-{
-    const auto ctx = parse("Status make();\n"
-                           "void f() {\n"
-                           "    Status st = make();\n"
-                           "    if (verbose()) { log(st); }\n"
-                           "}\n");
-    const FlowFunction *f = fnByName(ctx, "f");
-    ASSERT_NE(f, nullptr);
-    const size_t from = callStmtEnd(ctx, *f, "make");
-    EXPECT_TRUE(identifierReadAfter(ctx, *f, from, "st"));
-}
-
-TEST(LintCfg, PlainAssignmentIsAWriteNotARead)
-{
-    const auto ctx = parse("Status make();\n"
-                           "void f() {\n"
-                           "    Status st = make();\n"
-                           "    st = make();\n"
-                           "}\n"
-                           "void g(Status st, Status other) {\n"
-                           "    Status probe = make();\n"
-                           "    if (probe == other) { quit(); }\n"
-                           "}\n");
-    const FlowFunction *f = fnByName(ctx, "f");
-    const FlowFunction *g = fnByName(ctx, "g");
-    ASSERT_NE(f, nullptr);
-    ASSERT_NE(g, nullptr);
-    // Overwriting without a read: not live.
-    EXPECT_FALSE(identifierReadAfter(
-        ctx, *f, callStmtEnd(ctx, *f, "make"), "st"));
-    // `==` lexes as one token, so a comparison still reads.
-    EXPECT_TRUE(identifierReadAfter(
-        ctx, *g, callStmtEnd(ctx, *g, "make"), "probe"));
-}
-
-TEST(LintCfg, LoopBackEdgeMakesEarlierReadReachable)
-{
-    const auto ctx = parse("Status make();\n"
-                           "void f() {\n"
-                           "    Status st = make();\n"
-                           "    while (more()) {\n"
-                           "        use(st);\n"
-                           "        st = make();\n"
+    const auto ctx = parse("void f(int k) {\n"
+                           "    if (k) { MutexLock a(m); x(); }\n"
+                           "    else throw E();\n"
+                           "    for (;;) { MutexLock b(m); }\n"
+                           "    while (k) throw E();\n"
+                           "    do { MutexLock c(m); } while (k);\n"
+                           "    switch (k) {\n"
+                           "    case 0: { MutexLock d(m); } break;\n"
+                           "    default: throw E();\n"
                            "    }\n"
-                           "}\n");
-    const FlowFunction *f = fnByName(ctx, "f");
-    ASSERT_NE(f, nullptr);
-    // From past the in-loop reassignment, the only read of `st` sits
-    // EARLIER in the loop body — reachable only through the back edge.
-    const size_t from = callStmtEnd(ctx, *f, "make", 1);
-    EXPECT_TRUE(identifierReadAfter(ctx, *f, from, "st"));
-}
-
-// --- locals and lock regions ---
-
-TEST(LintCfg, CollectLocalsTracksErrorTypedDeclsAndScopes)
-{
-    const auto ctx = parse("void f() {\n"
-                           "    Status st = make();\n"
-                           "    Result<int> r = compute();\n"
-                           "    int plain = 0;\n"
-                           "    {\n"
-                           "        Status inner = make();\n"
-                           "    }\n"
+                           "    try { MutexLock e(m); throw E(); }\n"
+                           "    catch (...) { MutexLock g(m); }\n"
+                           "    MutexLock h(m);\n"
                            "}\n");
     ASSERT_EQ(ctx.functions.size(), 1u);
-    const auto locals = collectLocals(ctx, ctx.functions[0]);
-    ASSERT_EQ(locals.size(), 3u);
-    EXPECT_EQ(locals[0].name, "st");
-    EXPECT_EQ(locals[1].name, "r");
-    EXPECT_EQ(locals[2].name, "inner");
-    // The nested scope closes before the function body does.
-    EXPECT_LT(locals[2].scopeEnd, locals[0].scopeEnd);
-    EXPECT_EQ(locals[0].scopeEnd, ctx.functions[0].bodyEnd);
+    const FlowFunction &fn = ctx.functions[0];
+    ASSERT_EQ(fn.locks.size(), 7u);
+    const char *const names[] = {"a", "b", "c", "d", "e", "g", "h"};
+    for (size_t i = 0; i < fn.locks.size(); ++i)
+        EXPECT_EQ(fn.locks[i].name, names[i]);
+    // Each braced guard dies at its own block's close, before the next
+    // statement; the function-level guard lives to the body's close.
+    EXPECT_GT(fn.locks[0].end, identIdx(ctx, "x"));
+    EXPECT_LT(fn.locks[0].end, identIdx(ctx, "else"));
+    EXPECT_LT(fn.locks[1].end, identIdx(ctx, "while"));
+    EXPECT_LT(fn.locks[3].end, identIdx(ctx, "break"));
+    EXPECT_LT(fn.locks[5].end, identIdx(ctx, "h"));
+    EXPECT_EQ(fn.locks[6].end, fn.bodyEnd);
+    ASSERT_EQ(fn.throwSites.size(), 4u);
+    ASSERT_EQ(fn.tryRanges.size(), 1u);
+    EXPECT_GT(fn.throwSites[3], fn.tryRanges[0].first);
+    EXPECT_LT(fn.throwSites[3], fn.tryRanges[0].second);
+    EXPECT_LT(fn.throwSites[2], fn.tryRanges[0].first);
 }
+
+// --- lock regions and lambdas ---
 
 TEST(LintCfg, LockRegionSpansDeclarationToScopeClose)
 {
@@ -370,23 +227,6 @@ TEST(LintCfg, IndexedCallIsNotALambda)
 }
 
 // --- cross-TU call summary ---
-
-TEST(LintCfg, SummarySplitsFreeAndMemberErrorReturns)
-{
-    CallSummary cs;
-    for (const FunctionSummary &s : summarizeSource(
-             "src/a.cc",
-             "Status record(int x) { return Status(); }\n"))
-        cs.add(s);
-    for (const FunctionSummary &s : summarizeSource(
-             "src/b.cc", "void Metrics::record(int x) { n_ += x; }\n"))
-        cs.add(s);
-    cs.finalize();
-    // An unqualified call could reach the Status-returning free
-    // helper; `obj.record(...)` can only reach the void member.
-    EXPECT_TRUE(cs.returnsErrorType("record", false));
-    EXPECT_FALSE(cs.returnsErrorType("record", true));
-}
 
 TEST(LintCfg, SummaryClosesBlockingTransitively)
 {

@@ -645,6 +645,37 @@ TEST(ScheduleCheck, BadHwKnobsAreE3V201)
         verifyHwConfig(InaxConfig::paperDefault(1)).empty());
 }
 
+TEST(ScheduleCheck, NanKnobsFailValidateAndE3V201)
+{
+    for (double InaxConfig::*knob :
+         {&InaxConfig::clockMhz, &InaxConfig::activationDensity}) {
+        InaxConfig cfg = InaxConfig::paperDefault(1);
+        cfg.*knob = std::numeric_limits<double>::quiet_NaN();
+        EXPECT_FALSE(cfg.validate().ok());
+        EXPECT_EQ(countRule(verifyHwConfig(cfg), rules::kInvalidHwConfig),
+                  1u);
+    }
+}
+
+TEST(ScheduleCheck, ValidateAndE3V201WalkOneKnobList)
+{
+    InaxConfig cfg = InaxConfig::paperDefault(1);
+    cfg.numPUs = 0;
+    cfg.numPEs = 0;
+    cfg.clockMhz = 0.0;
+    cfg.weightChannelWidth = 0;
+    cfg.ioChannelWidth = 0;
+    cfg.activationDensity = 1.5;
+    // One E3V201 per knob; validate() reports the first in the list.
+    EXPECT_EQ(countRule(verifyHwConfig(cfg), rules::kInvalidHwConfig),
+              inaxKnobRules().size());
+    const Status first = cfg.validate();
+    ASSERT_FALSE(first.ok());
+    EXPECT_NE(first.message().find(inaxKnobRules()[0].knob),
+              std::string::npos)
+        << first.message();
+}
+
 TEST(ScheduleCheck, BatchBeyondPuCountIsE3V203)
 {
     InaxConfig cfg = InaxConfig::paperDefault(1);

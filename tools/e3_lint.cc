@@ -73,9 +73,9 @@ main(int argc, char **argv)
     }
 
     // Pass one: harvest per-function summaries from every file so the
-    // flow rules (E3L013+) see cross-TU facts — which names return
-    // Status/Result, which block, which allocate. Sources are read
-    // once and cached for the lint pass.
+    // flow rules (E3L014, E3L015) see cross-TU facts — which names
+    // block, which allocate. Sources are read once and cached for the
+    // lint pass.
     std::vector<std::string> contents;
     contents.reserve(files.size());
     e3::lint::CallSummary summary;

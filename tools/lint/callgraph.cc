@@ -1,12 +1,10 @@
 /**
  * @file
  * The cross-TU call summary: pass one over the tree harvests one
- * FunctionSummary per recovered definition ({returns Status/Result,
- * blocks, allocates, callees}); pass two hands the merged CallSummary
- * to every file's flow rules. Names are unqualified — overloads and
- * same-name members of different classes merge conservatively
- * (any-of for the flags, union for the callees), which over-reports
- * never-fired names rather than missing a real one.
+ * FunctionSummary per recovered definition ({blocks, allocates,
+ * callees}); pass two hands the merged CallSummary to every file's
+ * flow rules. Names are unqualified — overloads and same-name members
+ * of different classes merge conservatively (see CallSummary::add).
  *
  * `blocks` is transitively closed over repo-local calls in
  * finalize(); `allocates` stays direct-only by design (see lint.hh).
@@ -176,11 +174,6 @@ summarizeSource(const std::string &path, const std::string &source)
     for (const FlowFunction &fn : ctx.functions) {
         FunctionSummary s;
         s.name = fn.name;
-        s.returnsErrorType = fn.returnsErrorType;
-        if (fn.qualifier.empty())
-            s.errFree = fn.returnsErrorType;
-        else
-            s.errMember = fn.returnsErrorType;
         std::set<std::string> callees;
         for (size_t i = fn.bodyBegin; i < fn.bodyEnd; ++i) {
             if (directBlockingAt(ctx, i))
@@ -205,12 +198,8 @@ CallSummary::add(const FunctionSummary &fn)
         return;
     }
     FunctionSummary &merged = it->second;
-    merged.returnsErrorType =
-        merged.returnsErrorType || fn.returnsErrorType;
-    merged.errFree = merged.errFree || fn.errFree;
-    merged.errMember = merged.errMember || fn.errMember;
     merged.blocks = merged.blocks || fn.blocks;
-    // `allocates` merges all-of, unlike the any-of flags: E3L015 fires
+    // `allocates` merges all-of, unlike any-of `blocks`: E3L015 fires
     // on a callee only when EVERY definition of that name allocates.
     // Common member names (add, record) collide across classes, and
     // any-of would flag every innocent `agg.add(...)` on the hot path;
@@ -242,19 +231,6 @@ CallSummary::finalize()
             }
         }
     }
-}
-
-bool
-CallSummary::returnsErrorType(const std::string &name,
-                              bool memberCall) const
-{
-    const auto it = byName_.find(name);
-    if (it == byName_.end())
-        return false;
-    // `obj.name(...)` can only reach a member; an unqualified call may
-    // be a free function or an implicit-this member, so ask both.
-    return memberCall ? it->second.errMember
-                      : it->second.errFree || it->second.errMember;
 }
 
 bool

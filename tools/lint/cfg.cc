@@ -1,6 +1,6 @@
 /**
  * @file
- * Function recovery and per-function control-flow graphs.
+ * Function recovery and the per-function statement walk.
  *
  * The parser is deliberately lighter than a C++ front end: it scans
  * the code-token stream for `name ( params ) ... {` definition shapes
@@ -10,15 +10,10 @@
  * while/for/do, switch/case, try/catch, return/throw/break/continue
  * and nested compounds. Everything else — expression statements,
  * declarations, lambdas, brace initializers — is consumed as one
- * opaque statement appended to the current block, which is exactly the
- * granularity the flow rules need: reachability of reads, liveness of
- * lock scopes, try coverage of throws.
- *
- * Approximations, chosen to under-report rather than over-report:
- * goto terminates its block with no successor; a catch block is
- * reachable from both the try entry and the try exit (exceptions can
- * arise anywhere in between); preprocessor-conditional arms are parsed
- * as one linear sequence (the union of both sides).
+ * opaque statement, which is exactly the granularity the flow rules
+ * need: liveness of lock scopes and try coverage of throws.
+ * Preprocessor-conditional arms are walked as one linear sequence
+ * (the union of both sides).
  */
 
 #include "lint/lint.hh"
@@ -94,34 +89,66 @@ skipCtorInit(const FileContext &ctx, size_t i, size_t n)
     return n;
 }
 
-/** Statement-level CFG builder over one function body. */
-struct CfgBuilder
+/**
+ * Record e3::MutexLock/MutexLockPair declarations at statement level
+ * in [stmtBegin, stmtEnd) as lock regions living to @p scopeEnd. The
+ * body walk calls this with real statement boundaries, so a guard
+ * inside a lambda body never leaks a region into the enclosing scope.
+ */
+void
+recordLockDecls(const FileContext &ctx, FlowFunction &fn,
+                size_t stmtBegin, size_t stmtEnd, size_t scopeEnd)
+{
+    // Only depth-zero declarations count: a guard inside a lambda or
+    // brace initializer within this statement locks some other scope,
+    // not this one.
+    int pd = 0, bd = 0, sd = 0;
+    for (size_t i = stmtBegin; i < stmtEnd; ++i) {
+        const Token &t = ctx.codeTok(i);
+        if (t.kind == TokKind::Punct) {
+            if (t.text == "(")
+                ++pd;
+            else if (t.text == ")")
+                --pd;
+            else if (t.text == "{")
+                ++bd;
+            else if (t.text == "}")
+                --bd;
+            else if (t.text == "[")
+                ++sd;
+            else if (t.text == "]")
+                --sd;
+            continue;
+        }
+        if (pd != 0 || bd != 0 || sd != 0)
+            continue;
+        const bool isLock = isIdentTok(t, "MutexLock");
+        const bool isPair = isIdentTok(t, "MutexLockPair");
+        if (!isLock && !isPair)
+            continue;
+        if (i + 2 >= stmtEnd ||
+            ctx.codeTok(i + 1).kind != TokKind::Identifier ||
+            !isPunctTok(ctx.codeTok(i + 2), "("))
+            continue;
+        LockRegion region;
+        region.begin = stmtEnd; // live from the statement's end
+        region.end = scopeEnd;  // to the enclosing scope's close
+        region.pair = isPair;
+        region.name = ctx.codeTok(i + 1).text;
+        region.line = t.line;
+        fn.locks.push_back(std::move(region));
+    }
+}
+
+/**
+ * Statement walk over one function body. Each statement is parsed
+ * against the close of the scope it sits in, which is where a lock
+ * declared by it dies.
+ */
+struct BodyWalker
 {
     const FileContext &ctx;
     FlowFunction &fn;
-    int cur = 0;
-    bool terminated = false;
-
-    CfgBuilder(const FileContext &c, FlowFunction &f) : ctx(c), fn(f)
-    {
-        fn.blocks.emplace_back(); // entry block
-    }
-
-    int
-    newBlock()
-    {
-        fn.blocks.emplace_back();
-        return static_cast<int>(fn.blocks.size()) - 1;
-    }
-
-    void edge(int a, int b) { fn.blocks[a].succs.push_back(b); }
-
-    void
-    append(size_t b, size_t e)
-    {
-        if (b < e)
-            fn.blocks[cur].ranges.emplace_back(b, e);
-    }
 
     bool
     at(size_t i, size_t end, const char *p) const
@@ -135,25 +162,16 @@ struct CfgBuilder
         return i < end && isIdentTok(ctx.codeTok(i), k);
     }
 
-    /** Start a fresh block if the previous statement terminated. */
-    void
-    freshIfTerminated()
-    {
-        if (terminated) {
-            cur = newBlock();
-            terminated = false;
-        }
-    }
-
     /**
-     * Consume one opaque statement: everything to the `;` at nesting
-     * depth zero. Lambdas, initializer lists and parenthesized
-     * subexpressions (which may contain their own `;`, as in a lambda
-     * body) nest; a `}` or `)` at depth zero means the statement ran
-     * into the enclosing scope and is left unconsumed.
+     * Code index just past the `;` that ends the statement starting at
+     * @p i, at nesting depth zero. Lambdas, initializer lists and
+     * parenthesized subexpressions (which may contain their own `;`,
+     * as in a lambda body) nest; a `}` at depth zero means the
+     * statement ran into the enclosing scope and is left unconsumed,
+     * and so is a `)` at depth zero when @p stopAtParen.
      */
     size_t
-    opaqueStmt(size_t i, size_t end, size_t scopeEnd)
+    stmtEnd(size_t i, size_t end, bool stopAtParen) const
     {
         size_t j = i;
         int pd = 0, bd = 0, sd = 0;
@@ -163,9 +181,10 @@ struct CfgBuilder
                 if (t.text == "(") {
                     ++pd;
                 } else if (t.text == ")") {
-                    if (pd == 0)
+                    if (pd == 0 && stopAtParen)
                         break;
-                    --pd;
+                    if (pd > 0)
+                        --pd;
                 } else if (t.text == "{") {
                     ++bd;
                 } else if (t.text == "}") {
@@ -185,66 +204,33 @@ struct CfgBuilder
             }
             ++j;
         }
-        if (j == i)
-            ++j; // never stall on a stray close token
-        append(i, j);
+        return j == i ? j + 1 : j; // never stall on a stray close
+    }
+
+    /**
+     * Expression statements, declarations, lambdas and brace
+     * initializers are one opaque statement; only their depth-zero
+     * lock declarations matter.
+     */
+    size_t
+    opaqueStmt(size_t i, size_t end, size_t scopeEnd)
+    {
+        const size_t j = stmtEnd(i, end, true);
         recordLockDecls(ctx, fn, i, j, scopeEnd);
         return j;
     }
 
-    /** Consume to past the `;` at depth zero (no append). */
     size_t
-    toSemi(size_t i, size_t end)
+    parseSeq(size_t i, size_t end, size_t scopeEnd)
     {
-        size_t j = i;
-        int pd = 0, bd = 0, sd = 0;
-        while (j < end) {
-            const Token &t = ctx.codeTok(j);
-            if (t.kind == TokKind::Punct) {
-                if (t.text == "(")
-                    ++pd;
-                else if (t.text == ")" && pd > 0)
-                    --pd;
-                else if (t.text == "{")
-                    ++bd;
-                else if (t.text == "}") {
-                    if (bd == 0)
-                        break;
-                    --bd;
-                } else if (t.text == "[")
-                    ++sd;
-                else if (t.text == "]" && sd > 0)
-                    --sd;
-                else if (t.text == ";" && pd == 0 && bd == 0 &&
-                         sd == 0) {
-                    ++j;
-                    break;
-                }
-            }
-            ++j;
-        }
-        if (j == i)
-            ++j;
-        return j;
-    }
-
-    size_t
-    parseSeq(size_t i, size_t end, int brk, int cont, size_t scopeEnd)
-    {
-        while (i < end) {
-            if (at(i, end, "}"))
-                break;
-            i = parseStmt(i, end, brk, cont, scopeEnd);
-        }
+        while (i < end && !at(i, end, "}"))
+            i = parseStmt(i, end, scopeEnd);
         return i;
     }
 
     size_t
-    parseStmt(size_t i, size_t end, int brk, int cont,
-              size_t scopeEnd)
+    parseStmt(size_t i, size_t end, size_t scopeEnd)
     {
-        freshIfTerminated();
-
         // Preprocessor lines are not statements; both arms of an
         // #if/#else parse as one linear union.
         if (ppTok(ctx, i)) {
@@ -253,73 +239,35 @@ struct CfgBuilder
                 ++j;
             return j;
         }
-
         if (at(i, end, "{")) {
             const size_t close = matchClose(ctx, i);
-            parseSeq(i + 1, close < end ? close : end, brk, cont,
-                     close);
+            parseSeq(i + 1, close < end ? close : end, close);
             return close < end ? close + 1 : end;
         }
-
-        if (at(i, end, ";")) {
-            append(i, i + 1);
+        if (at(i, end, ";"))
             return i + 1;
-        }
-
         if (kw(i, end, "if"))
-            return parseIf(i, end, brk, cont, scopeEnd);
-        if (kw(i, end, "while"))
-            return parseWhile(i, end, scopeEnd);
-        if (kw(i, end, "for"))
-            return parseFor(i, end, scopeEnd);
+            return parseIf(i, end, scopeEnd);
+        if (kw(i, end, "while") || kw(i, end, "for"))
+            return parseLoop(i, end, scopeEnd);
         if (kw(i, end, "do"))
             return parseDo(i, end, scopeEnd);
         if (kw(i, end, "switch"))
-            return parseSwitch(i, end, cont, scopeEnd);
+            return parseSwitch(i, end, scopeEnd);
         if (kw(i, end, "try"))
-            return parseTry(i, end, brk, cont, scopeEnd);
-
-        if (kw(i, end, "return")) {
-            const size_t j = toSemi(i, end);
-            append(i, j);
-            terminated = true;
-            return j;
-        }
-        if (kw(i, end, "throw")) {
+            return parseTry(i, end, scopeEnd);
+        if (kw(i, end, "throw"))
             fn.throwSites.push_back(i);
-            const size_t j = toSemi(i, end);
-            append(i, j);
-            terminated = true;
-            return j;
-        }
-        if (kw(i, end, "break")) {
-            append(i, i + 1);
-            if (brk >= 0)
-                edge(cur, brk);
-            terminated = true;
+        if (kw(i, end, "return") || kw(i, end, "throw") ||
+            kw(i, end, "goto"))
+            return stmtEnd(i, end, false);
+        if (kw(i, end, "break") || kw(i, end, "continue"))
             return at(i + 1, end, ";") ? i + 2 : i + 1;
-        }
-        if (kw(i, end, "continue")) {
-            append(i, i + 1);
-            if (cont >= 0)
-                edge(cur, cont);
-            terminated = true;
-            return at(i + 1, end, ";") ? i + 2 : i + 1;
-        }
-        if (kw(i, end, "goto")) {
-            // Conservative: no successor; the label's block keeps its
-            // own reachability from fall-through.
-            const size_t j = toSemi(i, end);
-            append(i, j);
-            terminated = true;
-            return j;
-        }
-
         return opaqueStmt(i, end, scopeEnd);
     }
 
     size_t
-    parseIf(size_t i, size_t end, int brk, int cont, size_t scopeEnd)
+    parseIf(size_t i, size_t end, size_t scopeEnd)
     {
         size_t p = i + 1;
         if (kw(p, end, "constexpr"))
@@ -329,165 +277,63 @@ struct CfgBuilder
         const size_t close = matchClose(ctx, p);
         if (close >= end)
             return opaqueStmt(i, end, scopeEnd);
-        append(i, close + 1);
-        const int condB = cur;
-        const int thenB = newBlock();
-        edge(condB, thenB);
-        cur = thenB;
-        size_t k = parseStmt(close + 1, end, brk, cont, scopeEnd);
-        const int thenEnd = cur;
-        const bool thenTerm = terminated;
-        terminated = false;
-        if (kw(k, end, "else")) {
-            const int elseB = newBlock();
-            edge(condB, elseB);
-            cur = elseB;
-            k = parseStmt(k + 1, end, brk, cont, scopeEnd);
-            const int elseEnd = cur;
-            const bool elseTerm = terminated;
-            terminated = false;
-            const int join = newBlock();
-            if (!thenTerm)
-                edge(thenEnd, join);
-            if (!elseTerm)
-                edge(elseEnd, join);
-            cur = join;
-            return k;
-        }
-        const int join = newBlock();
-        edge(condB, join);
-        if (!thenTerm)
-            edge(thenEnd, join);
-        cur = join;
-        return k;
+        const size_t k = parseStmt(close + 1, end, scopeEnd);
+        return kw(k, end, "else") ? parseStmt(k + 1, end, scopeEnd) : k;
     }
 
+    /** `while (...) stmt` and `for (...) stmt`. */
     size_t
-    parseWhile(size_t i, size_t end, size_t scopeEnd)
+    parseLoop(size_t i, size_t end, size_t scopeEnd)
     {
         if (!at(i + 1, end, "("))
             return opaqueStmt(i, end, scopeEnd);
         const size_t close = matchClose(ctx, i + 1);
         if (close >= end)
             return opaqueStmt(i, end, scopeEnd);
-        const int head = newBlock();
-        edge(cur, head);
-        cur = head;
-        append(i, close + 1);
-        const int body = newBlock();
-        const int exitB = newBlock();
-        edge(head, body);
-        edge(head, exitB);
-        cur = body;
-        const size_t k =
-            parseStmt(close + 1, end, exitB, head, scopeEnd);
-        if (!terminated)
-            edge(cur, head);
-        terminated = false;
-        cur = exitB;
-        return k;
-    }
-
-    size_t
-    parseFor(size_t i, size_t end, size_t scopeEnd)
-    {
-        if (!at(i + 1, end, "("))
-            return opaqueStmt(i, end, scopeEnd);
-        const size_t close = matchClose(ctx, i + 1);
-        if (close >= end)
-            return opaqueStmt(i, end, scopeEnd);
-        const int head = newBlock();
-        edge(cur, head);
-        cur = head;
-        append(i, close + 1);
-        const int body = newBlock();
-        const int exitB = newBlock();
-        edge(head, body);
-        edge(head, exitB);
-        cur = body;
-        const size_t k =
-            parseStmt(close + 1, end, exitB, head, scopeEnd);
-        if (!terminated)
-            edge(cur, head);
-        terminated = false;
-        cur = exitB;
-        return k;
+        return parseStmt(close + 1, end, scopeEnd);
     }
 
     size_t
     parseDo(size_t i, size_t end, size_t scopeEnd)
     {
-        const int body = newBlock();
-        edge(cur, body);
-        const int condB = newBlock();
-        const int exitB = newBlock();
-        cur = body;
-        size_t k = parseStmt(i + 1, end, exitB, condB, scopeEnd);
-        if (!terminated)
-            edge(cur, condB);
-        terminated = false;
-        cur = condB;
+        size_t k = parseStmt(i + 1, end, scopeEnd);
         if (kw(k, end, "while") && at(k + 1, end, "(")) {
             const size_t close = matchClose(ctx, k + 1);
             if (close < end) {
-                append(k, close + 1);
                 k = close + 1;
                 if (at(k, end, ";"))
                     ++k;
             }
         }
-        edge(condB, body);
-        edge(condB, exitB);
-        cur = exitB;
         return k;
     }
 
     size_t
-    parseSwitch(size_t i, size_t end, int cont, size_t scopeEnd)
+    parseSwitch(size_t i, size_t end, size_t scopeEnd)
     {
         if (!at(i + 1, end, "("))
             return opaqueStmt(i, end, scopeEnd);
         const size_t close = matchClose(ctx, i + 1);
         if (close >= end || !at(close + 1, end, "{"))
             return opaqueStmt(i, end, scopeEnd);
-        append(i, close + 1);
-        const int head = cur;
-        const int exitB = newBlock();
         const size_t bodyClose = matchClose(ctx, close + 1);
         const size_t bend = bodyClose < end ? bodyClose : end;
         size_t k = close + 2;
-        terminated = true; // code before the first label is dead
         while (k < bend) {
-            const bool isCase = kw(k, bend, "case");
-            const bool isDefault =
-                kw(k, bend, "default") && at(k + 1, bend, ":");
-            if (isCase || isDefault) {
-                size_t j = k + 1;
-                while (j < bend && !isPunctTok(ctx.codeTok(j), ":"))
-                    ++j;
-                const bool fellThrough = !terminated;
-                const int prevB = cur;
-                const int lab = newBlock();
-                edge(head, lab);
-                if (fellThrough)
-                    edge(prevB, lab);
-                terminated = false;
-                cur = lab;
-                k = j + 1;
+            if (kw(k, bend, "case") ||
+                (kw(k, bend, "default") && at(k + 1, bend, ":"))) {
+                while (k < bend && !isPunctTok(ctx.codeTok(k), ":"))
+                    ++k;
+                ++k; // past the label's ':'
                 continue;
             }
-            k = parseStmt(k, bend, exitB, cont, bend);
+            k = parseStmt(k, bend, bend);
         }
-        if (!terminated)
-            edge(cur, exitB);
-        terminated = false;
-        edge(head, exitB); // no matching label
-        cur = exitB;
         return bodyClose < end ? bodyClose + 1 : end;
     }
 
     size_t
-    parseTry(size_t i, size_t end, int brk, int cont, size_t scopeEnd)
+    parseTry(size_t i, size_t end, size_t scopeEnd)
     {
         if (!at(i + 1, end, "{"))
             return opaqueStmt(i, end, scopeEnd);
@@ -496,17 +342,7 @@ struct CfgBuilder
         if (close >= end)
             return opaqueStmt(i, end, scopeEnd);
         fn.tryRanges.emplace_back(open, close);
-        const int preB = cur;
-        const int tryB = newBlock();
-        edge(preB, tryB);
-        cur = tryB;
-        parseSeq(open + 1, close, brk, cont, close);
-        const int tryEnd = cur;
-        const bool tryTerm = terminated;
-        terminated = false;
-        const int join = newBlock();
-        if (!tryTerm)
-            edge(tryEnd, join);
+        parseSeq(open + 1, close, close);
         size_t k = close + 1;
         while (kw(k, end, "catch") && at(k + 1, end, "(")) {
             const size_t pclose = matchClose(ctx, k + 1);
@@ -515,21 +351,9 @@ struct CfgBuilder
             const size_t bclose = matchClose(ctx, pclose + 1);
             if (bclose >= end)
                 break;
-            const int cb = newBlock();
-            // An exception can surface anywhere inside the try body,
-            // so the handler is reachable from both its entry and its
-            // exit (which makes try-assigned locals visible in it).
-            edge(preB, cb);
-            edge(tryEnd, cb);
-            cur = cb;
-            append(k, pclose + 1);
-            parseSeq(pclose + 2, bclose, brk, cont, bclose);
-            if (!terminated)
-                edge(cur, join);
-            terminated = false;
+            parseSeq(pclose + 2, bclose, bclose);
             k = bclose + 1;
         }
-        cur = join;
         return k;
     }
 };
@@ -623,7 +447,6 @@ parseFunctions(const FileContext &ctx)
 
         FlowFunction fn;
         fn.name = t.text;
-        fn.nameIdx = i;
         fn.line = t.line;
         if (i >= 2 && isPunctTok(ctx.codeTok(i - 1), "::") &&
             ctx.codeTok(i - 2).kind == TokKind::Identifier)
@@ -642,20 +465,13 @@ parseFunctions(const FileContext &ctx)
                 break;
             --hb;
         }
-        fn.headerBegin = hb;
-        for (size_t h = hb; h < i; ++h) {
-            const Token &p = ctx.codeTok(h);
-            if (isIdentTok(p, "E3_HOT"))
-                fn.hot = true;
-            if (isIdentTok(p, "Status") || isIdentTok(p, "Result"))
-                fn.returnsErrorType = true;
-        }
+        for (size_t h = hb; h < i; ++h)
+            fn.hot = fn.hot || isIdentTok(ctx.codeTok(h), "E3_HOT");
         fn.bodyBegin = bodyOpen + 1;
         fn.bodyEnd = bodyClose;
 
-        CfgBuilder builder(ctx, fn);
-        builder.parseSeq(fn.bodyBegin, fn.bodyEnd, -1, -1,
-                         fn.bodyEnd);
+        BodyWalker{ctx, fn}.parseSeq(fn.bodyBegin, fn.bodyEnd,
+                                     fn.bodyEnd);
         out.push_back(std::move(fn));
         i = bodyClose + 1;
     }

@@ -44,6 +44,36 @@ lintableExtension(const std::string &path)
     return false;
 }
 
+/**
+ * The waiver tokens of a `//` comment that opens with "e3-lint:": the
+ * first word after the marker, then each following word that ends in
+ * "-ok" (`// e3-lint: rand-ok stale-waiver-ok -- why`). Empty for any
+ * other comment, such as prose that mentions the marker.
+ */
+std::vector<std::string>
+waiverTokens(const std::string &comment)
+{
+    static const std::string kMarker = "e3-lint:";
+    if (comment.rfind("//", 0) != 0)
+        return {};
+    const size_t start = comment.find_first_not_of(" \t", 2);
+    if (start == std::string::npos ||
+        comment.compare(start, kMarker.size(), kMarker) != 0)
+        return {};
+    std::istringstream words(comment.substr(start + kMarker.size()));
+    std::vector<std::string> out;
+    std::string word;
+    while (words >> word) {
+        const bool okSuffix =
+            word.size() > 3 &&
+            word.compare(word.size() - 3, 3, "-ok") == 0;
+        if (!out.empty() && !okSuffix)
+            break;
+        out.push_back(word);
+    }
+    return out;
+}
+
 } // namespace
 
 std::set<int>
@@ -60,11 +90,9 @@ FileContext::waivedLines(const std::string &waiverToken) const
         const Token &t = tokens[i];
         if (t.kind != TokKind::Comment)
             continue;
-        const size_t marker = t.text.find("e3-lint:");
-        if (marker == std::string::npos)
-            continue;
-        const std::string rest = t.text.substr(marker + 8);
-        if (rest.find(waiverToken) == std::string::npos)
+        const std::vector<std::string> named = waiverTokens(t.text);
+        if (std::find(named.begin(), named.end(), waiverToken) ==
+            named.end())
             continue;
         lines.insert(t.line);
         // A standalone waiver comment (no code before it on its own
@@ -157,11 +185,6 @@ defaultPolicy()
     p.add("src/obs", "E3L012", true);
     p.add("src/common", "E3L012", true);
 
-    // Discarded errors: tests assert on Status values their own way
-    // (CHECK macros, expected-failure probes), so the rule is scoped
-    // out of tests/ — except the lint fixtures, which exist to fire.
-    p.add("tests", "E3L013", false);
-
     // Throw containment is a library (src/) contract; application code
     // and tests may let exceptions propagate to their own harness.
     p.add("", "E3L016", false);
@@ -169,9 +192,9 @@ defaultPolicy()
 
     // The flow rules must all fire inside their fixture pairs, which
     // are linted by explicit path from the process tests.
-    static const char *const kFlowRules[] = {"E3L013", "E3L014",
-                                             "E3L015", "E3L016",
-                                             "E3L017", "E3L018"};
+    static const char *const kFlowRules[] = {"E3L014", "E3L015",
+                                             "E3L016", "E3L017",
+                                             "E3L018"};
     for (const char *id : kFlowRules)
         p.add("tests/fixtures/lint", id, true);
 
@@ -217,7 +240,6 @@ lintSource(const std::string &path, const std::string &source,
     // Pre-waiver fired lines per waiver token: the stale-waiver rule
     // needs to know what each rule found before waivers filtered it.
     std::map<std::string, std::set<int>> firedByToken;
-    std::vector<const Rule *> checkedRules;
     const Rule *staleRule = nullptr;
     for (const auto &rule : allRules()) {
         if (!policy.enabled(rule->id(), path))
@@ -226,7 +248,6 @@ lintSource(const std::string &path, const std::string &source,
             staleRule = rule.get();
             continue;
         }
-        checkedRules.push_back(rule.get());
         std::vector<Diagnostic> found;
         rule->check(ctx, found);
         std::set<int> &fired = firedByToken[rule->waiver()];
@@ -245,7 +266,10 @@ lintSource(const std::string &path, const std::string &source,
     // suppress at least one of that rule's pre-waiver findings on a
     // line it covers; otherwise the waiver is stale. Tokens of rules
     // disabled at this path are left alone — their waivers document
-    // intent for paths where the rule does apply.
+    // intent for paths where the rule does apply. A waiver token that
+    // names no rule at all (a typo, or a retired rule's) is reported
+    // wherever it stands: it silences nothing. waiverTokens() decides
+    // what a waiver is, here and in waivedLines().
     if (staleRule != nullptr) {
         const std::set<int> staleWaived =
             ctx.waivedLines(staleRule->waiver());
@@ -257,28 +281,38 @@ lintSource(const std::string &path, const std::string &source,
                 ++codeIdx;
             }
             const Token &t = ctx.tokens[i];
-            if (t.kind != TokKind::Comment)
+            if (t.kind != TokKind::Comment ||
+                staleWaived.count(t.line) != 0)
                 continue;
-            const size_t marker = t.text.find("e3-lint:");
-            if (marker == std::string::npos)
-                continue;
-            const std::string rest = t.text.substr(marker + 8);
             const bool standalone = prevCodeLine != t.line;
-            for (const Rule *rule : checkedRules) {
-                if (rest.find(rule->waiver()) == std::string::npos)
-                    continue;
-                const std::set<int> &fired =
-                    firedByToken[rule->waiver()];
-                const bool live =
-                    fired.count(t.line) != 0 ||
-                    (standalone && fired.count(t.line + 1) != 0);
-                if (!live && staleWaived.count(t.line) == 0) {
+            for (const std::string &token : waiverTokens(t.text)) {
+                const auto rule = std::find_if(
+                    allRules().begin(), allRules().end(),
+                    [&](const std::unique_ptr<Rule> &r) {
+                        return r->waiver() == token;
+                    });
+                if (rule == allRules().end()) {
                     out.push_back(Diagnostic{
                         ctx.path, t.line, staleRule->id(),
                         staleRule->name(),
-                        "waiver '" + rule->waiver() +
+                        "waiver token '" + token +
+                            "' names no e3-lint rule"});
+                    continue;
+                }
+                // Only rules checked at this path have an entry.
+                const auto fired = firedByToken.find(token);
+                if (fired == firedByToken.end())
+                    continue;
+                const bool live =
+                    fired->second.count(t.line) != 0 ||
+                    (standalone && fired->second.count(t.line + 1) != 0);
+                if (!live) {
+                    out.push_back(Diagnostic{
+                        ctx.path, t.line, staleRule->id(),
+                        staleRule->name(),
+                        "waiver '" + token +
                             "' no longer suppresses any " +
-                            rule->id() + " finding on the lines "
+                            (*rule)->id() + " finding on the lines "
                             "it covers"});
                 }
             }

@@ -21,9 +21,10 @@
  *
  *     // e3-lint: ordered-ok — insertion order is rebuilt by key below
  *
- * A waiver comment covers its own line and, when it stands alone, the
- * line that follows. Every rule has its own waiver token so a waiver
- * never silences more than it names.
+ * Only a `//` comment that opens with the marker is a waiver. It
+ * covers its own line and, when it stands alone, the line that
+ * follows. Every rule has its own waiver token so a waiver never
+ * silences more than it names.
  */
 
 #ifndef E3_TOOLS_LINT_LINT_HH
@@ -90,25 +91,15 @@ struct Diagnostic
 };
 
 // ---------------------------------------------------------------------------
-// Flow-sensitive core (cfg.cc, symbols.cc, callgraph.cc)
+// Flow-sensitive core (cfg.cc, callgraph.cc)
 //
 // A lightweight recursive-descent pass recovers function definitions
-// from the token stream and builds one control-flow graph per body:
-// basic blocks of code-token ranges linked by successor edges, with
-// if/else joins, loop back-edges, switch fan-out, early-return
-// termination and try/catch fan-in modeled. On top of the CFG sit a
-// scoped symbol view (error-typed locals, live lock regions) and a
-// cross-TU call summary built in a first pass over the tree and
-// consumed by the flow rules (E3L013–E3L017) in the second.
+// from the token stream and walks each body statement by statement,
+// recording what the flow rules (E3L014–E3L017) read: live lock
+// regions, try bodies, throw sites. Beside it sits a cross-TU call
+// summary built in a first pass over the tree and consumed by those
+// rules in the second.
 // ---------------------------------------------------------------------------
-
-/** One CFG basic block: ordered code-token ranges plus successors. */
-struct CfgBlock
-{
-    /** Half-open [begin, end) ranges of code-token indices. */
-    std::vector<std::pair<size_t, size_t>> ranges;
-    std::vector<int> succs;
-};
 
 /**
  * A live e3::MutexLock / e3::MutexLockPair region: from just past the
@@ -124,54 +115,29 @@ struct LockRegion
     int line = 0;
 };
 
-/** One recovered function definition with its CFG. */
+/** One recovered function definition and its statement-walk facts. */
 struct FlowFunction
 {
     std::string name;
     std::string qualifier; ///< class name for out-of-line members
     int line = 0;          ///< line of the function name
-    size_t headerBegin = 0; ///< code index of the first header token
-    size_t nameIdx = 0;     ///< code index of the name token
-    size_t bodyBegin = 0;   ///< code index just inside the body '{'
-    size_t bodyEnd = 0;     ///< code index of the body's closing '}'
-    bool hot = false;              ///< E3_HOT in the header
-    bool returnsErrorType = false; ///< Status/Result return type
-    std::vector<CfgBlock> blocks;  ///< blocks[0] is the entry
+    size_t bodyBegin = 0;  ///< code index just inside the body '{'
+    size_t bodyEnd = 0;    ///< code index of the body's closing '}'
+    bool hot = false;      ///< E3_HOT in the header
     /** (open, close) code-index pairs of try-statement bodies. */
     std::vector<std::pair<size_t, size_t>> tryRanges;
     std::vector<size_t> throwSites; ///< code indices of `throw`
     std::vector<LockRegion> locks;
 };
 
-/** An error-typed (Status/Result) local declaration. */
-struct LocalVar
-{
-    std::string name;
-    size_t declIdx = 0;  ///< code index of the declared name
-    size_t scopeEnd = 0; ///< code index of the enclosing scope's '}'
-};
-
 /**
  * What the cross-TU pass knows about one function, keyed by unqualified
  * name. Same-name functions (overloads, same-name members of different
- * classes) are merged conservatively: any-of for the flags, union for
- * the callees.
+ * classes) are merged conservatively (see CallSummary::add).
  */
 struct FunctionSummary
 {
     std::string name;
-    bool returnsErrorType = false; ///< returns Status / Result<T>
-    /**
-     * Error-type flag split by definition kind: a free function and an
-     * out-of-line member sharing a name are different functions, and a
-     * member call site (`obj.record(...)`) can only reach the member —
-     * so `errMember` alone decides it, killing the collision where a
-     * void member shares its name with a Status-returning free helper.
-     * Unqualified calls could be either (implicit-this members) and
-     * consult both.
-     */
-    bool errFree = false;
-    bool errMember = false;
     bool blocks = false;    ///< condvar wait, file/socket I/O, join
     bool allocates = false; ///< new/malloc/container growth directly
     std::vector<std::string> calls; ///< unqualified callee names
@@ -188,19 +154,12 @@ struct FunctionSummary
 class CallSummary
 {
   public:
-    /** Merge one function's summary (conservative any-of/union). */
+    /** Merge one function's summary (any-of blocks, all-of allocates). */
     void add(const FunctionSummary &fn);
 
     /** Close `blocks` over repo-local calls (fixpoint). */
     void finalize();
 
-    /**
-     * Does a call to @p name yield a Status/Result? @p memberCall
-     * (receiver written as `obj.` / `ptr->`) restricts the answer to
-     * member definitions; unqualified calls consult both kinds.
-     */
-    bool returnsErrorType(const std::string &name,
-                          bool memberCall) const;
     bool blocks(const std::string &name) const;
     bool allocates(const std::string &name) const;
 
@@ -210,7 +169,7 @@ class CallSummary
 
 struct FileContext;
 
-/** Recover function definitions and build their CFGs. */
+/** Recover function definitions and walk their bodies. */
 std::vector<FlowFunction> parseFunctions(const FileContext &ctx);
 
 /**
@@ -218,31 +177,6 @@ std::vector<FlowFunction> parseFunctions(const FileContext &ctx);
  * @p openIdx, or ctx.code.size() when unbalanced.
  */
 size_t matchClose(const FileContext &ctx, size_t openIdx);
-
-/** Error-typed (Status/Result) locals declared in @p fn's body. */
-std::vector<LocalVar> collectLocals(const FileContext &ctx,
-                                    const FlowFunction &fn);
-
-/**
- * Record e3::MutexLock/MutexLockPair declarations at statement level
- * in [stmtBegin, stmtEnd) as lock regions living to @p scopeEnd.
- * Called by the CFG builder, which knows real statement boundaries —
- * so a guard inside a lambda body never leaks a region into the
- * enclosing scope.
- */
-void recordLockDecls(const FileContext &ctx, FlowFunction &fn,
-                     size_t stmtBegin, size_t stmtEnd,
-                     size_t scopeEnd);
-
-/**
- * Is identifier @p name read at any code index CFG-reachable after
- * @p fromIdx (which must lie inside @p fn's body)? An occurrence
- * immediately followed by plain `=` is a write, not a read; code after
- * a `return` in the same block is unreachable and does not count.
- */
-bool identifierReadAfter(const FileContext &ctx,
-                         const FlowFunction &fn, size_t fromIdx,
-                         const std::string &name);
 
 /**
  * Half-open (bodyBegin, bodyEnd) code-index ranges of lambda bodies in
@@ -271,7 +205,7 @@ struct FileContext
     std::vector<Token> tokens;
     /** Indices into tokens with comments filtered out. */
     std::vector<size_t> code;
-    /** Recovered function definitions with their CFGs. */
+    /** Recovered function definitions. */
     std::vector<FlowFunction> functions;
     /** Cross-TU call summary; never null inside rule checks. */
     const CallSummary *summary = nullptr;

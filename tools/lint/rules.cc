@@ -697,230 +697,6 @@ class ExplicitMemoryOrder : public Rule
 };
 
 /**
- * E3L013 — discarded Status/Result.
- *
- * Both error types are class-level [[nodiscard]], but the attribute is
- * launderable: a `(void)` cast or a named local that is never read
- * compiles clean and still drops the error on the floor. This rule
- * uses the call summary to know which calls return Status/Result and
- * the CFG to know whether a bound local is read on any path after its
- * binding — a read inside only one branch of an if counts, code after
- * a return does not.
- */
-class DiscardedError : public Rule
-{
-  public:
-    DiscardedError()
-        : Rule("E3L013", "discarded-error", "discard-ok",
-               "a Status/Result-returning call whose value is "
-               "void-cast or bound to a local that is never read on "
-               "any path")
-    {
-    }
-
-    /** Is the expression starting at @p e a whole statement? */
-    static bool
-    statementStart(const FileContext &ctx, const FlowFunction &fn,
-                   size_t e)
-    {
-        const Token &p = ctx.codeTok(e - 1);
-        if (isPunct(p, ";") || isPunct(p, "{") || isPunct(p, "}"))
-            return true;
-        if (isIdent(p, "else") || isIdent(p, "do"))
-            return true;
-        if (isPunct(p, ":")) {
-            // `case X:` and `label:` start a statement; a ternary's
-            // ':' or a range-for's ':' do not. Walk back to whatever
-            // owns the colon.
-            size_t j = e - 1;
-            int depth = 0;
-            size_t steps = 0;
-            while (j > fn.headerBegin && steps++ < 64) {
-                --j;
-                const Token &q = ctx.codeTok(j);
-                if (isPunct(q, ")") || isPunct(q, "]") ||
-                    isPunct(q, "}")) {
-                    ++depth;
-                    continue;
-                }
-                if (isPunct(q, "(") || isPunct(q, "[") ||
-                    isPunct(q, "{")) {
-                    if (depth == 0)
-                        return isPunct(q, "{");
-                    --depth;
-                    continue;
-                }
-                if (depth != 0)
-                    continue;
-                if (isPunct(q, "?"))
-                    return false;
-                if (isIdent(q, "case") || isIdent(q, "default") ||
-                    isPunct(q, ";"))
-                    return true;
-            }
-            return false;
-        }
-        if (isPunct(p, ")")) {
-            // The close of a control clause (`if (...) call();`) is a
-            // statement start; the close of a cast or call is not.
-            int depth = 0;
-            size_t j = e - 1;
-            while (true) {
-                const Token &q = ctx.codeTok(j);
-                if (isPunct(q, ")"))
-                    ++depth;
-                else if (isPunct(q, "(") && --depth == 0)
-                    break;
-                if (j == fn.headerBegin || j == 0)
-                    return false;
-                --j;
-            }
-            if (j == 0)
-                return false;
-            const Token &kw = ctx.codeTok(j - 1);
-            return isIdent(kw, "if") || isIdent(kw, "while") ||
-                   isIdent(kw, "for") || isIdent(kw, "switch");
-        }
-        return false;
-    }
-
-    void
-    check(const FileContext &ctx, std::vector<Diagnostic> &out) const
-        override
-    {
-        if (!ctx.summary)
-            return;
-        for (const FlowFunction &fn : ctx.functions) {
-            const std::vector<LocalVar> locals =
-                collectLocals(ctx, fn);
-            for (size_t i = fn.bodyBegin; i < fn.bodyEnd; ++i) {
-                const Token &t = ctx.codeTok(i);
-                if (t.kind != TokKind::Identifier ||
-                    i + 1 >= fn.bodyEnd ||
-                    !isPunct(ctx.codeTok(i + 1), "("))
-                    continue;
-                const bool memberCall =
-                    i >= 1 && (isPunct(ctx.codeTok(i - 1), ".") ||
-                               isPunct(ctx.codeTok(i - 1), "->"));
-                if (!ctx.summary->returnsErrorType(t.text, memberCall))
-                    continue;
-                const size_t close = matchClose(ctx, i + 1);
-                if (close >= fn.bodyEnd)
-                    continue;
-
-                // Expression start: collapse `ns::`, `obj.`, `p->`.
-                size_t e = i;
-                while (e >= fn.bodyBegin + 2 &&
-                       (isPunct(ctx.codeTok(e - 1), "::") ||
-                        isPunct(ctx.codeTok(e - 1), ".") ||
-                        isPunct(ctx.codeTok(e - 1), "->")) &&
-                       ctx.codeTok(e - 2).kind == TokKind::Identifier)
-                    e -= 2;
-                // e == bodyBegin is fine: the previous token is the
-                // body's '{', which statementStart handles.
-                if (e < fn.bodyBegin)
-                    continue;
-                const Token &prev = ctx.codeTok(e - 1);
-
-                // (void)call(...)
-                if (isPunct(prev, ")") && e >= 3 &&
-                    isIdent(ctx.codeTok(e - 2), "void") &&
-                    isPunct(ctx.codeTok(e - 3), "(")) {
-                    out.push_back(diag(
-                        ctx, t.line,
-                        "'" + t.text +
-                            "' returns Status/Result but the value "
-                            "is cast to void; handle the error"));
-                    continue;
-                }
-                // static_cast<void>(call(...))
-                if (isPunct(prev, "(") && e >= 5 &&
-                    isPunct(ctx.codeTok(e - 2), ">") &&
-                    isIdent(ctx.codeTok(e - 3), "void") &&
-                    isPunct(ctx.codeTok(e - 4), "<") &&
-                    isIdent(ctx.codeTok(e - 5), "static_cast")) {
-                    out.push_back(diag(
-                        ctx, t.line,
-                        "'" + t.text +
-                            "' returns Status/Result but the value "
-                            "is cast to void; handle the error"));
-                    continue;
-                }
-                // Bare statement: call(...);
-                if (statementStart(ctx, fn, e) &&
-                    close + 1 < fn.bodyEnd + 1 &&
-                    isPunct(ctx.codeTok(close + 1), ";")) {
-                    out.push_back(diag(
-                        ctx, t.line,
-                        "result of '" + t.text +
-                            "' (Status/Result) is discarded"));
-                    continue;
-                }
-                // NAME = call(...): a declaration with an error type
-                // (or auto), or a reassignment of a tracked local.
-                if (!isPunct(prev, "=") || e < 2 ||
-                    ctx.codeTok(e - 2).kind != TokKind::Identifier)
-                    continue;
-                const size_t nameAt = e - 2;
-                const std::string name = ctx.codeTok(nameAt).text;
-                bool declared = false, errorTyped = false;
-                size_t b = nameAt;
-                while (b > fn.headerBegin) {
-                    const Token &q = ctx.codeTok(b - 1);
-                    const bool typeTok =
-                        q.kind == TokKind::Identifier ||
-                        isPunct(q, "::") || isPunct(q, "<") ||
-                        isPunct(q, ">") || isPunct(q, "&") ||
-                        isPunct(q, "*");
-                    if (!typeTok)
-                        break;
-                    declared = true;
-                    if (isIdent(q, "Status") || isIdent(q, "Result") ||
-                        isIdent(q, "auto"))
-                        errorTyped = true;
-                    --b;
-                }
-                if (declared && !errorTyped)
-                    continue; // bound into a non-error local/member
-                if (!declared) {
-                    // Reassignment: only tracked error-typed locals.
-                    const bool tracked = std::any_of(
-                        locals.begin(), locals.end(),
-                        [&](const LocalVar &v) {
-                            return v.name == name && v.declIdx < i &&
-                                   i < v.scopeEnd;
-                        });
-                    if (!tracked)
-                        continue;
-                }
-                // Statement end: the ';' at depth zero after the call.
-                size_t endIdx = close + 1;
-                int depth = 0;
-                while (endIdx < fn.bodyEnd) {
-                    const Token &q = ctx.codeTok(endIdx);
-                    if (isPunct(q, "(") || isPunct(q, "{"))
-                        ++depth;
-                    else if (isPunct(q, ")") || isPunct(q, "}"))
-                        --depth;
-                    else if (isPunct(q, ";") && depth <= 0)
-                        break;
-                    ++endIdx;
-                }
-                if (endIdx >= fn.bodyEnd)
-                    continue;
-                if (!identifierReadAfter(ctx, fn, endIdx, name)) {
-                    out.push_back(diag(
-                        ctx, t.line,
-                        "Status/Result of '" + t.text +
-                            "' is bound to '" + name +
-                            "' but never read on any path"));
-                }
-            }
-        }
-    }
-};
-
-/**
  * E3L014 — blocking call while a lock is live.
  *
  * A condvar wait, file/socket I/O, a join or a transitively-blocking
@@ -1181,8 +957,10 @@ class MissingSpan : public Rule
  *
  * A waiver that no longer suppresses anything is worse than dead code:
  * it documents a hazard that moved, and it will silently swallow the
- * next real finding that lands on its line. The check itself lives in
- * the lint driver (lintSource), which is the only place that sees
+ * next real finding that lands on its line. A waiver token that names
+ * no rule (a typo, or the token of a retired rule) suppresses nothing
+ * from the start and is reported the same way. The check itself lives
+ * in the lint driver (lintSource), which is the only place that sees
  * every rule's pre-waiver findings; this registry entry carries the
  * ID, the catalog text and the waiver token.
  */
@@ -1192,7 +970,8 @@ class StaleWaiver : public Rule
     StaleWaiver()
         : Rule("E3L018", "stale-waiver", "stale-waiver-ok",
                "an e3-lint waiver comment whose rule produces no "
-               "finding on the lines it covers")
+               "finding on the lines it covers, or whose token names "
+               "no rule")
     {
     }
 
@@ -1223,7 +1002,6 @@ allRules()
         r.push_back(std::make_unique<NoRawMutex>());
         r.push_back(std::make_unique<NoRawThread>());
         r.push_back(std::make_unique<ExplicitMemoryOrder>());
-        r.push_back(std::make_unique<DiscardedError>());
         r.push_back(std::make_unique<BlockingUnderLock>());
         r.push_back(std::make_unique<AllocInHotPath>());
         r.push_back(std::make_unique<ThrowEscapesLibrary>());
