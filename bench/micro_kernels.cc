@@ -310,22 +310,41 @@ BM_GenomeParse(benchmark::State &state)
 }
 BENCHMARK(BM_GenomeParse);
 
-/** checkpointFromString on a whole snapshot: parse plus verification. */
-void
-BM_CheckpointLoad(benchmark::State &state)
+/** A 150-genome snapshot's text, as a 20-generation run writes it. */
+std::string
+snapshotText()
 {
     const Population pop = evolvedPopulation(150, 20);
     persist::Checkpoint ck;
     ck.generation = 21;
     ck.champion = pop.best();
     ck.population = pop.saveState();
-    const std::string text = persist::checkpointToString(ck);
+    return persist::checkpointToString(ck);
+}
+
+/** checkpointFromString on a whole snapshot: parse plus verification. */
+void
+BM_CheckpointLoad(benchmark::State &state)
+{
+    const std::string text = snapshotText();
     for (auto _ : state)
         benchmark::DoNotOptimize(persist::checkpointFromString(text));
+    state.SetItemsProcessed(state.iterations());
     state.SetBytesProcessed(static_cast<int64_t>(state.iterations() *
                                                  text.size()));
 }
 BENCHMARK(BM_CheckpointLoad);
+
+/** checkpointHeadFromString on the same snapshot: what serve reads. */
+void
+BM_ChampionLoad(benchmark::State &state)
+{
+    const std::string text = snapshotText();
+    for (auto _ : state)
+        benchmark::DoNotOptimize(persist::checkpointHeadFromString(text));
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ChampionLoad);
 
 } // namespace
 

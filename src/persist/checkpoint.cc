@@ -282,13 +282,17 @@ checkpointToString(const Checkpoint &checkpoint)
     return oss.str();
 }
 
-Result<Checkpoint>
-checkpointFromString(std::string_view text)
-{
-    TextCursor cursor(text);
-    Checkpoint ck;
-    LineScanner rest;
+namespace {
 
+/**
+ * Parse a snapshot's head into @p ck: the header records, the phases,
+ * the trace and the champion section, champion verified. Leaves
+ * @p cursor at the population record.
+ */
+Status
+parseHead(TextCursor &cursor, Checkpoint &ck)
+{
+    LineScanner rest;
     if (Status st = record(cursor, "e3-checkpoint", rest); !st.ok())
         return st;
     int version = 0;
@@ -370,6 +374,31 @@ checkpointFromString(std::string_view text)
                                  champion.message());
         ck.champion = std::move(champion).value();
     }
+    return Status();
+}
+
+} // namespace
+
+Result<Checkpoint>
+checkpointHeadFromString(std::string_view text)
+{
+    TextCursor cursor(text);
+    Checkpoint ck;
+    if (Status st = parseHead(cursor, ck); !st.ok())
+        return st;
+    return ck;
+}
+
+Result<Checkpoint>
+checkpointFromString(std::string_view text)
+{
+    TextCursor cursor(text);
+    Checkpoint ck;
+    if (Status st = parseHead(cursor, ck); !st.ok())
+        return st;
+
+    PopulationState &pop = ck.population;
+    LineScanner rest;
 
     // Restore compiles and reproduces from the stored genomes, so an
     // empty population is corrupt, not a fresh start.
@@ -529,11 +558,20 @@ writeCheckpoint(const std::string &dir, const Checkpoint &checkpoint,
     return Status();
 }
 
+namespace {
+
+/**
+ * The newest snapshot in @p dir's MANIFEST that @p parse accepts and
+ * that carries the manifest's fingerprint; unreadable, damaged or
+ * mismatched snapshots are skipped with a warning. A manifest of
+ * another format version, or of a configuration other than
+ * @p expectedConfigHash when one is given, is an error.
+ */
 Result<Checkpoint>
-loadLatestCheckpoint(const std::string &dir,
-                     uint64_t expectedConfigHash)
+loadNewest(const std::string &dir,
+           std::optional<uint64_t> expectedConfigHash,
+           Result<Checkpoint> (*parse)(std::string_view))
 {
-    obs::TraceSpan span("checkpoint_load");
     const std::string manifestPath = joinPath(dir, kManifestName);
     Result<std::string> text = readFile(manifestPath);
     if (!text.ok())
@@ -549,7 +587,9 @@ loadLatestCheckpoint(const std::string &dir,
                              manifest.version,
                              ", this build reads version ",
                              kFormatVersion);
-    if (manifest.configHash != expectedConfigHash)
+    const uint64_t configHash =
+        expectedConfigHash.value_or(manifest.configHash);
+    if (manifest.configHash != configHash)
         return Status::error(
             "checkpoint was written by a different run configuration "
             "(fingerprint mismatch)");
@@ -566,12 +606,12 @@ loadLatestCheckpoint(const std::string &dir,
                  "': ", bytes.message());
             continue;
         }
-        Result<Checkpoint> ck = checkpointFromString(bytes.value());
+        Result<Checkpoint> ck = parse(bytes.value());
         if (!ck.ok()) {
             warn("skipping checkpoint '", path, "': ", ck.message());
             continue;
         }
-        if (ck.value().configHash != expectedConfigHash) {
+        if (ck.value().configHash != configHash) {
             warn("skipping checkpoint '", path,
                  "': config fingerprint mismatch");
             continue;
@@ -581,19 +621,21 @@ loadLatestCheckpoint(const std::string &dir,
     return Status::error("no usable checkpoint in '", dir, "'");
 }
 
-Result<uint64_t>
-manifestFingerprint(const std::string &dir)
+} // namespace
+
+Result<Checkpoint>
+loadLatestCheckpoint(const std::string &dir,
+                     uint64_t expectedConfigHash)
 {
-    const std::string manifestPath = joinPath(dir, kManifestName);
-    Result<std::string> text = readFile(manifestPath);
-    if (!text.ok())
-        return Status::error("no checkpoint manifest in '", dir,
-                             "': ", text.message());
-    Result<Manifest> parsed = parseManifest(text.value());
-    if (!parsed.ok())
-        return Status::error("unreadable manifest '", manifestPath,
-                             "': ", parsed.message());
-    return parsed.value().configHash;
+    obs::TraceSpan span("checkpoint_load");
+    return loadNewest(dir, expectedConfigHash, checkpointFromString);
+}
+
+Result<Checkpoint>
+loadLatestChampion(const std::string &dir)
+{
+    obs::TraceSpan span("checkpoint_load");
+    return loadNewest(dir, std::nullopt, checkpointHeadFromString);
 }
 
 Result<std::vector<std::pair<int, std::string>>>

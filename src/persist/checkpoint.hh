@@ -109,6 +109,17 @@ std::string checkpointToString(const Checkpoint &checkpoint);
  */
 Result<Checkpoint> checkpointFromString(std::string_view text);
 
+/**
+ * Parse only a snapshot's head: the records checkpointFromString reads
+ * before the population section (header, RNG and allocator state,
+ * phases, trace) and the champion, which gets the same structural
+ * verification. The population and species sections are not read, so
+ * the result's `population.genomes` and `population.species` are
+ * empty: it describes the snapshot but cannot be restored. Any text
+ * checkpointFromString accepts, this accepts with the same head.
+ */
+Result<Checkpoint> checkpointHeadFromString(std::string_view text);
+
 /** Instrumentation of one checkpoint write (metrics feed). */
 struct WriteStats
 {
@@ -138,12 +149,16 @@ Result<Checkpoint> loadLatestCheckpoint(const std::string &dir,
                                         uint64_t expectedConfigHash);
 
 /**
- * Read the configuration fingerprint recorded in @p dir's MANIFEST
- * without loading any snapshot. This is the stable identity of the
- * run that produced the directory's champion — the serving layer keys
- * its compiled-network cache on it.
+ * Load the champion of the newest usable snapshot listed in @p dir's
+ * MANIFEST, reading each snapshot's head only
+ * (checkpointHeadFromString). The walk and its skip rules are
+ * loadLatestCheckpoint's, with the manifest's own fingerprint as the
+ * expected one. The result's `configHash` is that fingerprint, the
+ * stable identity of the run that produced the champion — the serving
+ * layer keys its compiled-network cache on it. A snapshot whose head
+ * is intact is used even if its population section is damaged.
  */
-Result<uint64_t> manifestFingerprint(const std::string &dir);
+Result<Checkpoint> loadLatestChampion(const std::string &dir);
 
 /**
  * Enumerate the snapshot files @p dir's MANIFEST lists, oldest first,

@@ -2,18 +2,19 @@
 
 #include <algorithm>
 
+#include "common/logging.hh"
+
 namespace e3::serve {
 
 Batcher::Batcher(const Options &options, Evaluator evaluator)
     : options_(options), evaluator_(std::move(evaluator))
 {
-    if (options_.maxBatchSize == 0)
-        options_.maxBatchSize = 1;
-    if (options_.maxQueueDepth == 0)
-        options_.maxQueueDepth = 1;
-    const size_t threads = std::max<size_t>(1, options_.threads);
-    workers_.reserve(threads);
-    for (size_t i = 0; i < threads; ++i)
+    e3_assert(options_.maxBatchSize > 0, "batcher needs maxBatchSize >= 1");
+    e3_assert(options_.maxQueueDepth > 0,
+              "batcher needs maxQueueDepth >= 1");
+    e3_assert(options_.threads > 0, "batcher needs threads >= 1");
+    workers_.reserve(options_.threads);
+    for (size_t i = 0; i < options_.threads; ++i)
         workers_.emplace_back([this] { workerLoop(); });
 }
 

@@ -61,6 +61,7 @@ struct BatcherStats
 class Batcher
 {
   public:
+    /** Every field must be at least 1 (ServeOptions::validate). */
     struct Options
     {
         size_t maxBatchSize = 16;

@@ -1,6 +1,15 @@
 #include "serve/genome_cache.hh"
 
+#include "common/logging.hh"
+
 namespace e3::serve {
+
+GenomeCache::GenomeCache(size_t capacity, size_t batchLanes)
+    : capacity_(capacity), batchLanes_(batchLanes)
+{
+    e3_assert(capacity_ > 0, "genome cache needs capacity >= 1");
+    e3_assert(batchLanes_ > 0, "genome cache needs batchLanes >= 1");
+}
 
 Result<std::shared_ptr<CompiledChampion>>
 GenomeCache::acquire(uint64_t fingerprint, const NetworkDef &def,

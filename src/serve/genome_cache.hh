@@ -63,16 +63,12 @@ class GenomeCache
 {
   public:
     /**
-     * @param capacity resident compiled champions (min 1)
+     * @param capacity resident compiled champions (at least 1)
      * @param batchLanes value lanes per champion — size this to the
      *        batcher's maximum group so one group is one
-     *        activateBatch() call (min 1)
+     *        activateBatch() call (at least 1)
      */
-    explicit GenomeCache(size_t capacity, size_t batchLanes = 1)
-        : capacity_(capacity == 0 ? 1 : capacity),
-          batchLanes_(batchLanes == 0 ? 1 : batchLanes)
-    {
-    }
+    explicit GenomeCache(size_t capacity, size_t batchLanes = 1);
 
     /**
      * Fetch the compiled network for @p fingerprint, compiling

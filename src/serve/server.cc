@@ -87,6 +87,27 @@ struct ChampionServer::ConnectionThread
     std::thread thread;
 };
 
+Status
+ServeOptions::validate() const
+{
+    if (sources.empty())
+        return Status::error("ServeOptions::sources is empty: serve "
+                             "needs at least one champion (checkpoint "
+                             "dir + env)");
+    const std::pair<const char *, size_t> counts[] = {
+        {"cacheCapacity", cacheCapacity},
+        {"maxBatchSize", maxBatchSize},
+        {"maxQueueDepth", maxQueueDepth},
+        {"threads", threads},
+    };
+    for (const auto &[name, value] : counts) {
+        if (value == 0)
+            return Status::error("ServeOptions::", name,
+                                 " must be at least 1");
+    }
+    return Status();
+}
+
 ChampionServer::ChampionServer(const ServeOptions &options)
     : options_(options),
       cache_(std::make_unique<GenomeCache>(options.cacheCapacity,
@@ -105,9 +126,8 @@ ChampionServer::ChampionServer(const ServeOptions &options)
 Result<std::unique_ptr<ChampionServer>>
 ChampionServer::create(const ServeOptions &options)
 {
-    if (options.sources.empty())
-        return Status::error("serve needs at least one champion "
-                             "(checkpoint dir + env)");
+    if (Status st = options.validate(); !st.ok())
+        return st;
 
     auto server =
         std::unique_ptr<ChampionServer>(new ChampionServer(options));
@@ -119,14 +139,8 @@ ChampionServer::create(const ServeOptions &options)
                                  source.envName, "' for champion '",
                                  source.checkpointDir, "'");
 
-        Result<uint64_t> fingerprint =
-            persist::manifestFingerprint(source.checkpointDir);
-        if (!fingerprint.ok())
-            return fingerprint.status();
-
         Result<persist::Checkpoint> checkpoint =
-            persist::loadLatestCheckpoint(source.checkpointDir,
-                                          *fingerprint);
+            persist::loadLatestChampion(source.checkpointDir);
         if (!checkpoint.ok())
             return Status::error("cannot load champion from '",
                                  source.checkpointDir,
@@ -134,6 +148,7 @@ ChampionServer::create(const ServeOptions &options)
         if (!checkpoint->champion)
             return Status::error("checkpoint '", source.checkpointDir,
                                  "' records no champion genome yet");
+        const uint64_t fingerprint = checkpoint->configHash;
 
         // The verify gate: an uncertified genome is never served.
         const verify::Report report = verify::verifyGenome(
@@ -145,7 +160,7 @@ ChampionServer::create(const ServeOptions &options)
                 " errors, ", report.warningCount(),
                 " warnings):\n", verify::formatText(report));
 
-        if (server->findChampion(*fingerprint))
+        if (server->findChampion(fingerprint))
             return Status::error("duplicate champion fingerprint for '",
                                  source.checkpointDir, "'");
 
@@ -154,7 +169,7 @@ ChampionServer::create(const ServeOptions &options)
 
         ChampionEntry entry;
         entry.def = checkpoint->champion->toNetworkDef(cfg);
-        entry.info.fingerprint = *fingerprint;
+        entry.info.fingerprint = fingerprint;
         entry.info.envName = source.envName;
         entry.info.checkpointDir = source.checkpointDir;
         entry.info.numInputs = spec->numInputs;

@@ -67,6 +67,12 @@ struct ServeOptions
 
     /** Refuse champions with verifier *warnings* too. */
     bool strictVerify = false;
+
+    /**
+     * An error naming the first unusable field: an empty source list,
+     * or a zero cacheCapacity, maxBatchSize, maxQueueDepth or threads.
+     */
+    Status validate() const;
 };
 
 /** What the server knows about one loaded champion. */
@@ -97,11 +103,12 @@ class ChampionServer
 {
   public:
     /**
-     * Load, verify and index every configured champion. Any source
-     * that fails — unreadable checkpoint, no champion recorded,
-     * unknown environment, or a genome the verifier rejects — fails
-     * the whole create with a tagged error (a server must never come
-     * up silently missing a champion).
+     * Validate @p options, then load, verify and index every
+     * configured champion. Any source that fails — unreadable
+     * checkpoint, no champion recorded, unknown environment, or a
+     * genome the verifier rejects — fails the whole create with a
+     * tagged error (a server must never come up silently missing a
+     * champion).
      */
     static Result<std::unique_ptr<ChampionServer>>
     create(const ServeOptions &options);

@@ -8,6 +8,8 @@
  * fixture genomes and the snapshots of a short checkpointed run. For
  * every mutant both loaders must agree on accept/reject, and an
  * accepted result must match field for field, doubles bit for bit.
+ * The head parse (checkpointHeadFromString) is held to the full parse:
+ * whatever the full parse accepts, it accepts with the same head.
  */
 
 #include <gtest/gtest.h>
@@ -399,6 +401,66 @@ TEST(LoaderFuzz, CheckpointFromStringMatchesIostreamOracle)
     }
     EXPECT_GT(accepted, kMutants / 20);
     EXPECT_LT(accepted, kMutants - kMutants / 10);
+}
+
+/** Offset of the population record, where a snapshot's head ends. */
+size_t
+headEnd(const std::string &snapshot)
+{
+    const size_t at = snapshot.find("\npopulation ");
+    return at == std::string::npos ? snapshot.size() : at + 1;
+}
+
+TEST(LoaderFuzz, CheckpointHeadParseAgreesWithFullParse)
+{
+    const std::vector<std::string> corpus = checkpointCorpus();
+    ASSERT_GE(corpus.size(), 3u);
+
+    Mutator mutator(0x4EAD);
+    constexpr size_t kMutants = 2000;
+    size_t headAccepted = 0;
+    size_t fullAccepted = 0;
+    for (size_t i = 0; i < kMutants + corpus.size(); ++i) {
+        // The unmutated snapshots first; then every other mutant edits
+        // only the head, so most edits land where the head parse reads.
+        const std::string &seed = corpus[i % corpus.size()];
+        std::string text = seed;
+        if (i >= corpus.size() && i % 2 == 0) {
+            text = mutator.mutate(seed);
+        } else if (i >= corpus.size()) {
+            const size_t end = headEnd(seed);
+            text = mutator.mutate(seed.substr(0, end)) + seed.substr(end);
+        }
+        const Result<Checkpoint> head =
+            persist::checkpointHeadFromString(text);
+        const Result<Checkpoint> full = persist::checkpointFromString(text);
+        if (i < corpus.size()) {
+            ASSERT_TRUE(full.ok()) << full.message();
+        }
+        headAccepted += head.ok() ? 1 : 0;
+        if (!full.ok())
+            continue;
+        ++fullAccepted;
+        ASSERT_TRUE(head.ok())
+            << "mutant " << i << ": the full parse accepts, the head "
+            << "parse says " << head.message();
+        EXPECT_EQ(head->configHash, full->configHash);
+        EXPECT_EQ(head->generation, full->generation);
+        EXPECT_EQ(bits(head->bestFitness), bits(full->bestFitness));
+        ASSERT_EQ(head->champion.has_value(), full->champion.has_value());
+        if (full->champion) {
+            EXPECT_EQ(genomeToString(*head->champion),
+                      genomeToString(*full->champion));
+        }
+        EXPECT_TRUE(head->population.genomes.empty());
+        if (HasFailure())
+            return;
+    }
+    // Both verdicts must be well represented, and the head parse must
+    // accept snapshots damaged only past their champion.
+    EXPECT_GT(fullAccepted, kMutants / 20);
+    EXPECT_GT(headAccepted, fullAccepted);
+    EXPECT_LT(headAccepted, kMutants - kMutants / 10);
 }
 
 } // namespace

@@ -63,7 +63,7 @@ assignFitness(Population &pop)
 /**
  * Evolve a tiny population against @p envName's interface and write
  * its champion as a checkpoint directory the server can load.
- * @return the directory; the fingerprint is manifestFingerprint(dir).
+ * @return the directory; fingerprintOf(dir) is its fingerprint.
  */
 std::string
 championDir(const std::string &envName, const std::string &tag,
@@ -97,9 +97,9 @@ championDir(const std::string &envName, const std::string &tag,
 uint64_t
 fingerprintOf(const std::string &dir)
 {
-    Result<uint64_t> fp = persist::manifestFingerprint(dir);
-    EXPECT_TRUE(fp.ok()) << fp.message();
-    return fp.ok() ? *fp : 0;
+    Result<persist::Checkpoint> head = persist::loadLatestChampion(dir);
+    EXPECT_TRUE(head.ok()) << head.message();
+    return head.ok() ? head->configHash : 0;
 }
 
 std::unique_ptr<ChampionServer>
@@ -514,6 +514,162 @@ TEST(ServeLoad, RefusesCheckpointWithoutChampion)
         ChampionServer::create(opt);
     ASSERT_FALSE(r.ok());
     EXPECT_NE(r.message().find("champion"), std::string::npos);
+}
+
+namespace {
+
+/** A directory holding two snapshots of one run: generations 3 and 6. */
+struct TwoSnapshots
+{
+    std::string dir;
+    std::string newestPath;
+    double olderBest = 0.0;
+    double newerBest = 0.0;
+};
+
+TwoSnapshots
+twoSnapshotDir(const std::string &tag)
+{
+    NeatConfig cfg = NeatConfig::forTask(4, 1, 1e18);
+    cfg.populationSize = 16;
+    Population pop(cfg, 9);
+    TwoSnapshots out;
+    out.dir = scratchDir(tag);
+    persist::Checkpoint ck;
+    ck.configHash = persist::fingerprint("serve-test;" + tag);
+    for (int gen = 1; gen <= 6; ++gen) {
+        assignFitness(pop);
+        if (gen == 3 || gen == 6) {
+            ck.generation = gen;
+            ck.bestFitness = pop.best().fitness;
+            ck.champion = pop.best();
+            ck.population = pop.saveState();
+            EXPECT_TRUE(persist::writeCheckpoint(out.dir, ck, 2).ok());
+            (gen == 3 ? out.olderBest : out.newerBest) = ck.bestFitness;
+        }
+        pop.advance();
+    }
+    EXPECT_NE(out.olderBest, out.newerBest);
+    out.newestPath = out.dir + "/" + persist::checkpointFileName(6);
+    return out;
+}
+
+/** Rewrite the snapshot at @p path through @p edit. */
+template <typename Edit>
+void
+editSnapshot(const std::string &path, Edit edit)
+{
+    Result<std::string> text = readFile(path);
+    ASSERT_TRUE(text.ok()) << text.message();
+    std::string edited = *text;
+    edit(edited);
+    ASSERT_NE(edited, *text);
+    ASSERT_TRUE(atomicWriteFile(path, edited).ok());
+}
+
+} // namespace
+
+TEST(ServeLoad, ServesNewestSnapshotCutAfterItsChampion)
+{
+    // Serving reads a snapshot's head only, so a newest snapshot whose
+    // population section is lost still serves its (intact) champion.
+    const TwoSnapshots snaps = twoSnapshotDir("load_cut_after_champion");
+    editSnapshot(snaps.newestPath, [](std::string &text) {
+        const size_t population = text.find("\npopulation ");
+        ASSERT_NE(population, std::string::npos);
+        text.resize(population + 1);
+        ASSERT_EQ(text.substr(text.size() - 4), "end\n");
+    });
+    auto server = serverFor({{snaps.dir, "cartpole"}});
+    ASSERT_NE(server, nullptr);
+    const ChampionInfo &info = server->champions()[0];
+    EXPECT_EQ(info.generation, 6);
+    EXPECT_EQ(info.bestFitness, snaps.newerBest);
+}
+
+TEST(ServeLoad, DamagedNewestChampionFallsBackToOlderSnapshot)
+{
+    // The champion is part of the head, so damage there falls back to
+    // the next-newest snapshot as it does for resume.
+    const TwoSnapshots snaps = twoSnapshotDir("load_bad_champion");
+    editSnapshot(snaps.newestPath, [](std::string &text) {
+        const size_t champion = text.find("\nchampion 1\n");
+        ASSERT_NE(champion, std::string::npos);
+        const size_t node = text.find("\nnode ", champion);
+        ASSERT_NE(node, std::string::npos);
+        text.replace(node + 1, 4, "nod3");
+    });
+    ::testing::internal::CaptureStderr();
+    auto server = serverFor({{snaps.dir, "cartpole"}});
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    ASSERT_NE(server, nullptr);
+    EXPECT_NE(err.find("skipping checkpoint '" + snaps.newestPath),
+              std::string::npos)
+        << err;
+    const ChampionInfo &info = server->champions()[0];
+    EXPECT_EQ(info.generation, 3);
+    EXPECT_EQ(info.bestFitness, snaps.olderBest);
+}
+
+namespace {
+
+/** create() refuses @p opt, and the error names @p field. */
+void
+expectRefusedNaming(const ServeOptions &opt, const std::string &field)
+{
+    const Status st = opt.validate();
+    ASSERT_FALSE(st.ok());
+    EXPECT_NE(st.message().find(field), std::string::npos)
+        << st.message();
+    Result<std::unique_ptr<ChampionServer>> server =
+        ChampionServer::create(opt);
+    ASSERT_FALSE(server.ok());
+    EXPECT_EQ(server.message(), st.message());
+}
+
+ServeOptions
+validOptions()
+{
+    ServeOptions opt;
+    opt.sources = {{"ckpt", "cartpole"}};
+    return opt;
+}
+
+} // namespace
+
+TEST(ServeOptionsValidate, EmptySourcesNamed)
+{
+    ServeOptions opt = validOptions();
+    opt.sources.clear();
+    expectRefusedNaming(opt, "sources");
+}
+
+TEST(ServeOptionsValidate, ZeroCacheCapacityNamed)
+{
+    ServeOptions opt = validOptions();
+    opt.cacheCapacity = 0;
+    expectRefusedNaming(opt, "cacheCapacity");
+}
+
+TEST(ServeOptionsValidate, ZeroMaxBatchSizeNamed)
+{
+    ServeOptions opt = validOptions();
+    opt.maxBatchSize = 0;
+    expectRefusedNaming(opt, "maxBatchSize");
+}
+
+TEST(ServeOptionsValidate, ZeroMaxQueueDepthNamed)
+{
+    ServeOptions opt = validOptions();
+    opt.maxQueueDepth = 0;
+    expectRefusedNaming(opt, "maxQueueDepth");
+}
+
+TEST(ServeOptionsValidate, ZeroThreadsNamed)
+{
+    ServeOptions opt = validOptions();
+    opt.threads = 0;
+    expectRefusedNaming(opt, "threads");
 }
 
 // ---------------------------------------------------------------------

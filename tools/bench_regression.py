@@ -1,18 +1,20 @@
 #!/usr/bin/env python3
-"""Guard the batched-inference speedup recorded by bench/micro_kernels.
+"""Guard the speedups recorded by bench/micro_kernels.
 
 Compares a fresh ``bench_micro_kernels`` JSON run against the committed
 ``BENCH_micro_kernels.json`` baseline. Raw throughput is not portable
 across machines (CI runners differ from the box that recorded the
-baseline), so the guarded quantity is the *speedup ratio* of each
-batched benchmark over its per-genome twin within the same run:
+baseline), so the guarded quantity is the *speedup ratio* of each fast
+benchmark over its reference twin within the same run:
 
-    ratio = items_per_second(batched) / items_per_second(per-genome)
+    ratio = items_per_second(fast) / items_per_second(reference)
 
-The job fails when a batched kernel's ratio drops more than the
-tolerance (default 20%) below the baseline's ratio — i.e. when a change
-erodes what the batch engine buys over the per-genome path, regardless
-of how fast the runner happens to be.
+Two kinds of twin are guarded: a batched inference kernel over its
+per-genome path, and the champion-only snapshot read serve does over
+the full checkpoint parse. The job fails when a ratio drops more than
+the tolerance (default 20%) below the baseline's ratio — i.e. when a
+change erodes what the fast path buys, regardless of how fast the
+runner happens to be.
 
 Serve benchmarks (``bench_serve_loadtest`` JSON, detected by the
 ``"bench": "serve_loadtest"`` tag) are guarded the same way, on two
@@ -30,13 +32,15 @@ import argparse
 import json
 import sys
 
-# (label, per-genome benchmark, batched benchmark, guarded) twins
-# measured by bench/micro_kernels.cc. items_per_second counts
-# individual inferences on both sides, so the ratio is the
+# (label, reference benchmark, fast benchmark, guarded) twins measured
+# by bench/micro_kernels.cc. For the inference pairs items_per_second
+# counts individual inferences on both sides, so the ratio is the
 # population-inference speedup. The generation-grain pair is printed
 # but not guarded: it is dominated by compile cost shared by both
 # paths, so its ratio sits near 1x where run-to-run noise exceeds any
-# real regression signal.
+# real regression signal. The champion-load pair counts one snapshot
+# per item: the ratio is how much faster serve's head parse is than
+# resume's full parse of the same snapshot.
 PAIRS = [
     ("kernel pop=128", "BM_PopulationInferenceKernel/128",
      "BM_PopulationInferenceKernelBatched/128", True),
@@ -48,6 +52,7 @@ PAIRS = [
      "BM_PopulationInferenceBatched/256", True),
     ("generation grain", "BM_GenerationInferencePerGenome",
      "BM_GenerationInferenceBatched", False),
+    ("champion load", "BM_CheckpointLoad", "BM_ChampionLoad", True),
 ]
 
 
@@ -64,10 +69,10 @@ def load_items_per_second(path):
     return rates
 
 
-def ratio(rates, per_genome, batched):
-    if per_genome not in rates or batched not in rates:
+def ratio(rates, reference, fast):
+    if reference not in rates or fast not in rates:
         return None
-    return rates[batched] / rates[per_genome]
+    return rates[fast] / rates[reference]
 
 
 def serve_ratios(report):
@@ -154,9 +159,9 @@ def main():
 
     failures = []
     print(f"{'pair':<18} {'baseline':>9} {'current':>9} {'floor':>7}")
-    for label, per_genome, batched, guarded in PAIRS:
-        base_ratio = ratio(base, per_genome, batched)
-        fresh_ratio = ratio(fresh, per_genome, batched)
+    for label, reference, fast, guarded in PAIRS:
+        base_ratio = ratio(base, reference, fast)
+        fresh_ratio = ratio(fresh, reference, fast)
         if base_ratio is None:
             # The baseline predates this pair; nothing to guard yet.
             continue
@@ -175,7 +180,7 @@ def main():
               f"{floor:>6.2f}x  {status}")
         if fresh_ratio < floor:
             failures.append(
-                f"{label}: batched speedup {fresh_ratio:.2f}x fell below "
+                f"{label}: speedup {fresh_ratio:.2f}x fell below "
                 f"{floor:.2f}x (baseline {base_ratio:.2f}x - "
                 f"{args.tolerance:.0%})")
 
@@ -184,7 +189,7 @@ def main():
         for failure in failures:
             print(f"  {failure}", file=sys.stderr)
         return 1
-    print("\nall batched speedup ratios within tolerance")
+    print("\nall speedup ratios within tolerance")
     return 0
 
 

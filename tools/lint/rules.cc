@@ -919,6 +919,7 @@ class MissingSpan : public Rule
             {"src/serve/server.cc", "evaluateBatch"},
             {"src/persist/checkpoint.cc", "writeCheckpoint"},
             {"src/persist/checkpoint.cc", "loadLatestCheckpoint"},
+            {"src/persist/checkpoint.cc", "loadLatestChampion"},
             {"tests/fixtures/lint/e3l017_violation.cc",
              "handleRequest"},
             {"tests/fixtures/lint/e3l017_clean.cc", "handleRequest"},
