@@ -26,6 +26,7 @@
 #include <cstdio>
 #include <iostream>
 
+#include "common/float_eq.hh"
 #include "common/table.hh"
 #include "e3/synthetic.hh"
 #include "inax/inax.hh"
@@ -83,7 +84,7 @@ soaRow(TextTable &table, const char *name,
     for (size_t i = 0; i < lanes; ++i) {
         const auto ref = nets[i].activate(input);
         for (size_t o = 0; o < ref.size(); ++o)
-            identical &= ref[o] == out[i * batch->numOutputs() + o];
+            identical &= bitEqual(ref[o], out[i * batch->numOutputs() + o]);
     }
 
     const double perGenome = bestPassSeconds(

@@ -9,6 +9,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "e3/synthetic.hh"
 #include "inax/inax.hh"
 #include "inax/systolic.hh"
@@ -22,6 +25,14 @@
 using namespace e3;
 
 namespace {
+
+/** Per-field maximum over repetitions: of items_per_second, the best
+ * repetition, which tools/bench_regression.py gates on. */
+double
+maxOf(const std::vector<double> &values)
+{
+    return *std::max_element(values.begin(), values.end());
+}
 
 SyntheticParams
 paramsWithHidden(size_t hidden)
@@ -91,7 +102,8 @@ BM_PopulationInference(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() *
                             static_cast<int64_t>(nets.size()));
 }
-BENCHMARK(BM_PopulationInference)->Arg(128)->Arg(256);
+BENCHMARK(BM_PopulationInference)
+    ->Arg(128)->Arg(256)->ComputeStatistics("max", maxOf);
 
 void
 BM_PopulationInferenceBatched(benchmark::State &state)
@@ -110,7 +122,8 @@ BM_PopulationInferenceBatched(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() *
                             static_cast<int64_t>(lanes));
 }
-BENCHMARK(BM_PopulationInferenceBatched)->Arg(128)->Arg(256);
+BENCHMARK(BM_PopulationInferenceBatched)
+    ->Arg(128)->Arg(256)->ComputeStatistics("max", maxOf);
 
 void
 BM_PopulationInferenceKernel(benchmark::State &state)
@@ -127,7 +140,8 @@ BM_PopulationInferenceKernel(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() *
                             static_cast<int64_t>(nets.size()));
 }
-BENCHMARK(BM_PopulationInferenceKernel)->Arg(128)->Arg(256);
+BENCHMARK(BM_PopulationInferenceKernel)
+    ->Arg(128)->Arg(256)->ComputeStatistics("max", maxOf);
 
 void
 BM_PopulationInferenceKernelBatched(benchmark::State &state)
@@ -146,7 +160,8 @@ BM_PopulationInferenceKernelBatched(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() *
                             static_cast<int64_t>(lanes));
 }
-BENCHMARK(BM_PopulationInferenceKernelBatched)->Arg(128)->Arg(256);
+BENCHMARK(BM_PopulationInferenceKernelBatched)
+    ->Arg(128)->Arg(256)->ComputeStatistics("max", maxOf);
 
 /**
  * Generation-grain comparison including compilation: the per-genome
@@ -173,7 +188,7 @@ BM_GenerationInferencePerGenome(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations() * 128 * steps);
 }
-BENCHMARK(BM_GenerationInferencePerGenome);
+BENCHMARK(BM_GenerationInferencePerGenome)->ComputeStatistics("max", maxOf);
 
 void
 BM_GenerationInferenceBatched(benchmark::State &state)
@@ -194,7 +209,7 @@ BM_GenerationInferenceBatched(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations() * 128 * steps);
 }
-BENCHMARK(BM_GenerationInferenceBatched);
+BENCHMARK(BM_GenerationInferenceBatched)->ComputeStatistics("max", maxOf);
 
 void
 BM_CreateNet(benchmark::State &state)
@@ -333,7 +348,7 @@ BM_CheckpointLoad(benchmark::State &state)
     state.SetBytesProcessed(static_cast<int64_t>(state.iterations() *
                                                  text.size()));
 }
-BENCHMARK(BM_CheckpointLoad);
+BENCHMARK(BM_CheckpointLoad)->ComputeStatistics("max", maxOf);
 
 /** checkpointHeadFromString on the same snapshot: what serve reads. */
 void
@@ -344,7 +359,7 @@ BM_ChampionLoad(benchmark::State &state)
         benchmark::DoNotOptimize(persist::checkpointHeadFromString(text));
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_ChampionLoad);
+BENCHMARK(BM_ChampionLoad)->ComputeStatistics("max", maxOf);
 
 } // namespace
 

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <system_error>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -35,16 +34,35 @@ fileExists(const std::string &path)
 }
 
 Result<std::string>
-readFile(const std::string &path)
+readFile(const std::string &path, std::string_view stopLine)
 {
     std::ifstream in(path, std::ios::binary);
     if (!in)
         return Status::error("cannot open '", path, "' for reading");
-    std::ostringstream content;
-    content << in.rdbuf();
+    // The leading newline, dropped on return, lets a stop line match on
+    // the first line like on any other.
+    const std::string needle = "\n" + std::string(stopLine);
+    std::string text = "\n";
+    while (in) {
+        const size_t scanned = text.size();
+        text.resize(scanned + kReadChunkBytes);
+        in.read(text.data() + scanned, kReadChunkBytes);
+        text.resize(scanned + static_cast<size_t>(in.gcount()));
+        if (stopLine.empty())
+            continue;
+        // The stop line may start in the previous chunk.
+        const size_t from =
+            scanned < needle.size() ? 0 : scanned - needle.size() + 1;
+        if (const size_t at = text.find(needle, from);
+            at != std::string::npos) {
+            text.resize(at + 1);
+            break;
+        }
+    }
     if (in.bad())
         return Status::error("read error on '", path, "'");
-    return content.str();
+    text.erase(0, 1);
+    return text;
 }
 
 Status

@@ -13,7 +13,9 @@
 #ifndef E3_COMMON_FS_HH
 #define E3_COMMON_FS_HH
 
+#include <cstddef>
 #include <string>
+#include <string_view>
 
 #include "common/result.hh"
 
@@ -25,8 +27,15 @@ Status ensureDirectory(const std::string &dir);
 /** True if @p path names an existing regular file. */
 [[nodiscard]] bool fileExists(const std::string &path);
 
-/** Read a whole file into a string. */
-Result<std::string> readFile(const std::string &path);
+/** readFile() reads in chunks of this many bytes. */
+inline constexpr size_t kReadChunkBytes = 16 * 1024;
+
+/**
+ * Read a whole file into a string or, given @p stopLine, only up to the
+ * first line that starts with it (that line excluded).
+ */
+Result<std::string> readFile(const std::string &path,
+                             std::string_view stopLine = {});
 
 /**
  * Crash-safe whole-file write: write @p content to a temporary in the

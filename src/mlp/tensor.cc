@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/float_eq.hh"
 #include "common/logging.hh"
 
 namespace e3 {
@@ -61,8 +62,7 @@ Mat::matmul(const Mat &other) const
     for (size_t i = 0; i < rows_; ++i) {
         for (size_t k = 0; k < cols_; ++k) {
             const double a = data_[i * cols_ + k];
-            // e3-lint: float-eq-ok -- exact zero-skip check, not a tolerance bug
-            if (a == 0.0)
+            if (isExactZero(a))
                 continue;
             const double *brow = &other.data_[k * other.cols_];
             double *orow = &out.data_[i * other.cols_];

@@ -1,5 +1,6 @@
 #include "nn/net_stats.hh"
 
+#include "common/float_eq.hh"
 #include "common/logging.hh"
 #include "nn/batch_eval.hh"
 #include "nn/layering.hh"
@@ -78,8 +79,7 @@ measureActivationDensity(Network &net, size_t samples,
         // afterwards holds exactly the operand each op multiplied.
         const std::span<const double> values = net.values();
         for (const BatchPlan::Op &op : ops) {
-            // e3-lint: float-eq-ok -- exact zero-skip check, not a tolerance bug
-            liveMacs += values[op.srcSlot] != 0.0 ? 1 : 0;
+            liveMacs += isExactZero(values[op.srcSlot]) ? 0 : 1;
         }
     }
     const uint64_t totalMacs = samples * ops.size();

@@ -561,16 +561,18 @@ writeCheckpoint(const std::string &dir, const Checkpoint &checkpoint,
 namespace {
 
 /**
- * The newest snapshot in @p dir's MANIFEST that @p parse accepts and
- * that carries the manifest's fingerprint; unreadable, damaged or
- * mismatched snapshots are skipped with a warning. A manifest of
- * another format version, or of a configuration other than
- * @p expectedConfigHash when one is given, is an error.
+ * The newest snapshot in @p dir's MANIFEST, read up to @p stopLine
+ * (readFile), that @p parse accepts and that carries the manifest's
+ * fingerprint; unreadable, damaged or mismatched snapshots are skipped
+ * with a warning. A manifest of another format version, or of a
+ * configuration other than @p expectedConfigHash when one is given, is
+ * an error.
  */
 Result<Checkpoint>
 loadNewest(const std::string &dir,
            std::optional<uint64_t> expectedConfigHash,
-           Result<Checkpoint> (*parse)(std::string_view))
+           Result<Checkpoint> (*parse)(std::string_view),
+           std::string_view stopLine)
 {
     const std::string manifestPath = joinPath(dir, kManifestName);
     Result<std::string> text = readFile(manifestPath);
@@ -600,7 +602,7 @@ loadNewest(const std::string &dir,
     for (auto it = manifest.entries.rbegin();
          it != manifest.entries.rend(); ++it) {
         const std::string path = joinPath(dir, it->second);
-        Result<std::string> bytes = readFile(path);
+        Result<std::string> bytes = readFile(path, stopLine);
         if (!bytes.ok()) {
             warn("skipping checkpoint '", path,
                  "': ", bytes.message());
@@ -628,14 +630,15 @@ loadLatestCheckpoint(const std::string &dir,
                      uint64_t expectedConfigHash)
 {
     obs::TraceSpan span("checkpoint_load");
-    return loadNewest(dir, expectedConfigHash, checkpointFromString);
+    return loadNewest(dir, expectedConfigHash, checkpointFromString, "");
 }
 
 Result<Checkpoint>
 loadLatestChampion(const std::string &dir)
 {
     obs::TraceSpan span("checkpoint_load");
-    return loadNewest(dir, std::nullopt, checkpointHeadFromString);
+    return loadNewest(dir, std::nullopt, checkpointHeadFromString,
+                      "population ");
 }
 
 Result<std::vector<std::pair<int, std::string>>>

@@ -150,8 +150,8 @@ Result<Checkpoint> loadLatestCheckpoint(const std::string &dir,
 
 /**
  * Load the champion of the newest usable snapshot listed in @p dir's
- * MANIFEST, reading each snapshot's head only
- * (checkpointHeadFromString). The walk and its skip rules are
+ * MANIFEST, reading and parsing each snapshot only up to its population
+ * record (checkpointHeadFromString). The walk and its skip rules are
  * loadLatestCheckpoint's, with the manifest's own fingerprint as the
  * expected one. The result's `configHash` is that fingerprint, the
  * stable identity of the run that produced the champion — the serving

@@ -6,6 +6,21 @@
 
 namespace e3::serve {
 
+namespace {
+
+/** The q-quantile of non-empty, ascending @p sorted, interpolated. */
+double
+sortedPercentile(const std::vector<double> &sorted, double q)
+{
+    const double idx = q * static_cast<double>(sorted.size() - 1);
+    const size_t lo = static_cast<size_t>(std::floor(idx));
+    const size_t hi = static_cast<size_t>(std::ceil(idx));
+    const double frac = idx - static_cast<double>(lo);
+    return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+}
+
+} // namespace
+
 void
 LatencyRecorder::record(double seconds)
 {
@@ -52,17 +67,9 @@ LatencyRecorder::summarize() const
     s.max = samples.back();
     s.mean = std::accumulate(samples.begin(), samples.end(), 0.0) /
              static_cast<double>(samples.size());
-    auto at = [&](double q) {
-        const double idx =
-            q * static_cast<double>(samples.size() - 1);
-        const size_t lo = static_cast<size_t>(std::floor(idx));
-        const size_t hi = static_cast<size_t>(std::ceil(idx));
-        const double frac = idx - static_cast<double>(lo);
-        return samples[lo] * (1.0 - frac) + samples[hi] * frac;
-    };
-    s.p50 = at(0.50);
-    s.p95 = at(0.95);
-    s.p99 = at(0.99);
+    s.p50 = sortedPercentile(samples, 0.50);
+    s.p95 = sortedPercentile(samples, 0.95);
+    s.p99 = sortedPercentile(samples, 0.99);
     return s;
 }
 
@@ -72,12 +79,7 @@ percentile(std::vector<double> samples, double q)
     if (samples.empty())
         return 0.0;
     std::sort(samples.begin(), samples.end());
-    q = std::clamp(q, 0.0, 1.0);
-    const double idx = q * static_cast<double>(samples.size() - 1);
-    const size_t lo = static_cast<size_t>(std::floor(idx));
-    const size_t hi = static_cast<size_t>(std::ceil(idx));
-    const double frac = idx - static_cast<double>(lo);
-    return samples[lo] * (1.0 - frac) + samples[hi] * frac;
+    return sortedPercentile(samples, std::clamp(q, 0.0, 1.0));
 }
 
 } // namespace e3::serve

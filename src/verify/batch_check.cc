@@ -3,26 +3,15 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <sstream>
 
+#include "common/float_eq.hh"
 #include "verify/reference_layering.hh"
 #include "verify/structural.hh"
 
 namespace e3::verify {
 
 namespace {
-
-/** Bit-level double equality: NaN payloads and signed zeros count. */
-bool
-bitEqual(double a, double b)
-{
-    uint64_t ua;
-    uint64_t ub;
-    std::memcpy(&ua, &a, sizeof ua);
-    std::memcpy(&ub, &b, sizeof ub);
-    return ua == ub;
-}
 
 std::string
 laneLocus(size_t lane)

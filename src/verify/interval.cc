@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/float_eq.hh"
 #include "common/logging.hh"
 
 namespace e3::verify {
@@ -19,7 +20,7 @@ namespace {
 double
 safeMul(double a, double b)
 {
-    if (a == 0.0 || b == 0.0) // e3-lint: float-eq-ok -- exact-zero guard for 0 * inf
+    if (isExactZero(a) || isExactZero(b))
         return 0.0;
     return a * b;
 }

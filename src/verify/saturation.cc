@@ -4,6 +4,7 @@
 #include <sstream>
 #include <string>
 
+#include "common/float_eq.hh"
 #include "common/logging.hh"
 #include "nn/batch_eval.hh"
 #include "nn/layering.hh"
@@ -32,10 +33,9 @@ fmtValue(double v)
 bool
 underflowsToZero(const FixedPointFormat &format, double v)
 {
-    if (v == 0.0) // e3-lint: float-eq-ok -- exact zero is not an underflow
-        return false;
-    // e3-lint: float-eq-ok -- round() result is an exact integer
-    return std::round(v / format.resolution()) == 0.0;
+    // An exact zero is not an underflow.
+    return !isExactZero(v) &&
+           isExactZero(std::round(v / format.resolution()));
 }
 
 /** Check one parameter value; returns true on a saturation error. */

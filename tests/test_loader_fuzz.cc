@@ -292,11 +292,14 @@ genomeCorpus()
     return corpus;
 }
 
-/** Every snapshot of a short checkpointed lunar_lander run. */
+/** Every snapshot of a short checkpointed lunar_lander run, written
+ * to a directory of the calling test's own (ctest runs them at once). */
 std::vector<std::string>
 checkpointCorpus()
 {
-    const std::string dir = ::testing::TempDir() + "e3_loader_fuzz_ckpt";
+    const std::string dir =
+        ::testing::TempDir() + "e3_loader_fuzz_ckpt_" +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
     std::filesystem::remove_all(dir);
     ExperimentOptions opt;
     opt.seed = 11;

@@ -17,6 +17,7 @@
 
 #include "common/fs.hh"
 #include "e3/experiment.hh"
+#include "neat/serialize.hh"
 
 using namespace e3;
 using namespace e3::persist;
@@ -420,6 +421,42 @@ TEST(CheckpointDir, FallsBackToOlderSnapshotWhenNewestCorrupt)
     Result<Checkpoint> r = loadLatestCheckpoint(dir, older.configHash);
     ASSERT_TRUE(r.ok()) << r.message();
     EXPECT_EQ(r->generation, 4);
+}
+
+TEST(CheckpointDir, ChampionLoadStopsAtPopulationAcrossChunks)
+{
+    // A champion larger than one read chunk, and a phase name padded so
+    // that the population line starts at and just before a chunk
+    // boundary: the head read stops right before that line.
+    Checkpoint ck = sampleCheckpoint();
+    for (int id = 1000; id < 1400; ++id) {
+        ck.champion->nodes.emplace(id, NodeGene{id, 1e-9 * id});
+        ck.champion->conns.emplace(ConnKey{-1, id}, ConnGene{{-1, id}, 0.5});
+        ck.champion->conns.emplace(ConnKey{id, 0}, ConnGene{{id, 0}, -0.5});
+    }
+    ASSERT_GT(genomeToString(*ck.champion).size(), kReadChunkBytes);
+    ck.phaseSeconds.emplace_back("p", 0.5);
+    const std::string needle = "\npopulation ";
+    const size_t unpadded = checkpointToString(ck).find(needle);
+    const size_t boundary =
+        (unpadded / kReadChunkBytes + 2) * kReadChunkBytes;
+    for (size_t before = 0; before <= needle.size(); ++before) {
+        SCOPED_TRACE(before);
+        ck.phaseSeconds.back().first =
+            std::string(1 + boundary - before - unpadded, 'p');
+        const std::string dir = scratchDir("head_chunks");
+        WriteStats stats;
+        ASSERT_TRUE(writeCheckpoint(dir, ck, 1, &stats).ok());
+        const std::string text = checkpointToString(ck);
+        ASSERT_EQ(text.find(needle), boundary - before);
+        Result<std::string> head = readFile(stats.path, "population ");
+        ASSERT_TRUE(head.ok()) << head.message();
+        EXPECT_EQ(*head, text.substr(0, boundary - before + 1));
+
+        Result<Checkpoint> loaded = loadLatestChampion(dir);
+        ASSERT_TRUE(loaded.ok()) << loaded.message();
+        expectGenomesEqual(*loaded->champion, *ck.champion);
+    }
 }
 
 TEST(CheckpointDir, RetentionKeepsNewestK)

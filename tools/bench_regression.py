@@ -9,6 +9,21 @@ benchmark over its reference twin within the same run:
 
     ratio = items_per_second(fast) / items_per_second(reference)
 
+One repetition swings far past the tolerance on a shared host, so both
+files come from 9 interleaved repetitions, and each side of a ratio is
+its best one: the ``_max`` aggregate bench/micro_kernels.cc registers.
+Other tenants only ever slow a repetition down, and in clusters, so
+the median of 9 still crossed the tolerance between runs where the
+best of 9 held. Baseline and CI use one command (the baseline's
+``context.command``):
+
+    bench_micro_kernels \
+        --benchmark_filter='PopulationInference|GenerationInference|CheckpointLoad|ChampionLoad' \
+        --benchmark_min_time=0.15 --benchmark_repetitions=9 \
+        --benchmark_enable_random_interleaving=true \
+        --benchmark_report_aggregates_only=true \
+        --benchmark_out=OUT.json --benchmark_out_format=json
+
 Two kinds of twin are guarded: a batched inference kernel over its
 per-genome path, and the champion-only snapshot read serve does over
 the full checkpoint parse. The job fails when a ratio drops more than
@@ -56,16 +71,18 @@ PAIRS = [
 ]
 
 
-def load_items_per_second(path):
+def load_best_rates(path):
+    """Best items_per_second of each benchmark, keyed by run name."""
     with open(path) as f:
         report = json.load(f)
     rates = {}
     for bench in report.get("benchmarks", []):
         rate = bench.get("items_per_second")
-        if rate:
-            rates[bench["name"]] = float(rate)
+        if bench.get("aggregate_name") == "max" and rate:
+            rates[bench["run_name"]] = float(rate)
     if not rates:
-        sys.exit(f"error: {path} has no items_per_second entries")
+        sys.exit(f"error: {path} has no _max aggregates with "
+                 "items_per_second; record it with the command above")
     return rates
 
 
@@ -154,21 +171,18 @@ def main():
         print("\nall serve ratios within tolerance")
         return 0
 
-    base = load_items_per_second(args.baseline)
-    fresh = load_items_per_second(args.fresh)
+    base = load_best_rates(args.baseline)
+    fresh = load_best_rates(args.fresh)
 
     failures = []
     print(f"{'pair':<18} {'baseline':>9} {'current':>9} {'floor':>7}")
     for label, reference, fast, guarded in PAIRS:
         base_ratio = ratio(base, reference, fast)
         fresh_ratio = ratio(fresh, reference, fast)
-        if base_ratio is None:
-            # The baseline predates this pair; nothing to guard yet.
-            continue
-        if fresh_ratio is None:
+        if base_ratio is None or fresh_ratio is None:
             if guarded:
-                failures.append(
-                    f"{label}: benchmarks missing from fresh run")
+                where = args.baseline if base_ratio is None else args.fresh
+                failures.append(f"{label}: benchmarks missing from {where}")
             continue
         if not guarded:
             print(f"{label:<18} {base_ratio:>8.2f}x {fresh_ratio:>8.2f}x "

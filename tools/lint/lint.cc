@@ -160,9 +160,6 @@ defaultPolicy()
     p.add("src/common/rng.hh", "E3L003", false);
     p.add("src/common/rng.cc", "E3L003", false);
 
-    // Float equality: tests assert bit-exactness on purpose.
-    p.add("tests", "E3L006", false);
-
     // Library-exit rule: src/ only — tools, benches, examples and
     // tests are application code where fatal() is the right call.
     p.add("", "E3L008", false);

@@ -16,7 +16,7 @@
  * multi-char operators) feeds a registry of token-stream rules. A
  * per-directory policy decides which rules apply where (e.g. the
  * unordered-iteration ban only covers determinism-critical
- * directories, float-equality is relaxed under tests/). Individual
+ * directories). Individual
  * lines are waived with an audited comment:
  *
  *     // e3-lint: ordered-ok — insertion order is rebuilt by key below
@@ -295,8 +295,8 @@ class Policy
 /**
  * The repo's policy: determinism rules scoped to the evolve path
  * (src/neat, src/nn, src/e3, src/runtime, src/persist, src/env),
- * float-equality relaxed under tests/, library-exit rule scoped to
- * src/, and the sanctioned homes of rng primitives exempted.
+ * library-exit rule scoped to src/, and the sanctioned homes of rng
+ * primitives exempted.
  */
 Policy defaultPolicy();
 

@@ -277,66 +277,6 @@ class NoPointerKey : public Rule
 };
 
 /**
- * E3L006 — floating-point equality against a literal.
- *
- * `x == 0.3` is almost always a rounding bug. The rule fires when
- * either operand of ==/!= is a floating literal; exact-representation
- * comparisons (sparsity checks against 0.0) carry a float-eq-ok
- * waiver. Tests are exempt by policy — bit-exactness assertions are
- * their job.
- */
-class NoFloatEq : public Rule
-{
-  public:
-    NoFloatEq()
-        : Rule("E3L006", "no-float-eq", "float-eq-ok",
-               "==/!= against a floating-point literal; compare with "
-               "a tolerance (or waive an intentional exact check)")
-    {
-    }
-
-    static bool
-    isFloatLiteral(const Token &t)
-    {
-        if (t.kind != TokKind::Number)
-            return false;
-        if (t.text.size() > 1 && t.text[0] == '0' &&
-            (t.text[1] == 'x' || t.text[1] == 'X'))
-            return false; // hex integer
-        const bool hasPoint =
-            t.text.find('.') != std::string::npos;
-        const bool hasExp =
-            t.text.find('e') != std::string::npos ||
-            t.text.find('E') != std::string::npos;
-        const bool floatSuffix =
-            t.text.back() == 'f' || t.text.back() == 'F';
-        return hasPoint || hasExp || floatSuffix;
-    }
-
-    void
-    check(const FileContext &ctx, std::vector<Diagnostic> &out) const
-        override
-    {
-        for (size_t i = 0; i < ctx.code.size(); ++i) {
-            const Token &t = ctx.codeTok(i);
-            if (t.kind != TokKind::Punct ||
-                (t.text != "==" && t.text != "!="))
-                continue;
-            const bool floaty =
-                (i >= 1 && isFloatLiteral(ctx.codeTok(i - 1))) ||
-                (i + 1 < ctx.code.size() &&
-                 isFloatLiteral(ctx.codeTok(i + 1)));
-            if (floaty) {
-                out.push_back(
-                    diag(ctx, t.line,
-                         "floating-point '" + t.text +
-                             "' against a literal"));
-            }
-        }
-    }
-};
-
-/**
  * E3L007 — headers must open with an include guard.
  *
  * Accepts either `#pragma once` or a classic `#ifndef X` / `#define X`
@@ -996,7 +936,6 @@ allRules()
         r.push_back(std::make_unique<NoRandomDevice>());
         r.push_back(std::make_unique<NoUnorderedIter>());
         r.push_back(std::make_unique<NoPointerKey>());
-        r.push_back(std::make_unique<NoFloatEq>());
         r.push_back(std::make_unique<HeaderGuard>());
         r.push_back(std::make_unique<NoFatalInLib>());
         r.push_back(std::make_unique<ModuleDeps>());
