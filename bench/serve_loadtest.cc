@@ -56,7 +56,6 @@ struct LoadOptions
     double ratePerConnection = 2000.0; // requests/second, open loop
     size_t connections = 4;
     size_t batch = 16;
-    size_t threads = 2;
     size_t cache = 2; // < champion count, so the LRU path is exercised
     std::string out = "BENCH_serve.json";
 };
@@ -67,7 +66,7 @@ parseArgs(int argc, char **argv)
     LoadOptions opt;
     ArgReader args(argc, argv,
                    "[--seconds s] [--rate r] [--connections n] "
-                   "[--batch n] [--threads n] [--cache n] [--out f]");
+                   "[--batch n] [--cache n] [--out f]");
     while (args.next()) {
         const std::string &key = args.key();
         if (key == "--seconds")
@@ -78,8 +77,6 @@ parseArgs(int argc, char **argv)
             opt.connections = args.number<size_t>(1, 1024);
         else if (key == "--batch")
             opt.batch = args.number<size_t>(1, 4096);
-        else if (key == "--threads")
-            opt.threads = args.number<size_t>(1, 1024);
         else if (key == "--cache")
             opt.cache = args.number<size_t>(1, 1 << 20);
         else if (key == "--out")
@@ -192,7 +189,6 @@ class LoadConnection
 
     uint64_t sent() const { return sent_.load(); }
     uint64_t ok() const { return ok_.load(); }
-    uint64_t overloaded() const { return overloaded_.load(); }
     uint64_t otherStatus() const { return otherStatus_.load(); }
     uint64_t decodeErrors() const { return decodeErrors_.load(); }
     uint64_t unanswered() const
@@ -294,17 +290,10 @@ class LoadConnection
             return;
         }
         ++received_;
-        switch (resp->status) {
-        case StatusCode::Ok:
+        if (resp->status == StatusCode::Ok)
             ++ok_;
-            break;
-        case StatusCode::Overloaded:
-            ++overloaded_;
-            break;
-        default:
+        else
             ++otherStatus_;
-            break;
-        }
         e3::MutexLock lock(mutex_);
         auto it = sendTimes_.find(resp->requestId);
         if (it == sendTimes_.end()) {
@@ -331,7 +320,6 @@ class LoadConnection
     std::atomic<uint64_t> sent_{0};
     std::atomic<uint64_t> received_{0};
     std::atomic<uint64_t> ok_{0};
-    std::atomic<uint64_t> overloaded_{0};
     std::atomic<uint64_t> otherStatus_{0};
     std::atomic<uint64_t> decodeErrors_{0};
 };
@@ -374,7 +362,6 @@ main(int argc, char **argv)
     };
     serveOpt.cacheCapacity = opt.cache;
     serveOpt.maxBatchSize = opt.batch;
-    serveOpt.threads = opt.threads;
     Result<std::unique_ptr<ChampionServer>> created =
         ChampionServer::create(serveOpt);
     if (!created.ok())
@@ -405,13 +392,12 @@ main(int argc, char **argv)
                                       wallStart)
             .count();
 
-    uint64_t sent = 0, ok = 0, overloaded = 0, otherStatus = 0,
+    uint64_t sent = 0, ok = 0, otherStatus = 0,
              decodeErrors = 0, unanswered = 0;
     std::vector<double> clientLatencies;
     for (const auto &conn : conns) {
         sent += conn->sent();
         ok += conn->ok();
-        overloaded += conn->overloaded();
         otherStatus += conn->otherStatus();
         decodeErrors += conn->decodeErrors();
         unanswered += conn->unanswered();
@@ -428,10 +414,9 @@ main(int argc, char **argv)
 
     const double qps = wall > 0.0 ? static_cast<double>(ok) / wall : 0.0;
     std::printf("client: sent %" PRIu64 "  ok %" PRIu64
-                "  overloaded %" PRIu64 "  other %" PRIu64
+                "  other %" PRIu64
                 "  decode-errors %" PRIu64 "  unanswered %" PRIu64 "\n",
-                sent, ok, overloaded, otherStatus, decodeErrors,
-                unanswered);
+                sent, ok, otherStatus, decodeErrors, unanswered);
     std::printf("client: %.0f ok/s  p50 %.3f ms  p95 %.3f ms  "
                 "p99 %.3f ms\n",
                 qps, percentile(clientLatencies, 0.50) * 1e3,
@@ -452,9 +437,9 @@ main(int argc, char **argv)
     std::snprintf(line, sizeof line,
                   "  \"config\": {\"seconds\": %.2f, \"rate_per_"
                   "connection\": %.0f, \"connections\": %zu, "
-                  "\"batch\": %zu, \"threads\": %zu, \"cache\": %zu},\n",
+                  "\"batch\": %zu, \"cache\": %zu},\n",
                   opt.seconds, opt.ratePerConnection, opt.connections,
-                  opt.batch, opt.threads, opt.cache);
+                  opt.batch, opt.cache);
     out << line;
     out << "  \"champions\": [";
     for (size_t i = 0; i < server.champions().size(); ++i) {
@@ -468,11 +453,11 @@ main(int argc, char **argv)
     out << "],\n";
     std::snprintf(line, sizeof line,
                   "  \"client\": {\"sent\": %" PRIu64 ", \"ok\": %" PRIu64
-                  ", \"overloaded\": %" PRIu64 ", \"other_status\": "
+                  ", \"other_status\": "
                   "%" PRIu64 ", \"decode_errors\": %" PRIu64
                   ", \"unanswered\": %" PRIu64 ", \"ok_per_second\": "
                   "%.1f, \"latency\": %s},\n",
-                  sent, ok, overloaded, otherStatus, decodeErrors,
+                  sent, ok, otherStatus, decodeErrors,
                   unanswered, qps,
                   jsonLatency(clientLatencies).c_str());
     out << line;
@@ -496,8 +481,7 @@ main(int argc, char **argv)
     out.close();
     std::printf("wrote %s\n", opt.out.c_str());
 
-    // Gate for CI: every response decoded, every request answered with
-    // an expected status (Ok, or Overloaded under admission control),
+    // Gate for CI: every response decoded, every request answered Ok,
     // and latency percentiles actually measured.
     if (decodeErrors > 0 || otherStatus > 0 || unanswered > 0) {
         std::fprintf(stderr,

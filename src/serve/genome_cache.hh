@@ -14,13 +14,13 @@
  * network out from under a batch that is mid-inference — the batch
  * keeps its reference and the entry is destroyed when the last user
  * drops it. Each champion compiles to a replicated BatchNetwork
- * (compileReplicated) with one lane per batcher slot, so a group of
- * same-champion requests queued behind a busy worker is answered by
- * ONE activateBatch() call. Each entry carries its own eval mutex:
+ * (compileReplicated) with one lane per batch slot, so the
+ * same-champion requests of one TCP read are answered by ONE
+ * activateBatch() call. Each entry carries its own eval mutex:
  * activation mutates the engine's value arena, so concurrent batches
  * for the same champion serialize on it (and, activation being a pure
  * function of (definition, observation), responses stay bit-identical
- * at any batch size or thread count).
+ * at any batch size or connection count).
  */
 
 #ifndef E3_SERVE_GENOME_CACHE_HH
@@ -65,7 +65,7 @@ class GenomeCache
     /**
      * @param capacity resident compiled champions (at least 1)
      * @param batchLanes value lanes per champion — size this to the
-     *        batcher's maximum group so one group is one
+     *        server's maximum batch so one batch is one
      *        activateBatch() call (at least 1)
      */
     explicit GenomeCache(size_t capacity, size_t batchLanes = 1);

@@ -44,7 +44,10 @@ inline constexpr uint32_t kInferKind = 1;
 enum class StatusCode : uint32_t
 {
     Ok = 0,
-    /** Admission control rejected the request; retriable. */
+    /**
+     * Retriable refusal under load. This server queues nothing and
+     * never sends it; the value stays reserved on the wire.
+     */
     Overloaded = 1,
     /** No loaded champion has the requested fingerprint. */
     UnknownChampion = 2,

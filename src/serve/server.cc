@@ -10,7 +10,6 @@
 #include <atomic>
 #include <cerrno>
 #include <cstring>
-#include <future>
 #include <iterator>
 
 #include "common/hot.hh"
@@ -26,54 +25,19 @@ namespace e3::serve {
 struct ChampionServer::Connection
 {
     /**
-     * Set once before the connection thread starts, read lock-free by
-     * connectionLoop's recv, and reset to -1 only by closeSocket()
-     * after the connection thread has joined.
+     * Set once before the connection thread starts; closed and reset
+     * only after that thread has joined. Only the connection thread
+     * reads and writes it; stop() shuts its read side.
      */
     int fd = -1;
-    Mutex writeMutex;
-    bool open E3_GUARDED_BY(writeMutex) = true;
 
     /** Set when connectionLoop has returned; the thread can be joined. */
     std::atomic<bool> finished{false};
-
-    /** Frame and send @p response; drops silently once closed. */
-    void
-    send(const InferResponse &response)
-    {
-        const std::string bytes = frame(encodeResponse(response));
-        MutexLock lock(writeMutex);
-        if (!open)
-            return;
-        size_t sent = 0;
-        while (sent < bytes.size()) {
-            // e3-lint: blocking-ok -- writeMutex exists precisely to serialize whole frames onto this socket
-            const ssize_t n = ::send(fd, bytes.data() + sent,
-                                     bytes.size() - sent, MSG_NOSIGNAL);
-            if (n <= 0) {
-                open = false;
-                return;
-            }
-            sent += static_cast<size_t>(n);
-        }
-    }
-
-    void
-    shutdownAndClose()
-    {
-        MutexLock lock(writeMutex);
-        if (fd >= 0) {
-            ::shutdown(fd, SHUT_RDWR);
-            open = false;
-        }
-    }
 
     /** Release the descriptor; only once the connection thread joined. */
     void
     closeSocket()
     {
-        MutexLock lock(writeMutex);
-        open = false;
         if (fd >= 0)
             ::close(fd);
         fd = -1;
@@ -87,6 +51,37 @@ struct ChampionServer::ConnectionThread
     std::thread thread;
 };
 
+namespace {
+
+/** Write all of @p bytes to @p fd; false once the peer is gone. */
+bool
+sendAll(int fd, const std::string &bytes)
+{
+    size_t sent = 0;
+    while (sent < bytes.size()) {
+        const ssize_t n = ::send(fd, bytes.data() + sent,
+                                 bytes.size() - sent, MSG_NOSIGNAL);
+        if (n <= 0)
+            return false;
+        sent += static_cast<size_t>(n);
+    }
+    return true;
+}
+
+/** Raise @p most to @p value if it is larger. */
+void
+raiseTo(std::atomic<size_t> &most, size_t value)
+{
+    size_t seen = most.load(std::memory_order_relaxed);
+    while (seen < value &&
+           !most.compare_exchange_weak(seen, value,
+                                       std::memory_order_relaxed))
+    {
+    }
+}
+
+} // namespace
+
 Status
 ServeOptions::validate() const
 {
@@ -97,8 +92,6 @@ ServeOptions::validate() const
     const std::pair<const char *, size_t> counts[] = {
         {"cacheCapacity", cacheCapacity},
         {"maxBatchSize", maxBatchSize},
-        {"maxQueueDepth", maxQueueDepth},
-        {"threads", threads},
     };
     for (const auto &[name, value] : counts) {
         if (value == 0)
@@ -113,14 +106,6 @@ ChampionServer::ChampionServer(const ServeOptions &options)
       cache_(std::make_unique<GenomeCache>(options.cacheCapacity,
                                            options.maxBatchSize))
 {
-    Batcher::Options batcherOptions;
-    batcherOptions.maxBatchSize = options.maxBatchSize;
-    batcherOptions.maxQueueDepth = options.maxQueueDepth;
-    batcherOptions.threads = options.threads;
-    batcher_ = std::make_unique<Batcher>(
-        batcherOptions, [this](std::vector<PendingRequest> &batch) {
-            evaluateBatch(batch);
-        });
 }
 
 Result<std::unique_ptr<ChampionServer>>
@@ -198,75 +183,89 @@ ChampionServer::findChampion(uint64_t fingerprint) const
 }
 
 void
-ChampionServer::submit(const InferRequest &request,
-                       std::function<void(const InferResponse &)> done)
+ChampionServer::submit(
+    const InferRequest &request,
+    const std::function<void(const InferResponse &)> &done)
 {
-    {
-        MutexLock lock(countersMutex_);
-        ++counters_.requests;
-    }
-
-    InferResponse reject;
-    reject.requestId = request.requestId;
-
-    const ChampionEntry *entry = findChampion(request.fingerprint);
-    if (!entry) {
-        reject.status = StatusCode::UnknownChampion;
-        reject.message = detail::format("no champion with fingerprint ",
-                                        request.fingerprint);
-        MutexLock lock(countersMutex_);
-        ++counters_.rejectedUnknown;
-    } else if (request.observation.size() != entry->info.numInputs) {
-        reject.status = StatusCode::BadRequest;
-        reject.message = detail::format(
-            "expected ", entry->info.numInputs, " observations for ",
-            entry->info.envName, ", got ", request.observation.size());
-        MutexLock lock(countersMutex_);
-        ++counters_.rejectedBadRequest;
-    } else {
-        PendingRequest pending;
-        pending.request = request;
-        pending.done = std::move(done);
-        pending.enqueued = std::chrono::steady_clock::now();
-        StatusCode reason = StatusCode::Ok;
-        if (batcher_->submit(std::move(pending), reason))
-            return;
-        // Rejection leaves `pending` (and its callback) intact.
-        reject.status = reason;
-        reject.message = reason == StatusCode::Draining
-                             ? "server is draining"
-                             : "queue full, retry later";
-        {
-            MutexLock lock(countersMutex_);
-            if (reason == StatusCode::Draining)
-                ++counters_.rejectedDraining;
-            else
-                ++counters_.rejectedOverload;
-        }
-        pending.done(reject);
-        return;
-    }
-    done(reject);
+    done(infer(request));
 }
 
 InferResponse
 ChampionServer::infer(const InferRequest &request)
 {
-    std::promise<InferResponse> promise;
-    std::future<InferResponse> future = promise.get_future();
-    submit(request, [&promise](const InferResponse &response) {
-        promise.set_value(response);
-    });
-    return future.get();
+    const Clock::time_point received = Clock::now();
+    Slot slot{request, {}, false};
+    if (draining_.load(std::memory_order_acquire)) {
+        counts_.requests.fetch_add(1, std::memory_order_relaxed);
+        counts_.rejectedDraining.fetch_add(1, std::memory_order_relaxed);
+        slot.response.status = StatusCode::Draining;
+        slot.response.requestId = request.requestId;
+        slot.response.message = "server is draining";
+    } else {
+        answer(std::span<Slot>(&slot, 1), received);
+    }
+    return std::move(slot.response);
+}
+
+void
+ChampionServer::answer(std::span<Slot> slots, Clock::time_point received)
+{
+    for (Slot &slot : slots) {
+        if (slot.answered)
+            continue;
+        counts_.requests.fetch_add(1, std::memory_order_relaxed);
+        InferResponse &reject = slot.response;
+        reject.requestId = slot.request.requestId;
+        const ChampionEntry *entry =
+            findChampion(slot.request.fingerprint);
+        if (!entry) {
+            reject.status = StatusCode::UnknownChampion;
+            reject.message = detail::format(
+                "no champion with fingerprint ", slot.request.fingerprint);
+            counts_.rejectedUnknown.fetch_add(1,
+                                              std::memory_order_relaxed);
+            slot.answered = true;
+        } else if (slot.request.observation.size() !=
+                   entry->info.numInputs) {
+            reject.status = StatusCode::BadRequest;
+            reject.message = detail::format(
+                "expected ", entry->info.numInputs, " observations for ",
+                entry->info.envName, ", got ",
+                slot.request.observation.size());
+            counts_.rejectedBadRequest.fetch_add(
+                1, std::memory_order_relaxed);
+            slot.answered = true;
+        }
+    }
+
+    // The oldest unanswered request pins each group's champion; the
+    // later requests for it join, up to maxBatchSize.
+    std::vector<Slot *> batch;
+    batch.reserve(std::min(slots.size(), options_.maxBatchSize));
+    for (size_t first = 0; first < slots.size(); ++first) {
+        if (slots[first].answered)
+            continue;
+        const uint64_t fingerprint = slots[first].request.fingerprint;
+        batch.clear();
+        for (size_t i = first;
+             i < slots.size() && batch.size() < options_.maxBatchSize;
+             ++i) {
+            if (!slots[i].answered &&
+                slots[i].request.fingerprint == fingerprint)
+                batch.push_back(&slots[i]);
+        }
+        evaluateBatch(batch, received);
+    }
 }
 
 E3_HOT void
-ChampionServer::evaluateBatch(std::vector<PendingRequest> &batch)
+ChampionServer::evaluateBatch(std::span<Slot *const> batch,
+                              Clock::time_point received)
 {
     obs::TraceSpan batchSpan("serve.batch", obs::TraceDetail::Task);
     const ChampionEntry *entry =
-        findChampion(batch.front().request.fingerprint);
-    // submit() verified the fingerprint before queueing; entries are
+        findChampion(batch.front()->request.fingerprint);
+    // answer() verified the fingerprint before grouping; entries are
     // immutable after create(), so this lookup cannot fail.
     e3_assert(entry != nullptr, "batched request for an unknown champion");
 
@@ -281,67 +280,57 @@ ChampionServer::evaluateBatch(std::vector<PendingRequest> &batch)
         // its requests, not crash the serving loop.
         warn("serve: champion ", entry->info.fingerprint,
              " failed to compile: ", acquired.message());
-        for (PendingRequest &pending : batch) {
-            InferResponse response;
-            response.status = StatusCode::BadRequest;
-            response.requestId = pending.request.requestId;
-            {
-                MutexLock lock(countersMutex_);
-                ++counters_.rejectedBadRequest;
-            }
-            pending.done(response);
+        for (Slot *slot : batch) {
+            slot->response.status = StatusCode::BadRequest;
+            slot->answered = true;
         }
+        counts_.rejectedBadRequest.fetch_add(batch.size(),
+                                             std::memory_order_relaxed);
         return;
     }
     const std::shared_ptr<CompiledChampion> compiled =
         std::move(acquired).value();
 
-    // The whole group lands in one activateBatch() call per chunk of
-    // lanes, under the champion's eval mutex: activation is a pure
-    // function of (def, observation), so each response is bit-identical
-    // no matter how requests were grouped.
+    // The whole group lands in one activateBatch() call under the
+    // champion's eval mutex: activation is a pure function of (def,
+    // observation), so each response is bit-identical no matter how
+    // requests were grouped.
     BatchNetwork &net = *compiled->batch;
+    e3_assert(batch.size() <= net.lanes(),
+              "a batch holds at most maxBatchSize requests");
     const size_t numIn = net.numInputs();
     const size_t numOut = net.numOutputs();
-    MutexLock evalLock(compiled->evalMutex);
-    std::vector<double> &inBuf = compiled->inScratch;
-    std::vector<double> &outBuf = compiled->outScratch;
-    for (size_t offset = 0; offset < batch.size();
-         offset += net.lanes()) {
-        const size_t count =
-            std::min(net.lanes(), batch.size() - offset);
-        for (size_t i = 0; i < count; ++i) {
-            const Observation &obs =
-                batch[offset + i].request.observation;
+    {
+        MutexLock evalLock(compiled->evalMutex);
+        std::vector<double> &inBuf = compiled->inScratch;
+        std::vector<double> &outBuf = compiled->outScratch;
+        for (size_t i = 0; i < batch.size(); ++i) {
+            const Observation &obs = batch[i]->request.observation;
             std::copy(obs.begin(), obs.end(),
                       inBuf.begin() + static_cast<long>(i * numIn));
         }
         net.reset();
-        net.activateBatch(count, inBuf.data(), numIn, outBuf.data(),
-                          numOut);
-
-        for (size_t i = 0; i < count; ++i) {
-            obs::TraceSpan requestSpan("serve.infer",
-                                       obs::TraceDetail::Task);
-            PendingRequest &pending = batch[offset + i];
-            InferResponse response;
+        net.activateBatch(batch.size(), inBuf.data(), numIn,
+                          outBuf.data(), numOut);
+        for (size_t i = 0; i < batch.size(); ++i) {
+            InferResponse &response = batch[i]->response;
             response.status = StatusCode::Ok;
-            response.requestId = pending.request.requestId;
             response.action.assign(
                 outBuf.begin() + static_cast<long>(i * numOut),
                 outBuf.begin() + static_cast<long>((i + 1) * numOut));
-
-            const auto now = std::chrono::steady_clock::now();
-            latency_.record(
-                std::chrono::duration<double>(now - pending.enqueued)
-                    .count());
-            {
-                MutexLock lock(countersMutex_);
-                ++counters_.ok;
-            }
-            pending.done(response);
+            batch[i]->answered = true;
         }
     }
+
+    const double seconds =
+        std::chrono::duration<double>(Clock::now() - received).count();
+    for (size_t i = 0; i < batch.size(); ++i)
+        latency_.record(seconds);
+    counts_.ok.fetch_add(batch.size(), std::memory_order_relaxed);
+    counts_.batches.fetch_add(1, std::memory_order_relaxed);
+    counts_.batchedRequests.fetch_add(batch.size(),
+                                      std::memory_order_relaxed);
+    raiseTo(counts_.maxBatchSize, batch.size());
 }
 
 Status
@@ -407,7 +396,7 @@ ChampionServer::acceptLoop()
             return;
         }
         connections_.push_back({conn, std::thread([this, conn] {
-                                    connectionLoop(conn);
+                                    connectionLoop(*conn);
                                     conn->finished.store(
                                         true, std::memory_order_release);
                                 })});
@@ -444,53 +433,61 @@ ChampionServer::connectionCount() const
 }
 
 void
-ChampionServer::connectionLoop(std::shared_ptr<Connection> conn)
+ChampionServer::connectionLoop(const Connection &conn)
 {
     obs::traceSetThreadName("serve-conn");
     FrameReader reader;
+    std::vector<Slot> slots;
+    std::string out;
     char buf[4096];
-    for (;;) {
-        const ssize_t n = ::recv(conn->fd, buf, sizeof(buf), 0);
+    bool open = true;
+    while (open && !draining_.load(std::memory_order_acquire)) {
+        const ssize_t n = ::recv(conn.fd, buf, sizeof(buf), 0);
         if (n <= 0)
             break;
+        const Clock::time_point received = Clock::now();
         reader.feed(buf, static_cast<size_t>(n));
+        slots.clear();
         for (;;) {
             std::string payload;
             Result<bool> got = reader.next(payload);
-            if (!got.ok()) {
-                // Oversized/garbled framing: answer once, then hang
-                // up — the stream cannot be resynchronized.
-                InferResponse bad;
-                bad.status = StatusCode::BadRequest;
-                bad.message = got.message();
-                {
-                    MutexLock lock(countersMutex_);
-                    ++counters_.protocolErrors;
-                }
-                conn->send(bad);
-                conn->shutdownAndClose();
-                return;
-            }
-            if (!*got)
+            if (got.ok() && !*got)
                 break;
-            Result<InferRequest> request = decodeRequest(payload);
-            if (!request.ok()) {
-                InferResponse bad;
-                bad.status = StatusCode::BadRequest;
-                bad.message = request.message();
-                {
-                    MutexLock lock(countersMutex_);
-                    ++counters_.protocolErrors;
-                }
-                conn->send(bad);
+            Result<InferRequest> request =
+                got.ok() ? decodeRequest(payload)
+                         : Result<InferRequest>(Status::error(got.message()));
+            if (request.ok()) {
+                slots.push_back({std::move(request).value(), {}, false});
                 continue;
             }
-            submit(*request, [conn](const InferResponse &response) {
-                conn->send(response);
-            });
+            // An undecodable payload answers BadRequest in its turn;
+            // broken framing also ends the connection once this read
+            // is answered, since the stream cannot be resynchronized.
+            Slot bad;
+            bad.response.status = StatusCode::BadRequest;
+            bad.response.message = request.message();
+            bad.answered = true;
+            slots.push_back(std::move(bad));
+            counts_.protocolErrors.fetch_add(1, std::memory_order_relaxed);
+            if (!got.ok()) {
+                open = false;
+                break;
+            }
         }
+        if (slots.empty())
+            continue; // the read ended mid-frame
+        answer(slots, received);
+
+        // The read's answers leave in one write, with no lock held: a
+        // client that stops reading stalls only its own connection.
+        obs::TraceSpan writeSpan("serve.write", obs::TraceDetail::Task);
+        out.clear();
+        for (const Slot &slot : slots)
+            out += frame(encodeResponse(slot.response));
+        if (!sendAll(conn.fd, out))
+            break;
     }
-    conn->shutdownAndClose();
+    ::shutdown(conn.fd, SHUT_RDWR);
 }
 
 void
@@ -502,18 +499,19 @@ ChampionServer::stop()
             return;
         stopped_ = true;
     }
-    // Wake and close the listener first so no new connections arrive,
-    // then drain: everything already accepted is answered before the
-    // workers exit, and new submissions answer Draining.
+    // From here in-process requests answer Draining. Close the listener
+    // so no new connections arrive, then shut the read side of each
+    // connection: its thread answers the frames it has already read
+    // and exits.
+    draining_.store(true, std::memory_order_release);
     if (listenFd_ >= 0) {
         ::shutdown(listenFd_, SHUT_RDWR);
         ::close(listenFd_);
     }
-    batcher_->drain();
     {
         MutexLock lock(connectionsMutex_);
         for (ConnectionThread &c : connections_)
-            c.conn->shutdownAndClose();
+            ::shutdown(c.conn->fd, SHUT_RD);
     }
     if (acceptThread_.joinable())
         acceptThread_.join();
@@ -534,14 +532,29 @@ ChampionServer::stop()
 ServerCounters
 ChampionServer::counters() const
 {
-    MutexLock lock(countersMutex_);
-    return counters_;
+    ServerCounters c;
+    c.requests = counts_.requests.load(std::memory_order_relaxed);
+    c.ok = counts_.ok.load(std::memory_order_relaxed);
+    c.rejectedUnknown =
+        counts_.rejectedUnknown.load(std::memory_order_relaxed);
+    c.rejectedBadRequest =
+        counts_.rejectedBadRequest.load(std::memory_order_relaxed);
+    c.rejectedDraining =
+        counts_.rejectedDraining.load(std::memory_order_relaxed);
+    c.protocolErrors =
+        counts_.protocolErrors.load(std::memory_order_relaxed);
+    return c;
 }
 
 BatcherStats
 ChampionServer::batcherStats() const
 {
-    return batcher_->stats();
+    BatcherStats b;
+    b.batches = counts_.batches.load(std::memory_order_relaxed);
+    b.batchedRequests =
+        counts_.batchedRequests.load(std::memory_order_relaxed);
+    b.maxBatchSize = counts_.maxBatchSize.load(std::memory_order_relaxed);
+    return b;
 }
 
 void
@@ -551,8 +564,6 @@ ChampionServer::exportMetrics(obs::MetricsRegistry &registry) const
     registry.setCounter("serve.requests",
                         static_cast<double>(c.requests));
     registry.setCounter("serve.ok", static_cast<double>(c.ok));
-    registry.setCounter("serve.rejected_overload",
-                        static_cast<double>(c.rejectedOverload));
     registry.setCounter("serve.rejected_unknown",
                         static_cast<double>(c.rejectedUnknown));
     registry.setCounter("serve.rejected_bad_request",
@@ -567,8 +578,6 @@ ChampionServer::exportMetrics(obs::MetricsRegistry &registry) const
                         static_cast<double>(b.batches));
     registry.setGauge("serve.batch_max",
                       static_cast<double>(b.maxBatchSize));
-    registry.setGauge("serve.queue_depth",
-                      static_cast<double>(b.queueDepth));
 
     registry.setCounter("serve.cache.hits",
                         static_cast<double>(cache_->hits()));

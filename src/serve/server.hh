@@ -8,36 +8,44 @@
  * each configured checkpoint directory, gates it through the src/verify
  * static analyzer (an artifact with verification errors is never
  * served — the load returns a tagged error instead), compiles it into
- * a replicated batch engine (compileReplicated), and serves it through
- * a request batcher backed by an LRU compiled-network cache keyed on
- * the checkpoint manifest fingerprint — each group of same-champion
- * requests queued behind a busy worker is answered by one
- * activateBatch() call.
+ * a replicated batch engine (compileReplicated) held in an LRU
+ * compiled-network cache keyed on the checkpoint manifest fingerprint,
+ * and answers each request on the thread that read it: no queue, no
+ * hand-off to a worker.
  *
  * Two front ends share one request path: submit()/infer() for
- * in-process callers (tests, the bench driver) and a length-prefixed
- * TCP protocol (serve/protocol.hh) via listen(). Shutdown is graceful:
- * stop() rejects new work with Draining, runs the queue dry, answers
- * everything accepted, then joins.
+ * in-process callers (tests, the bench driver) evaluate on the
+ * caller's thread, and a length-prefixed TCP protocol
+ * (serve/protocol.hh) via listen() gives each connection a thread that
+ * decodes every complete frame of a read, answers the same-champion
+ * requests among them in groups of up to maxBatchSize (one
+ * activateBatch() call each), and writes the read's responses with one
+ * send(). Shutdown is graceful: stop() makes new submit() calls answer
+ * Draining, shuts the read side of every connection, lets each
+ * connection thread answer the frames it has read, then joins.
  *
  * Determinism contract: a response is a pure function of (champion
  * fingerprint, observation bytes) — bit-identical at any batch size,
- * thread count, or cache state.
+ * connection count, or cache state.
  */
 
 #ifndef E3_SERVE_SERVER_HH
 #define E3_SERVE_SERVER_HH
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/result.hh"
 #include "common/thread_annotations.hh"
 #include "nn/network.hh"
 #include "obs/metrics.hh"
-#include "serve/batcher.hh"
 #include "serve/genome_cache.hh"
 #include "serve/latency.hh"
 #include "serve/protocol.hh"
@@ -58,11 +66,16 @@ struct ServeOptions
     /** Compiled networks kept resident (LRU beyond this). */
     size_t cacheCapacity = 8;
 
-    /** Most queued same-champion requests one batch answers. */
+    /** Most same-champion requests of one TCP read one batch answers. */
     size_t maxBatchSize = 16;
-    size_t maxQueueDepth = 256;
 
-    /** Batcher worker threads. */
+    /**
+     * Ignored: each request runs on the thread that read it, so there
+     * is no queue to bound and no worker pool to size. Kept only so
+     * hostbench's serve driver compiles; goes once that driver may
+     * change.
+     */
+    size_t maxQueueDepth = 256;
     size_t threads = 1;
 
     /** Refuse champions with verifier *warnings* too. */
@@ -70,7 +83,7 @@ struct ServeOptions
 
     /**
      * An error naming the first unusable field: an empty source list,
-     * or a zero cacheCapacity, maxBatchSize, maxQueueDepth or threads.
+     * or a zero cacheCapacity or maxBatchSize.
      */
     Status validate() const;
 };
@@ -92,11 +105,24 @@ struct ServerCounters
 {
     uint64_t requests = 0;
     uint64_t ok = 0;
+    /** Always 0: nothing is queued. Kept because hostbench reads it. */
     uint64_t rejectedOverload = 0;
     uint64_t rejectedUnknown = 0;
     uint64_t rejectedBadRequest = 0;
     uint64_t rejectedDraining = 0;
     uint64_t protocolErrors = 0; ///< undecodable TCP payloads
+};
+
+/**
+ * How requests were grouped (monotonic). A batch is the same-champion
+ * requests of one TCP read, at most maxBatchSize of them, answered by
+ * one activateBatch() call; an in-process request is a batch of one.
+ */
+struct BatcherStats
+{
+    uint64_t batches = 0;
+    uint64_t batchedRequests = 0;
+    size_t maxBatchSize = 0; ///< largest batch so far
 };
 
 class ChampionServer
@@ -125,13 +151,13 @@ class ChampionServer
     }
 
     /**
-     * Asynchronous in-process request. @p done runs exactly once, on
-     * a batcher worker (or inline for rejected requests).
+     * In-process request, evaluated on the caller's thread: @p done
+     * runs exactly once, before submit() returns.
      */
     void submit(const InferRequest &request,
-                std::function<void(const InferResponse &)> done);
+                const std::function<void(const InferResponse &)> &done);
 
-    /** Blocking in-process request. */
+    /** In-process request; Draining once stop() has begun. */
     InferResponse infer(const InferRequest &request);
 
     /**
@@ -144,9 +170,10 @@ class ChampionServer
     uint16_t port() const { return port_; }
 
     /**
-     * Graceful shutdown: stop accepting (new submissions answer
-     * Draining), drain the queue, close connections, join all
-     * threads. Idempotent; the destructor calls it.
+     * Graceful shutdown: close the listener, make new submissions
+     * answer Draining, shut the read side of every connection, and
+     * join each connection thread once it has answered every frame it
+     * read. Idempotent; the destructor calls it.
      */
     void stop();
 
@@ -166,21 +193,39 @@ class ChampionServer
     void exportMetrics(obs::MetricsRegistry &registry) const;
 
   private:
+    using Clock = std::chrono::steady_clock;
+
     struct ChampionEntry
     {
         ChampionInfo info;
         NetworkDef def;
+    };
+    /** One request of a read (or one in-process call) and its answer. */
+    struct Slot
+    {
+        InferRequest request;
+        InferResponse response;
+        bool answered = false;
     };
     struct Connection;
     struct ConnectionThread;
 
     explicit ChampionServer(const ServeOptions &options);
 
-    void evaluateBatch(std::vector<PendingRequest> &batch);
+    /**
+     * Answer every unanswered slot: reject what cannot run, then
+     * evaluate the rest in same-champion groups of at most
+     * maxBatchSize, each group formed from the oldest slot left and
+     * the later ones for its champion. @p received starts each
+     * request's latency sample.
+     */
+    void answer(std::span<Slot> slots, Clock::time_point received);
+    void evaluateBatch(std::span<Slot *const> batch,
+                       Clock::time_point received);
     const ChampionEntry *findChampion(uint64_t fingerprint) const;
 
     void acceptLoop();
-    void connectionLoop(std::shared_ptr<Connection> conn);
+    void connectionLoop(const Connection &conn);
     /** Join and drop connections whose loop has exited. */
     void reapFinishedConnections();
 
@@ -188,11 +233,24 @@ class ChampionServer
     std::vector<ChampionInfo> champions_;
     std::vector<ChampionEntry> entries_;
     std::unique_ptr<GenomeCache> cache_;
-    std::unique_ptr<Batcher> batcher_;
     LatencyRecorder latency_;
 
-    mutable Mutex countersMutex_;
-    ServerCounters counters_ E3_GUARDED_BY(countersMutex_);
+    /** Counted lock-free; counters()/batcherStats() read a snapshot. */
+    struct
+    {
+        std::atomic<uint64_t> requests{0};
+        std::atomic<uint64_t> ok{0};
+        std::atomic<uint64_t> rejectedUnknown{0};
+        std::atomic<uint64_t> rejectedBadRequest{0};
+        std::atomic<uint64_t> rejectedDraining{0};
+        std::atomic<uint64_t> protocolErrors{0};
+        std::atomic<uint64_t> batches{0};
+        std::atomic<uint64_t> batchedRequests{0};
+        std::atomic<size_t> maxBatchSize{0};
+    } counts_;
+
+    /** Set once stop() begins: submit() answers Draining. */
+    std::atomic<bool> draining_{false};
 
     // TCP front end.
     int listenFd_ = -1;

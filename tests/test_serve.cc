@@ -1,11 +1,12 @@
 /**
  * @file
  * src/serve: wire-protocol round-trips (including truncated and
- * oversized frames), LRU cache behavior, admission control under
- * overload, the verify gate at champion load, the TCP front end, and
- * the headline guarantee — a response is a pure function of (champion
- * fingerprint, observation), bit-identical at any batch size, thread
- * count, or cache state.
+ * oversized frames), LRU cache behavior, the verify gate at champion
+ * load, the TCP front end (pipelined reads answered in batches, a
+ * client that stops reading, shutdown while a client streams), and the
+ * headline guarantee — a response is a pure function of (champion
+ * fingerprint, observation), bit-identical at any batch size,
+ * connection count, or cache state.
  */
 
 #include "serve/server.hh"
@@ -26,13 +27,13 @@
 #include <future>
 #include <limits>
 #include <map>
+#include <set>
 #include <thread>
 
 #include "common/fs.hh"
 #include "env/env_registry.hh"
 #include "neat/population.hh"
 #include "persist/checkpoint.hh"
-#include "serve/batcher.hh"
 #include "serve/genome_cache.hh"
 #include "serve/latency.hh"
 #include "serve/protocol.hh"
@@ -104,14 +105,12 @@ fingerprintOf(const std::string &dir)
 
 std::unique_ptr<ChampionServer>
 serverFor(const std::vector<ChampionSource> &sources,
-          size_t cacheCapacity = 8, size_t maxBatchSize = 16,
-          size_t threads = 1)
+          size_t cacheCapacity = 8, size_t maxBatchSize = 16)
 {
     ServeOptions opt;
     opt.sources = sources;
     opt.cacheCapacity = cacheCapacity;
     opt.maxBatchSize = maxBatchSize;
-    opt.threads = threads;
     Result<std::unique_ptr<ChampionServer>> server =
         ChampionServer::create(opt);
     EXPECT_TRUE(server.ok()) << server.message();
@@ -355,70 +354,6 @@ TEST(ServeCache, MalformedDefIsErrorNotCrash)
 }
 
 // ---------------------------------------------------------------------
-// Batcher admission control
-// ---------------------------------------------------------------------
-
-TEST(ServeBatcher, OverloadRejectsAndDrainAnswersEverything)
-{
-    // A gated evaluator holds the single worker inside a batch so the
-    // queue backs up deterministically.
-    std::promise<void> gate;
-    std::shared_future<void> gateReached = gate.get_future().share();
-    std::promise<void> release;
-    std::shared_future<void> released = release.get_future().share();
-    std::atomic<int> answered{0};
-
-    Batcher::Options opt;
-    opt.maxBatchSize = 1;
-    opt.maxQueueDepth = 2;
-    opt.threads = 1;
-    Batcher batcher(opt, [&](std::vector<PendingRequest> &batch) {
-        gate.set_value();
-        released.wait();
-        for (PendingRequest &p : batch) {
-            InferResponse resp;
-            resp.requestId = p.request.requestId;
-            p.done(resp);
-        }
-        // Only the first batch holds the gate.
-        gate = std::promise<void>();
-    });
-
-    auto pend = [&](uint64_t id) {
-        PendingRequest p;
-        p.request.requestId = id;
-        p.request.fingerprint = 5;
-        p.done = [&](const InferResponse &) { ++answered; };
-        p.enqueued = std::chrono::steady_clock::now();
-        return p;
-    };
-
-    StatusCode reason = StatusCode::Ok;
-    ASSERT_TRUE(batcher.submit(pend(1), reason));
-    gateReached.wait(); // worker is now stuck inside batch #1
-    ASSERT_TRUE(batcher.submit(pend(2), reason));
-    ASSERT_TRUE(batcher.submit(pend(3), reason));
-    // Queue now holds maxQueueDepth: admission control kicks in.
-    PendingRequest rejected = pend(4);
-    EXPECT_FALSE(batcher.submit(std::move(rejected), reason));
-    EXPECT_EQ(reason, StatusCode::Overloaded);
-    // A rejected request is handed back intact, callback included.
-    EXPECT_EQ(rejected.request.requestId, 4u);
-    EXPECT_TRUE(static_cast<bool>(rejected.done));
-
-    release.set_value();
-    batcher.drain();
-    // Every accepted request was answered exactly once; the rejected
-    // one was not.
-    EXPECT_EQ(answered.load(), 3);
-    EXPECT_EQ(batcher.stats().batchedRequests, 3u);
-
-    // After drain, submissions reject with Draining.
-    EXPECT_FALSE(batcher.submit(pend(5), reason));
-    EXPECT_EQ(reason, StatusCode::Draining);
-}
-
-// ---------------------------------------------------------------------
 // Champion loading: the verify gate
 // ---------------------------------------------------------------------
 
@@ -658,20 +593,6 @@ TEST(ServeOptionsValidate, ZeroMaxBatchSizeNamed)
     expectRefusedNaming(opt, "maxBatchSize");
 }
 
-TEST(ServeOptionsValidate, ZeroMaxQueueDepthNamed)
-{
-    ServeOptions opt = validOptions();
-    opt.maxQueueDepth = 0;
-    expectRefusedNaming(opt, "maxQueueDepth");
-}
-
-TEST(ServeOptionsValidate, ZeroThreadsNamed)
-{
-    ServeOptions opt = validOptions();
-    opt.threads = 0;
-    expectRefusedNaming(opt, "threads");
-}
-
 // ---------------------------------------------------------------------
 // In-process request path
 // ---------------------------------------------------------------------
@@ -704,9 +625,17 @@ TEST(ServeRequests, OkUnknownAndBadRequest)
     badArity.observation.pop_back();
     EXPECT_EQ(server->infer(badArity).status, StatusCode::BadRequest);
 
+    // submit() answers on the caller's thread, before it returns.
+    bool answered = false;
+    server->submit(req, [&](const InferResponse &resp) {
+        EXPECT_EQ(resp.status, StatusCode::Ok);
+        answered = true;
+    });
+    EXPECT_TRUE(answered);
+
     const ServerCounters counters = server->counters();
-    EXPECT_EQ(counters.requests, 3u);
-    EXPECT_EQ(counters.ok, 1u);
+    EXPECT_EQ(counters.requests, 4u);
+    EXPECT_EQ(counters.ok, 2u);
     EXPECT_EQ(counters.rejectedUnknown, 1u);
     EXPECT_EQ(counters.rejectedBadRequest, 1u);
 }
@@ -755,172 +684,23 @@ TEST(ServeRequests, CacheCountersVisibleThroughServer)
 }
 
 // ---------------------------------------------------------------------
-// Determinism: the acceptance criterion
+// Test client and batch-1 references
 // ---------------------------------------------------------------------
 
 namespace {
 
-/** Bit patterns of an action vector, for exact comparison. */
-std::vector<uint64_t>
-bits(const std::vector<double> &action)
-{
-    std::vector<uint64_t> out(action.size());
-    for (size_t i = 0; i < action.size(); ++i)
-        std::memcpy(&out[i], &action[i], sizeof(uint64_t));
-    return out;
-}
-
-} // namespace
-
-TEST(ServeDeterminism, BitIdenticalAcrossBatchSizeAndThreads)
-{
-    const std::string dir = championDir("cartpole", "det", 17);
-    const uint64_t fp = fingerprintOf(dir);
-
-    // Distinct observations, each with a reference action from the
-    // simplest possible configuration (batch=1, one thread).
-    std::vector<std::vector<double>> observations;
-    for (int k = 0; k < 8; ++k)
-        observations.push_back(
-            observationFor("cartpole", 0.1 * k - 0.3));
-
-    std::map<size_t, std::vector<uint64_t>> reference;
-    {
-        auto server = serverFor({{dir, "cartpole"}},
-                                /*cache=*/8, /*batch=*/1,
-                                /*threads=*/1);
-        ASSERT_NE(server, nullptr);
-        for (size_t i = 0; i < observations.size(); ++i) {
-            InferRequest req;
-            req.requestId = i;
-            req.fingerprint = fp;
-            req.observation = observations[i];
-            const InferResponse resp = server->infer(req);
-            ASSERT_EQ(resp.status, StatusCode::Ok);
-            reference[i] = bits(resp.action);
-        }
-    }
-
-    // Now hammer the same observations through aggressive batching and
-    // multiple workers, many times each, asynchronously.
-    for (size_t batch : {4u, 16u}) {
-        for (size_t threads : {2u, 4u}) {
-            auto server = serverFor({{dir, "cartpole"}},
-                                    /*cache=*/8, batch, threads);
-            ASSERT_NE(server, nullptr);
-
-            const size_t repeats = 20;
-            const size_t total = observations.size() * repeats;
-            std::vector<InferResponse> responses(total);
-            std::atomic<size_t> doneCount{0};
-            std::promise<void> allDone;
-            for (size_t r = 0; r < repeats; ++r) {
-                for (size_t i = 0; i < observations.size(); ++i) {
-                    const size_t slot = r * observations.size() + i;
-                    InferRequest req;
-                    req.requestId = slot;
-                    req.fingerprint = fp;
-                    req.observation = observations[i];
-                    server->submit(
-                        req, [&, slot](const InferResponse &resp) {
-                            responses[slot] = resp;
-                            if (++doneCount == total)
-                                allDone.set_value();
-                        });
-                }
-            }
-            allDone.get_future().wait();
-
-            for (size_t slot = 0; slot < total; ++slot) {
-                const size_t i = slot % observations.size();
-                ASSERT_EQ(responses[slot].status, StatusCode::Ok)
-                    << "batch=" << batch << " threads=" << threads;
-                EXPECT_EQ(bits(responses[slot].action), reference[i])
-                    << "batch=" << batch << " threads=" << threads
-                    << " observation " << i;
-            }
-            EXPECT_GE(server->batcherStats().batches, 1u);
-        }
-    }
-}
-
-TEST(ServeDeterminism, QueuedRequestsShareBatchesOfAtMostMaxBatchSize)
-{
-    // One worker, batches of at most 4. The first request's callback
-    // runs on that worker and queues 6 more requests for the same
-    // champion before it returns, so they wait behind a busy worker and
-    // must be answered as a group of 4 and a group of 2, each action
-    // bit-identical to the batch-1 reference.
-    const std::string dir = championDir("cartpole", "group", 17);
-    const uint64_t fp = fingerprintOf(dir);
-    std::vector<std::vector<double>> observations;
-    for (int k = 0; k < 7; ++k)
-        observations.push_back(
-            observationFor("cartpole", 0.1 * k - 0.3));
-    auto request = [&](size_t i) {
-        InferRequest req;
-        req.requestId = i;
-        req.fingerprint = fp;
-        req.observation = observations[i];
-        return req;
-    };
-
-    std::vector<std::vector<uint64_t>> reference;
-    {
-        auto server = serverFor({{dir, "cartpole"}},
-                                /*cache=*/8, /*batch=*/1,
-                                /*threads=*/1);
-        ASSERT_NE(server, nullptr);
-        for (size_t i = 0; i < observations.size(); ++i) {
-            const InferResponse resp = server->infer(request(i));
-            ASSERT_EQ(resp.status, StatusCode::Ok);
-            reference.push_back(bits(resp.action));
-        }
-    }
-
-    auto server = serverFor({{dir, "cartpole"}}, /*cache=*/8,
-                            /*batch=*/4, /*threads=*/1);
-    ASSERT_NE(server, nullptr);
-    std::vector<InferResponse> responses(observations.size());
-    std::atomic<size_t> doneCount{0};
-    std::promise<void> allDone;
-    auto record = [&](const InferResponse &resp) {
-        responses[resp.requestId] = resp;
-        if (++doneCount == observations.size())
-            allDone.set_value();
-    };
-    server->submit(request(0), [&](const InferResponse &resp) {
-        for (size_t i = 1; i < observations.size(); ++i)
-            server->submit(request(i), record);
-        record(resp);
-    });
-    allDone.get_future().wait();
-
-    const BatcherStats stats = server->batcherStats();
-    EXPECT_EQ(stats.batches, 3u); // {0}, {1, 2, 3, 4}, {5, 6}
-    EXPECT_EQ(stats.batchedRequests, observations.size());
-    EXPECT_EQ(stats.maxBatchSize, 4u);
-    for (size_t i = 0; i < observations.size(); ++i) {
-        ASSERT_EQ(responses[i].status, StatusCode::Ok) << i;
-        EXPECT_EQ(bits(responses[i].action), reference[i])
-            << "observation " << i;
-    }
-}
-
-// ---------------------------------------------------------------------
-// TCP front end
-// ---------------------------------------------------------------------
-
-namespace {
-
-/** Minimal blocking client: one framed request, one framed response. */
+/** Minimal blocking client: framed requests out, framed responses in. */
 class TestClient
 {
   public:
-    explicit TestClient(uint16_t port)
+    /** @param receiveBuffer SO_RCVBUF bytes to ask for; 0 keeps the default. */
+    explicit TestClient(uint16_t port, int receiveBuffer = 0)
     {
         fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
         EXPECT_GE(fd_, 0);
+        if (receiveBuffer > 0)
+            ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &receiveBuffer,
+                         sizeof receiveBuffer);
         sockaddr_in addr{};
         addr.sin_family = AF_INET;
         addr.sin_port = htons(port);
@@ -932,25 +712,43 @@ class TestClient
             << strerror(errno);
     }
 
-    ~TestClient()
+    ~TestClient() { close(); }
+
+    void
+    close()
     {
         if (fd_ >= 0)
             ::close(fd_);
+        fd_ = -1;
     }
 
-    void
-    sendRaw(const std::string &bytes)
+    /** Send all of @p bytes; false once the server is gone. */
+    bool
+    trySend(const std::string &bytes)
     {
         size_t off = 0;
         while (off < bytes.size()) {
             const ssize_t n = ::send(fd_, bytes.data() + off,
-                                     bytes.size() - off, 0);
-            ASSERT_GT(n, 0);
+                                     bytes.size() - off, MSG_NOSIGNAL);
+            if (n <= 0)
+                return false;
             off += static_cast<size_t>(n);
         }
+        return true;
     }
 
-    /** Read one response frame; empty optional on peer hangup. */
+    void sendRaw(const std::string &bytes) { ASSERT_TRUE(trySend(bytes)); }
+
+    /** Give up on a read after @p seconds without data. */
+    void
+    setReadTimeout(int seconds)
+    {
+        timeval tv{};
+        tv.tv_sec = seconds;
+        ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+    }
+
+    /** Read one response frame; an error on hangup or timeout. */
     Result<InferResponse>
     readResponse()
     {
@@ -976,12 +774,212 @@ class TestClient
         return readResponse();
     }
 
+    int fd() const { return fd_; }
+
   private:
     int fd_ = -1;
     FrameReader reader_;
 };
 
+/** Bit patterns of an action vector, for exact comparison. */
+std::vector<uint64_t>
+bits(const std::vector<double> &action)
+{
+    std::vector<uint64_t> out(action.size());
+    for (size_t i = 0; i < action.size(); ++i)
+        std::memcpy(&out[i], &action[i], sizeof(uint64_t));
+    return out;
+}
+
+/** Framed request for @p fingerprint with id @p id. */
+std::string
+framedRequest(uint64_t id, uint64_t fingerprint,
+              const std::vector<double> &observation)
+{
+    InferRequest req;
+    req.requestId = id;
+    req.fingerprint = fingerprint;
+    req.observation = observation;
+    return frame(encodeRequest(req));
+}
+
+/**
+ * Actions of @p observations for the champion in @p dir, answered one
+ * at a time in process by a batch-1 server: the reference every
+ * batched or concurrent answer must equal bit for bit.
+ */
+std::vector<std::vector<uint64_t>>
+referenceActions(const std::string &dir, const std::string &envName,
+                 const std::vector<std::vector<double>> &observations)
+{
+    std::vector<std::vector<uint64_t>> reference;
+    auto server = serverFor({{dir, envName}}, /*cache=*/8, /*batch=*/1);
+    EXPECT_NE(server, nullptr);
+    if (!server)
+        return reference;
+    for (const std::vector<double> &obs : observations) {
+        InferRequest req;
+        req.fingerprint = server->champions()[0].fingerprint;
+        req.observation = obs;
+        const InferResponse resp = server->infer(req);
+        EXPECT_EQ(resp.status, StatusCode::Ok);
+        reference.push_back(bits(resp.action));
+    }
+    return reference;
+}
+
 } // namespace
+
+// ---------------------------------------------------------------------
+// Determinism: the acceptance criterion
+// ---------------------------------------------------------------------
+
+TEST(ServeDeterminism, BitIdenticalAcrossBatchSizeAndThreads)
+{
+    const std::string dir = championDir("cartpole", "det", 17);
+    const uint64_t fp = fingerprintOf(dir);
+
+    // Distinct observations, each with a reference action from the
+    // simplest possible configuration (batch=1, one request at a time).
+    std::vector<std::vector<double>> observations;
+    for (int k = 0; k < 8; ++k)
+        observations.push_back(
+            observationFor("cartpole", 0.1 * k - 0.3));
+    const std::vector<std::vector<uint64_t>> reference =
+        referenceActions(dir, "cartpole", observations);
+    ASSERT_EQ(reference.size(), observations.size());
+
+    // Now hammer the same observations through aggressive batching:
+    // concurrent clients, each pipelining every request in one write,
+    // so reads carry many requests and clients contend for the
+    // champion's eval mutex.
+    constexpr size_t kRepeats = 20;
+    const size_t total = observations.size() * kRepeats;
+    std::string wire;
+    for (size_t slot = 0; slot < total; ++slot)
+        wire += framedRequest(slot, fp,
+                              observations[slot % observations.size()]);
+    for (size_t batch : {4u, 16u}) {
+        for (size_t clients : {2u, 4u}) {
+            auto server = serverFor({{dir, "cartpole"}},
+                                    /*cache=*/8, batch);
+            ASSERT_NE(server, nullptr);
+            ASSERT_TRUE(server->listen(0).ok());
+
+            std::vector<std::vector<InferResponse>> answers(clients);
+            {
+                // One thread per client connection, joined below.
+                // e3-lint: raw-thread-ok
+                std::vector<std::thread> threads;
+                for (size_t c = 0; c < clients; ++c) {
+                    threads.emplace_back([&, c] {
+                        TestClient client(server->port());
+                        if (!client.trySend(wire))
+                            return;
+                        for (size_t i = 0; i < total; ++i) {
+                            Result<InferResponse> resp =
+                                client.readResponse();
+                            if (!resp.ok())
+                                return;
+                            answers[c].push_back(std::move(resp).value());
+                        }
+                    });
+                }
+                for (std::thread &t : threads) // e3-lint: raw-thread-ok
+                    t.join();
+            }
+
+            for (size_t c = 0; c < clients; ++c) {
+                ASSERT_EQ(answers[c].size(), total)
+                    << "batch=" << batch << " clients=" << clients;
+                std::vector<bool> seen(total, false);
+                for (const InferResponse &resp : answers[c]) {
+                    ASSERT_EQ(resp.status, StatusCode::Ok)
+                        << "batch=" << batch << " clients=" << clients;
+                    ASSERT_LT(resp.requestId, total);
+                    EXPECT_FALSE(seen[resp.requestId]);
+                    seen[resp.requestId] = true;
+                    const size_t i = resp.requestId % observations.size();
+                    EXPECT_EQ(bits(resp.action), reference[i])
+                        << "batch=" << batch << " clients=" << clients
+                        << " observation " << i;
+                }
+            }
+            const BatcherStats stats = server->batcherStats();
+            EXPECT_EQ(stats.batchedRequests, clients * total);
+            EXPECT_LE(stats.maxBatchSize, batch);
+            server->stop();
+        }
+    }
+}
+
+TEST(ServeDeterminism, QueuedRequestsShareBatchesOfAtMostMaxBatchSize)
+{
+    // One write pipelines 6 requests for champion A and 3 for champion
+    // B, interleaved. The connection thread decodes the read's frames
+    // and answers each champion's requests in groups of at most 4 (the
+    // batch size), oldest first: A{0,1,3,4}, B{2,5,8}, A{6,7} when the
+    // write arrives in one read. Every action must equal the batch-1
+    // reference bit for bit.
+    const std::string dirA = championDir("cartpole", "group_a", 17);
+    const std::string dirB = championDir("pendulum", "group_b", 19);
+    const std::string kinds = "AABAABAAB";
+    std::vector<std::vector<double>> obsA, obsB;
+    for (int k = 0; k < 6; ++k)
+        obsA.push_back(observationFor("cartpole", 0.1 * k - 0.3));
+    for (int k = 0; k < 3; ++k)
+        obsB.push_back(observationFor("pendulum", 0.2 * k - 0.1));
+    const auto refA = referenceActions(dirA, "cartpole", obsA);
+    const auto refB = referenceActions(dirB, "pendulum", obsB);
+    ASSERT_EQ(refA.size(), obsA.size());
+    ASSERT_EQ(refB.size(), obsB.size());
+
+    auto server = serverFor({{dirA, "cartpole"}, {dirB, "pendulum"}},
+                            /*cache=*/8, /*batch=*/4);
+    ASSERT_NE(server, nullptr);
+    ASSERT_TRUE(server->listen(0).ok());
+    const uint64_t fpA = server->champions()[0].fingerprint;
+    const uint64_t fpB = server->champions()[1].fingerprint;
+
+    // Request i is the k-th of its champion; the reference says what
+    // it must answer.
+    std::string wire;
+    std::vector<std::vector<uint64_t>> expected;
+    size_t nextA = 0, nextB = 0;
+    for (size_t i = 0; i < kinds.size(); ++i) {
+        if (kinds[i] == 'A') {
+            wire += framedRequest(i, fpA, obsA[nextA]);
+            expected.push_back(refA[nextA++]);
+        } else {
+            wire += framedRequest(i, fpB, obsB[nextB]);
+            expected.push_back(refB[nextB++]);
+        }
+    }
+
+    TestClient client(server->port());
+    client.sendRaw(wire);
+    std::vector<bool> seen(kinds.size(), false);
+    for (size_t n = 0; n < kinds.size(); ++n) {
+        Result<InferResponse> resp = client.readResponse();
+        ASSERT_TRUE(resp.ok()) << resp.message();
+        ASSERT_EQ(resp->status, StatusCode::Ok);
+        ASSERT_LT(resp->requestId, kinds.size());
+        EXPECT_FALSE(seen[resp->requestId]);
+        seen[resp->requestId] = true;
+        EXPECT_EQ(bits(resp->action), expected[resp->requestId])
+            << "request " << resp->requestId;
+    }
+
+    const BatcherStats stats = server->batcherStats();
+    EXPECT_EQ(stats.batchedRequests, kinds.size());
+    EXPECT_LE(stats.maxBatchSize, 4u);
+    EXPECT_GE(stats.batches, 3u);
+    server->stop();
+}
+
+// ---------------------------------------------------------------------
+// TCP front end
+// ---------------------------------------------------------------------
 
 TEST(ServeTcp, RoundTripMatchesInProcess)
 {
@@ -1099,4 +1097,127 @@ TEST(ServeTcp, ChurningClientsAreReaped)
     server->stop();
     EXPECT_EQ(server->connectionCount(), 0u);
     EXPECT_EQ(server->counters().ok, server->counters().requests);
+}
+
+TEST(ServeTcp, ClientThatStopsReadingDoesNotStallOthers)
+{
+    const std::string dir = championDir("cartpole", "tcp_slow", 41);
+    auto server = serverFor({{dir, "cartpole"}});
+    ASSERT_NE(server, nullptr);
+    ASSERT_TRUE(server->listen(0).ok());
+    InferRequest req;
+    req.fingerprint = server->champions()[0].fingerprint;
+    req.observation = observationFor("cartpole");
+
+    // The slow client pipelines requests and never reads an answer.
+    // Once its small receive buffer and the server's send buffer fill,
+    // the server's write to it blocks and the server stops reading it:
+    // its sends then make no progress.
+    TestClient slow(server->port(), /*receiveBuffer=*/4096);
+    std::string burst;
+    for (int i = 0; i < 256; ++i)
+        burst += frame(encodeRequest(req));
+    std::string out;
+    size_t offset = 0;
+    size_t sentBytes = 0;
+    auto lastProgress = std::chrono::steady_clock::now();
+    constexpr size_t kMaxBytes = size_t{256} << 20; // a bound, not a target
+    while (std::chrono::steady_clock::now() - lastProgress <
+               std::chrono::milliseconds(300) &&
+           sentBytes < kMaxBytes) {
+        if (offset == out.size()) {
+            out = burst;
+            offset = 0;
+        }
+        const ssize_t n = ::send(slow.fd(), out.data() + offset,
+                                 out.size() - offset,
+                                 MSG_NOSIGNAL | MSG_DONTWAIT);
+        if (n > 0) {
+            offset += static_cast<size_t>(n);
+            sentBytes += static_cast<size_t>(n);
+            lastProgress = std::chrono::steady_clock::now();
+        } else {
+            ASSERT_TRUE(n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
+                << strerror(errno);
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+    }
+    ASSERT_LT(sentBytes, kMaxBytes) << "the server never stopped reading";
+
+    // A second client of the same champion is still answered promptly.
+    TestClient other(server->port());
+    other.setReadTimeout(5);
+    req.requestId = 7;
+    const auto asked = std::chrono::steady_clock::now();
+    Result<InferResponse> resp = other.roundTrip(req);
+    const double waited = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - asked)
+                              .count();
+    ASSERT_TRUE(resp.ok()) << resp.message();
+    EXPECT_EQ(resp->status, StatusCode::Ok);
+    EXPECT_EQ(resp->requestId, 7u);
+    EXPECT_LT(waited, 1.0);
+
+    // Hanging up unblocks the server's write to the slow client.
+    slow.close();
+    server->stop();
+}
+
+TEST(ServeTcp, StopAnswersEveryReadRequestOnce)
+{
+    const std::string dir = championDir("cartpole", "tcp_stop", 43);
+    auto server = serverFor({{dir, "cartpole"}});
+    ASSERT_NE(server, nullptr);
+    ASSERT_TRUE(server->listen(0).ok());
+    const uint64_t fp = server->champions()[0].fingerprint;
+    const std::vector<double> obs = observationFor("cartpole");
+
+    // One thread streams requests with fresh ids until the server hangs
+    // up; another reads answers until the stream ends.
+    TestClient client(server->port());
+    std::atomic<bool> sending{true};
+    // e3-lint: raw-thread-ok
+    std::thread sender([&] {
+        for (uint64_t id = 0; sending.load(std::memory_order_relaxed);) {
+            std::string burst;
+            for (int i = 0; i < 8; ++i)
+                burst += framedRequest(id++, fp, obs);
+            if (!client.trySend(burst))
+                return;
+            std::this_thread::sleep_for(std::chrono::microseconds(50));
+        }
+    });
+    std::vector<InferResponse> answers;
+    std::atomic<size_t> answered{0};
+    // e3-lint: raw-thread-ok
+    std::thread reader([&] {
+        for (;;) {
+            Result<InferResponse> resp = client.readResponse();
+            if (!resp.ok())
+                return;
+            answers.push_back(std::move(resp).value());
+            answered.fetch_add(1, std::memory_order_release);
+        }
+    });
+
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (answered.load(std::memory_order_acquire) < 200 &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    server->stop();
+    reader.join();
+    sending.store(false, std::memory_order_relaxed);
+    sender.join();
+
+    // Every request the server read was answered Ok, exactly once.
+    EXPECT_GE(answers.size(), 200u);
+    EXPECT_EQ(answers.size(), server->counters().requests);
+    std::set<uint64_t> ids;
+    for (const InferResponse &resp : answers) {
+        EXPECT_EQ(resp.status, StatusCode::Ok);
+        EXPECT_TRUE(ids.insert(resp.requestId).second)
+            << "request " << resp.requestId << " answered twice";
+    }
+    EXPECT_EQ(server->counters().ok, answers.size());
 }

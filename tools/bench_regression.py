@@ -9,9 +9,14 @@ benchmark over its reference twin within the same run:
 
     ratio = items_per_second(fast) / items_per_second(reference)
 
+or, for a pair timed inside one benchmark (the ReLU kernel pair, whose
+two sides take turns every iteration), that benchmark's ``speedup``
+counter: batched pass rate over per-genome pass rate within one
+repetition.
+
 One repetition swings far past the tolerance on a shared host, so both
-files come from 9 interleaved repetitions, and each side of a ratio is
-its best one: the ``_max`` aggregate bench/micro_kernels.cc registers.
+files come from 9 interleaved repetitions, and each ratio uses the best
+one: the ``_max`` aggregate bench/micro_kernels.cc registers.
 Other tenants only ever slow a repetition down, and in clusters, so
 the median of 9 still crossed the tolerance between runs where the
 best of 9 held. Baseline and CI use one command (the baseline's
@@ -48,19 +53,20 @@ import json
 import sys
 
 # (label, reference benchmark, fast benchmark, guarded) twins measured
-# by bench/micro_kernels.cc. For the inference pairs items_per_second
-# counts individual inferences on both sides, so the ratio is the
-# population-inference speedup. The generation-grain pair is printed
+# by bench/micro_kernels.cc; a reference of None names a paired
+# benchmark whose own "speedup" counter is the ratio. For the inference
+# pairs items_per_second counts individual inferences on both sides, so
+# the ratio is the population-inference speedup. The generation-grain pair is printed
 # but not guarded: it is dominated by compile cost shared by both
 # paths, so its ratio sits near 1x where run-to-run noise exceeds any
 # real regression signal. The champion-load pair counts one snapshot
 # per item: the ratio is how much faster serve's head parse is than
 # resume's full parse of the same snapshot.
 PAIRS = [
-    ("kernel pop=128", "BM_PopulationInferenceKernel/128",
-     "BM_PopulationInferenceKernelBatched/128", True),
-    ("kernel pop=256", "BM_PopulationInferenceKernel/256",
-     "BM_PopulationInferenceKernelBatched/256", True),
+    ("kernel pop=128", None, "BM_PopulationInferenceKernelPaired/128",
+     True),
+    ("kernel pop=256", None, "BM_PopulationInferenceKernelPaired/256",
+     True),
     ("sigmoid pop=128", "BM_PopulationInference/128",
      "BM_PopulationInferenceBatched/128", True),
     ("sigmoid pop=256", "BM_PopulationInference/256",
@@ -71,25 +77,30 @@ PAIRS = [
 ]
 
 
-def load_best_rates(path):
-    """Best items_per_second of each benchmark, keyed by run name."""
+def load_best(path):
+    """The ``_max`` aggregate row of each benchmark, keyed by run name."""
     with open(path) as f:
         report = json.load(f)
-    rates = {}
+    best = {}
     for bench in report.get("benchmarks", []):
-        rate = bench.get("items_per_second")
-        if bench.get("aggregate_name") == "max" and rate:
-            rates[bench["run_name"]] = float(rate)
-    if not rates:
+        if bench.get("aggregate_name") == "max" and \
+                bench.get("items_per_second"):
+            best[bench["run_name"]] = bench
+    if not best:
         sys.exit(f"error: {path} has no _max aggregates with "
                  "items_per_second; record it with the command above")
-    return rates
+    return best
 
 
-def ratio(rates, reference, fast):
-    if reference not in rates or fast not in rates:
+def ratio(best, reference, fast):
+    if fast not in best:
         return None
-    return rates[fast] / rates[reference]
+    if reference is None:
+        return best[fast].get("speedup")
+    if reference not in best:
+        return None
+    return (float(best[fast]["items_per_second"]) /
+            float(best[reference]["items_per_second"]))
 
 
 def serve_ratios(report):
@@ -171,8 +182,8 @@ def main():
         print("\nall serve ratios within tolerance")
         return 0
 
-    base = load_best_rates(args.baseline)
-    fresh = load_best_rates(args.fresh)
+    base = load_best(args.baseline)
+    fresh = load_best(args.fresh)
 
     failures = []
     print(f"{'pair':<18} {'baseline':>9} {'current':>9} {'floor':>7}")

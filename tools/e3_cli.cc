@@ -774,10 +774,6 @@ cmdServe(const Args &args)
         args.getInt("cache", 8, 1, kMaxHardwareUnits));
     options.maxBatchSize = static_cast<size_t>(
         args.getInt("batch", 16, 1, kMaxHardwareUnits));
-    options.maxQueueDepth = static_cast<size_t>(
-        args.getInt("queue", 256, 1, kMaxPopulation));
-    options.threads = static_cast<size_t>(
-        args.getInt("threads", 1, 1, kMaxThreads));
     options.strictVerify = args.getFlag("strict");
 
     const long port = args.getInt("port", 0, 0, 65535);
@@ -844,13 +840,11 @@ cmdServe(const Args &args)
     const serve::ServerCounters counters = (*server)->counters();
     const serve::BatcherStats batcher = (*server)->batcherStats();
     const serve::LatencySummary lat = (*server)->latency();
-    std::printf("served %llu requests (%llu ok, %llu overloaded, "
+    std::printf("served %llu requests (%llu ok, "
                 "%llu unknown, %llu bad, %llu draining, "
                 "%llu protocol errors)\n",
                 static_cast<unsigned long long>(counters.requests),
                 static_cast<unsigned long long>(counters.ok),
-                static_cast<unsigned long long>(
-                    counters.rejectedOverload),
                 static_cast<unsigned long long>(
                     counters.rejectedUnknown),
                 static_cast<unsigned long long>(
@@ -924,8 +918,7 @@ usage(std::FILE *out)
         "  e3_cli serve (--champion env=dir[,env=dir...] |\n"
         "         --env <name> --checkpoint-dir <dir>)\n"
         "         [--port N] [--port-file file] [--serve-seconds S]\n"
-        "         [--threads N] [--cache N] [--batch N]\n"
-        "         [--queue N] [--strict]\n"
+        "         [--cache N] [--batch N] [--strict]\n"
         "         [--metrics out.csv|out.json] [--trace out.json]\n"
         "         [--trace-detail phase|task|hw] [--quiet]\n");
 }
