@@ -4,20 +4,18 @@
  *
  * Marks a function as part of the per-step inference surface: the code
  * that runs once per environment step per lane in steady state
- * (network activation, lane stepping, the serve batch evaluate). The
- * marker does two jobs:
+ * (network activation, env stepping, action decode, the serve batch
+ * evaluate). It is a code generation hint only: the compiler sees
+ * `__attribute__((hot))` and optimizes placement and inlining
+ * accordingly. Put it on the out-of-line definition, next to the
+ * return type.
  *
- *  - The compiler sees `__attribute__((hot))` and optimizes placement
- *    and inlining accordingly.
- *  - e3_lint rule E3L015 sees the token and bans allocation inside the
- *    function body: new/malloc/container growth there is a latency
- *    spike on the edge target and a throughput bug under load. All
- *    buffers a hot function needs must be sized during compile/setup.
- *
- * Convention: put E3_HOT on the out-of-line *definition* (the line
- * above the qualified name, next to the return type), not only the
- * declaration — the linter recovers functions per translation unit and
- * reads the definition's header.
+ * The steady-state steps of that surface must not allocate: buffers
+ * are sized during compile/setup, since one malloc per step is a
+ * latency spike on the edge target and a throughput bug under load.
+ * tests/test_rollout_alloc.cc guards that by counting operator new
+ * around warmed env steps, activations in every value mode and whole
+ * rollouts, callees included.
  */
 
 #ifndef E3_COMMON_HOT_HH

@@ -1,6 +1,8 @@
 #include "common/ini.hh"
 
 #include <algorithm>
+#include <cerrno>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -89,6 +91,10 @@ IniFile::get(const std::string &section, const std::string &key,
     return kit == sit->second.end() ? fallback : kit->second;
 }
 
+// The numeric accessors accept exactly what std::stod/std::stol
+// accept — they wrap the same strtod/strtol calls — and refuse a value
+// that does not parse whole, or overflows or underflows (ERANGE).
+
 Result<double>
 IniFile::getDouble(const std::string &section, const std::string &key,
                    double fallback) const
@@ -96,16 +102,13 @@ IniFile::getDouble(const std::string &section, const std::string &key,
     if (!has(section, key))
         return fallback;
     const std::string v = get(section, key, "");
-    try {
-        size_t pos = 0;
-        const double parsed = std::stod(v, &pos);
-        if (pos != v.size())
-            throw std::invalid_argument(v);
-        return parsed;
-    } catch (const std::exception &) {
+    char *end = nullptr;
+    errno = 0;
+    const double parsed = std::strtod(v.c_str(), &end);
+    if (v.empty() || end != v.c_str() + v.size() || errno == ERANGE)
         return Status::error("[", section, "] ", key, " = '", v,
                              "' is not a number");
-    }
+    return parsed;
 }
 
 Result<long>
@@ -115,16 +118,13 @@ IniFile::getInt(const std::string &section, const std::string &key,
     if (!has(section, key))
         return fallback;
     const std::string v = get(section, key, "");
-    try {
-        size_t pos = 0;
-        const long parsed = std::stol(v, &pos);
-        if (pos != v.size())
-            throw std::invalid_argument(v);
-        return parsed;
-    } catch (const std::exception &) {
+    char *end = nullptr;
+    errno = 0;
+    const long parsed = std::strtol(v.c_str(), &end, 10);
+    if (v.empty() || end != v.c_str() + v.size() || errno == ERANGE)
         return Status::error("[", section, "] ", key, " = '", v,
                              "' is not an integer");
-    }
+    return parsed;
 }
 
 Result<bool>

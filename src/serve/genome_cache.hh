@@ -51,8 +51,10 @@ struct CompiledChampion
     Mutex evalMutex;
     /**
      * Staging buffers for one batch, sized once in acquire() to
-     * lanes x numInputs / lanes x numOutputs — the serve hot path
-     * (E3_HOT evaluateBatch) must not allocate per batch.
+     * lanes x numInputs / lanes x numOutputs, so activation itself
+     * allocates nothing per batch. evaluateBatch still allocates per
+     * request: each response's action vector, and the latency
+     * recorder's sample vector as it grows.
      */
     std::vector<double> inScratch E3_GUARDED_BY(evalMutex);
     std::vector<double> outScratch E3_GUARDED_BY(evalMutex);

@@ -272,8 +272,8 @@ ChampionServer::evaluateBatch(std::span<Slot *const> batch,
     // The steady-state acquire() is an O(1) cache hit touching one
     // LRU list node; compile-on-miss is the documented cold path.
     Result<std::shared_ptr<CompiledChampion>> acquired =
-        cache_->acquire(entry->info.fingerprint, // e3-lint: alloc-ok -- O(1) LRU hit; compile-on-miss is the cold path
-                        entry->def, NetworkCompileOptions{});
+        cache_->acquire(entry->info.fingerprint, entry->def,
+                        NetworkCompileOptions{});
     if (!acquired.ok()) {
         // Champions are verify-gated at load, so this is close to
         // unreachable — but a def that no longer compiles must answer

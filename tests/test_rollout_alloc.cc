@@ -1,13 +1,19 @@
 /**
  * @file
- * The rollout step is allocation-free: once warmed up, a
- * ParallelEval::evaluate driven by the platform's policy core
- * allocates the same number of times whether its episodes last ~10
- * steps or hundreds. Per-evaluation setup (lanes, buffers, resets) may
- * allocate; a step may not.
+ * The per-step inference surface (the E3_HOT functions, common/hot.hh)
+ * is allocation-free once warmed up:
  *
- * This binary replaces the global operator new to count allocations,
- * so it holds nothing else.
+ *  - every registered env's Environment::stepInto allocates nothing;
+ *  - BatchNetwork::activateBatch/activateLane allocate nothing in the
+ *    float, quantized and recurrent value modes;
+ *  - a ParallelEval::evaluate driven by the platform's policy core
+ *    allocates the same number of times whether its episodes last ~10
+ *    steps or hundreds. Per-evaluation setup (lanes, buffers, resets)
+ *    may allocate; a step may not.
+ *
+ * The counter sees every allocation the call makes, however deep in
+ * its callees. This binary replaces the global operator new to count
+ * allocations, so it holds nothing else.
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +22,9 @@
 #include <cstdlib>
 #include <new>
 
+#include "common/rng.hh"
 #include "e3/platform.hh"
+#include "e3/synthetic.hh"
 #include "env/env_registry.hh"
 #include "nn/batch_eval.hh"
 #include "runtime/parallel_eval.hh"
@@ -26,6 +34,12 @@ using namespace e3;
 namespace {
 
 std::atomic<long> g_allocations{0};
+
+long
+allocations()
+{
+    return g_allocations.load(std::memory_order_relaxed);
+}
 
 } // namespace
 
@@ -143,10 +157,10 @@ measure(double gain)
     plan.policy = rolloutPolicy(*batch, spec);
     runtime.evaluate(plan);
 
-    const long before = g_allocations.load(std::memory_order_relaxed);
+    const long before = allocations();
     const runtime::EvalOutcome outcome = runtime.evaluate(plan);
     Measured m;
-    m.allocations = g_allocations.load(std::memory_order_relaxed) - before;
+    m.allocations = allocations() - before;
     m.minSteps = m.maxSteps = outcome.episodeLengths[0][0];
     for (const auto &round : outcome.episodeLengths) {
         for (int steps : round) {
@@ -167,6 +181,120 @@ TEST(RolloutAlloc, StepsDoNotAllocate)
     EXPECT_EQ(shortRun.allocations, longRun.allocations)
         << "episodes of " << shortRun.maxSteps << " vs "
         << longRun.minSteps << "+ steps";
+}
+
+/**
+ * Allocations made by @p steps stepInto calls of a fresh @p name env
+ * after @p warmup uncounted ones. Actions decode random outputs, as a
+ * rollout's would; an episode that ends is reset outside the count.
+ */
+long
+stepAllocations(const std::string &name, int warmup, int steps)
+{
+    const EnvSpec &spec = envSpec(name);
+    const std::unique_ptr<Environment> env = spec.make();
+    Rng rng(17);
+    std::vector<double> outputs(spec.numOutputs);
+    std::vector<double> action(spec.actionSize());
+    std::vector<double> observation(spec.numInputs);
+    env->reset(rng);
+    int episodeSteps = 0;
+    long counted = 0;
+    for (int i = 0; i < warmup + steps; ++i) {
+        for (double &o : outputs)
+            o = rng.uniform(0.0, 1.0);
+        decodeActionInto(spec, outputs.data(), action.data());
+        const long before = allocations();
+        const StepOutcome outcome =
+            env->stepInto(action.data(), observation.data());
+        if (i >= warmup)
+            counted += allocations() - before;
+        if (outcome.done || ++episodeSteps >= env->maxEpisodeSteps()) {
+            env->reset(rng);
+            episodeSteps = 0;
+        }
+    }
+    return counted;
+}
+
+TEST(RolloutAlloc, EveryEnvStepIntoIsAllocationFree)
+{
+    const std::vector<std::string> names = envNames();
+    ASSERT_FALSE(names.empty());
+    for (const std::string &name : names)
+        EXPECT_EQ(stepAllocations(name, 50, 2000), 0) << name;
+}
+
+/** A population with every activation and aggregation in use. */
+std::vector<NetworkDef>
+mixedPopulation(size_t lanes, bool cyclic)
+{
+    SyntheticParams params;
+    params.numIndividuals = lanes;
+    params.numInputs = 5;
+    params.numOutputs = 3;
+    params.numHidden = 12;
+    params.sparsity = 0.35;
+    std::vector<NetworkDef> defs = syntheticPopulation(params, 31);
+    Rng rng(32);
+    for (NetworkDef &def : defs) {
+        for (NetworkDef::Node &node : def.nodes) {
+            node.act = activationFromIndex(
+                static_cast<int>(rng.uniformInt(numActivations)));
+            node.agg = aggregationFromIndex(
+                static_cast<int>(rng.uniformInt(numAggregations)));
+        }
+        // Self-loops, and back edges out of the first output (no
+        // synthetic edge leaves an output, so none is a duplicate).
+        if (cyclic) {
+            for (const NetworkDef::Node &node : def.nodes) {
+                def.conns.push_back({node.id, node.id, 0.5});
+                if (node.id != def.outputIds[0])
+                    def.conns.push_back({def.outputIds[0], node.id, -0.5});
+            }
+        }
+    }
+    return defs;
+}
+
+/** Allocations of 20 warmed activateBatch + activateLane rounds. */
+long
+activationAllocations(const NetworkCompileOptions &options)
+{
+    const std::vector<NetworkDef> defs =
+        mixedPopulation(kLanes, options.recurrent);
+    const std::unique_ptr<BatchNetwork> net =
+        compilePopulation(defs, options).value();
+    const size_t numIn = net->numInputs();
+    const size_t numOut = net->numOutputs();
+    std::vector<double> inputs(kLanes * numIn);
+    std::vector<double> outputs(kLanes * numOut);
+    Rng rng(33);
+    auto round = [&] {
+        for (double &v : inputs)
+            v = rng.uniform(-2.0, 2.0);
+        net->activateBatch(kLanes, inputs.data(), numIn, outputs.data(),
+                           numOut);
+        for (size_t lane = 0; lane < kLanes; ++lane)
+            net->activateLane(lane, inputs.data() + lane * numIn,
+                              outputs.data() + lane * numOut);
+    };
+    round();
+    const long before = allocations();
+    for (int i = 0; i < 20; ++i)
+        round();
+    return allocations() - before;
+}
+
+TEST(RolloutAlloc, ActivationIsAllocationFreeInEveryValueMode)
+{
+    NetworkCompileOptions quantized;
+    quantized.quantization = FixedPointFormat{};
+    NetworkCompileOptions recurrent;
+    recurrent.recurrent = true;
+    EXPECT_EQ(activationAllocations({}), 0) << "float";
+    EXPECT_EQ(activationAllocations(quantized), 0) << "quantized";
+    EXPECT_EQ(activationAllocations(recurrent), 0) << "recurrent";
 }
 
 } // namespace

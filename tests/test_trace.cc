@@ -13,15 +13,20 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <new>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "e3/experiment.hh"
+#include "env/env_registry.hh"
 #include "mini_json.hh"
 #include "obs/trace.hh"
+#include "persist/checkpoint.hh"
 #include "runtime/thread_pool.hh"
+#include "serve/server.hh"
 
 using namespace e3;
 using namespace e3::obs;
@@ -415,6 +420,58 @@ TEST(Trace, StopWritesAParsableFile)
     JsonValue doc;
     EXPECT_TRUE(parseJson(buffer.str(), doc));
     std::remove(path.c_str());
+}
+
+/**
+ * The observability contract (DESIGN.md §6): each phase-level entry
+ * point emits its span. A checkpointed 2-generation run on two
+ * threads, both checkpoint loads, and one in-process serve request,
+ * traced at Task detail.
+ */
+TEST(Trace, PhaseEntryPointsEmitTheirSpans)
+{
+    TraceSandbox sandbox;
+    const std::string dir = testing::TempDir() + "e3_trace_phases";
+    std::filesystem::remove_all(dir);
+
+    traceStart(TraceDetail::Task);
+    ExperimentOptions options;
+    options.populationSize = 16;
+    options.maxGenerations = 2;
+    options.threads = 2;
+    options.checkpointDir = dir;
+    options.checkpointEvery = 1;
+    const RunResult run =
+        runExperiment("lunar_lander", BackendKind::Cpu, options);
+    ASSERT_EQ(run.generations, 2);
+    const Result<persist::Checkpoint> champion =
+        persist::loadLatestChampion(dir);
+    ASSERT_TRUE(champion.ok()) << champion.message();
+    const Result<persist::Checkpoint> latest =
+        persist::loadLatestCheckpoint(dir, champion->configHash);
+    ASSERT_TRUE(latest.ok()) << latest.message();
+    const std::vector<FlatEvent> evolve = stopAndParse();
+    for (const char *span :
+         {"generation", "evaluate", "lane", "checkpoint_write"}) {
+        EXPECT_FALSE(named(evolve, span).empty()) << span;
+    }
+    EXPECT_EQ(named(evolve, "checkpoint_load").size(), 2u);
+
+    // The server loads its champion in create(); trace only the
+    // request.
+    serve::ServeOptions serveOptions;
+    serveOptions.sources = {{dir, "lunar_lander"}};
+    Result<std::unique_ptr<serve::ChampionServer>> server =
+        serve::ChampionServer::create(serveOptions);
+    ASSERT_TRUE(server.ok()) << server.message();
+    traceStart(TraceDetail::Task);
+    serve::InferRequest request;
+    request.requestId = 1;
+    request.fingerprint = champion->configHash;
+    request.observation.assign(envSpec("lunar_lander").numInputs, 0.0);
+    EXPECT_EQ((*server)->infer(request).status, serve::StatusCode::Ok);
+    EXPECT_EQ(named(stopAndParse(), "serve.batch").size(), 1u);
+    std::filesystem::remove_all(dir);
 }
 
 } // namespace

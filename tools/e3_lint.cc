@@ -72,33 +72,16 @@ main(int argc, char **argv)
         return 2;
     }
 
-    // Pass one: harvest per-function summaries from every file so the
-    // flow rules (E3L014, E3L015) see cross-TU facts — which names
-    // block, which allocate. Sources are read once and cached for the
-    // lint pass.
-    std::vector<std::string> contents;
-    contents.reserve(files.size());
-    e3::lint::CallSummary summary;
+    std::vector<e3::lint::Diagnostic> all;
     for (const std::string &file : files) {
-        const std::string full = rootDir + "/" + file;
-        e3::Result<std::string> source = e3::readFile(full);
+        e3::Result<std::string> source = e3::readFile(rootDir + "/" + file);
         if (!source.ok()) {
             std::fprintf(stderr, "e3_lint: %s\n",
                          source.message().c_str());
             return 2;
         }
-        for (const e3::lint::FunctionSummary &fn :
-             e3::lint::summarizeSource(file, *source))
-            summary.add(fn);
-        contents.push_back(std::move(*source));
-    }
-    summary.finalize();
-
-    // Pass two: lint each file against the merged summary.
-    std::vector<e3::lint::Diagnostic> all;
-    for (size_t i = 0; i < files.size(); ++i) {
-        std::vector<e3::lint::Diagnostic> diags = e3::lint::lintSource(
-            files[i], contents[i], policy, &summary);
+        std::vector<e3::lint::Diagnostic> diags =
+            e3::lint::lintSource(file, *source, policy);
         all.insert(all.end(),
                    std::make_move_iterator(diags.begin()),
                    std::make_move_iterator(diags.end()));

@@ -12,11 +12,6 @@
  * line splices (backslash-newline, with or without a carriage return)
  * are honoured at top level, inside // comments, and inside string
  * literals so line numbers stay exact across them.
- *
- * Every token carries a `pp` flag: true from a directive's '#' to the
- * unspliced end of its line. The flow passes (cfg.cc) skip pp tokens —
- * a macro body is not a statement — while directive-matching rules
- * keep dispatching on TokKind::Directive as before.
  */
 
 #include "lint/lint.hh"
@@ -100,10 +95,9 @@ tokenize(const std::string &src)
     size_t i = 0;
     int line = 1;
     bool lineStart = true; // only whitespace seen since the newline
-    bool ppMode = false;   // inside a preprocessor directive line
 
     auto push = [&](TokKind kind, std::string text, int tokLine) {
-        out.push_back(Token{kind, std::move(text), tokLine, ppMode});
+        out.push_back(Token{kind, std::move(text), tokLine});
     };
 
     while (i < n) {
@@ -112,11 +106,10 @@ tokenize(const std::string &src)
             ++line;
             ++i;
             lineStart = true;
-            ppMode = false;
             continue;
         }
-        // A line splice joins physical lines into one logical line:
-        // the directive (and the lineStart state) continues across it.
+        // A line splice joins physical lines into one logical line,
+        // so the lineStart state carries across it.
         if (const size_t splice = spliceLen(src, i)) {
             ++line;
             i += splice;
@@ -162,8 +155,7 @@ tokenize(const std::string &src)
 
         // Preprocessor directive: '#' first on its line becomes a
         // Directive token carrying the keyword; the rest of the line
-        // lexes normally (so `#ifndef GUARD` yields the guard name)
-        // but is flagged pp until the unspliced end of line.
+        // lexes normally (so `#ifndef GUARD` yields the guard name).
         if (c == '#' && lineStart) {
             size_t j = i + 1;
             while (j < n && (src[j] == ' ' || src[j] == '\t'))
@@ -171,7 +163,6 @@ tokenize(const std::string &src)
             size_t k = j;
             while (k < n && identChar(src[k]))
                 ++k;
-            ppMode = true;
             push(TokKind::Directive, src.substr(j, k - j), line);
             i = k;
             lineStart = false;

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <map>
 #include <sstream>
 
 #include "common/json.hh"
@@ -160,8 +161,9 @@ defaultPolicy()
     p.add("src/common/rng.hh", "E3L003", false);
     p.add("src/common/rng.cc", "E3L003", false);
 
-    // Library-exit rule: src/ only — tools, benches, examples and
-    // tests are application code where fatal() is the right call.
+    // Library-exit rule (e3_fatal, throw): src/ only — tools,
+    // benches, examples and tests are application code where fatal()
+    // or an escaping exception is the right call.
     p.add("", "E3L008", false);
     p.add("src", "E3L008", true);
     p.add("src/common/logging.hh", "E3L008", false); // defines it
@@ -182,27 +184,13 @@ defaultPolicy()
     p.add("src/obs", "E3L012", true);
     p.add("src/common", "E3L012", true);
 
-    // Throw containment is a library (src/) contract; application code
-    // and tests may let exceptions propagate to their own harness.
-    p.add("", "E3L016", false);
-    p.add("src", "E3L016", true);
-
-    // The flow rules must all fire inside their fixture pairs, which
-    // are linted by explicit path from the process tests.
-    static const char *const kFlowRules[] = {"E3L014", "E3L015",
-                                             "E3L016", "E3L017",
-                                             "E3L018"};
-    for (const char *id : kFlowRules)
-        p.add("tests/fixtures/lint", id, true);
-
     // Deliberately-broken lint fixtures live here.
     p.skipTree("tests/fixtures");
     return p;
 }
 
 FileContext
-buildFileContext(const std::string &path, const std::string &source,
-                 const CallSummary *summary)
+buildFileContext(const std::string &path, const std::string &source)
 {
     FileContext ctx;
     ctx.path = path;
@@ -212,26 +200,14 @@ buildFileContext(const std::string &path, const std::string &source,
         if (ctx.tokens[i].kind != TokKind::Comment)
             ctx.code.push_back(i);
     }
-    ctx.summary = summary;
-    ctx.functions = parseFunctions(ctx);
     return ctx;
 }
 
 std::vector<Diagnostic>
 lintSource(const std::string &path, const std::string &source,
-           const Policy &policy, const CallSummary *summary)
+           const Policy &policy)
 {
-    // With no merged summary (unit tests on in-memory snippets), build
-    // a single-TU one from the file itself so the flow rules still see
-    // same-file definitions.
-    CallSummary selfSummary;
-    if (summary == nullptr) {
-        for (const FunctionSummary &fn : summarizeSource(path, source))
-            selfSummary.add(fn);
-        selfSummary.finalize();
-        summary = &selfSummary;
-    }
-    const FileContext ctx = buildFileContext(path, source, summary);
+    const FileContext ctx = buildFileContext(path, source);
 
     std::vector<Diagnostic> out;
     // Pre-waiver fired lines per waiver token: the stale-waiver rule

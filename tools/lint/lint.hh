@@ -9,15 +9,19 @@
  * nondeterminism sneaks into a codebase (wall-clock seeding, libc rand,
  * unordered-container iteration in the evolve path, pointer-keyed
  * ordered containers) plus a handful of general correctness rules
- * (header guards, float equality, library code exiting the process).
+ * (header guards, library code exiting or throwing, module layering,
+ * lock and thread primitives, memory orders, stale waivers).
  *
  * Design: a lightweight C++ tokenizer (comments, strings — including
  * raw strings — numbers, identifiers, preprocessor directives,
- * multi-char operators) feeds a registry of token-stream rules. A
- * per-directory policy decides which rules apply where (e.g. the
- * unordered-iteration ban only covers determinism-critical
- * directories). Individual
- * lines are waived with an audited comment:
+ * multi-char operators) feeds a registry of token-stream rules, each
+ * reading one file in a single pass. Nothing parses functions or
+ * follows calls: hazards that need that — blocking under a lock,
+ * allocation on the per-step path, a phase without a trace span — are
+ * guarded by runtime tests instead (DESIGN.md §10). A per-directory
+ * policy decides which rules apply where (e.g. the unordered-iteration
+ * ban only covers determinism-critical directories). Individual lines
+ * are waived with an audited comment:
  *
  *     // e3-lint: ordered-ok — insertion order is rebuilt by key below
  *
@@ -30,7 +34,6 @@
 #ifndef E3_TOOLS_LINT_LINT_HH
 #define E3_TOOLS_LINT_LINT_HH
 
-#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -56,26 +59,7 @@ struct Token
     TokKind kind = TokKind::Punct;
     std::string text;
     int line = 0;
-    /**
-     * Token belongs to a preprocessor directive line (the keyword
-     * itself or anything after it up to the unspliced end of line).
-     * The flow passes skip these: a macro body is not a statement.
-     */
-    bool pp = false;
 };
-
-/** Token text tests shared by the rules and the flow passes. */
-inline bool
-isIdentTok(const Token &t, const char *text)
-{
-    return t.kind == TokKind::Identifier && t.text == text;
-}
-
-inline bool
-isPunctTok(const Token &t, const char *text)
-{
-    return t.kind == TokKind::Punct && t.text == text;
-}
 
 /** Tokenize C++ source; never fails (unknown bytes become Punct). */
 std::vector<Token> tokenize(const std::string &source);
@@ -90,113 +74,6 @@ struct Diagnostic
     std::string message;
 };
 
-// ---------------------------------------------------------------------------
-// Flow-sensitive core (cfg.cc, callgraph.cc)
-//
-// A lightweight recursive-descent pass recovers function definitions
-// from the token stream and walks each body statement by statement,
-// recording what the flow rules (E3L014–E3L017) read: live lock
-// regions, try bodies, throw sites. Beside it sits a cross-TU call
-// summary built in a first pass over the tree and consumed by those
-// rules in the second.
-// ---------------------------------------------------------------------------
-
-/**
- * A live e3::MutexLock / e3::MutexLockPair region: from just past the
- * guard's declaration statement to the close of the lexical scope the
- * guard was declared in (its destructor point).
- */
-struct LockRegion
-{
-    size_t begin = 0; ///< code index just past the declaration
-    size_t end = 0;   ///< code index of the enclosing scope's '}'
-    bool pair = false;
-    std::string name; ///< declared guard variable
-    int line = 0;
-};
-
-/** One recovered function definition and its statement-walk facts. */
-struct FlowFunction
-{
-    std::string name;
-    std::string qualifier; ///< class name for out-of-line members
-    int line = 0;          ///< line of the function name
-    size_t bodyBegin = 0;  ///< code index just inside the body '{'
-    size_t bodyEnd = 0;    ///< code index of the body's closing '}'
-    bool hot = false;      ///< E3_HOT in the header
-    /** (open, close) code-index pairs of try-statement bodies. */
-    std::vector<std::pair<size_t, size_t>> tryRanges;
-    std::vector<size_t> throwSites; ///< code indices of `throw`
-    std::vector<LockRegion> locks;
-};
-
-/**
- * What the cross-TU pass knows about one function, keyed by unqualified
- * name. Same-name functions (overloads, same-name members of different
- * classes) are merged conservatively (see CallSummary::add).
- */
-struct FunctionSummary
-{
-    std::string name;
-    bool blocks = false;    ///< condvar wait, file/socket I/O, join
-    bool allocates = false; ///< new/malloc/container growth directly
-    std::vector<std::string> calls; ///< unqualified callee names
-};
-
-/**
- * Merged per-tree call summaries. `blocks` is closed transitively over
- * repo-local calls in finalize(); `allocates` deliberately stays
- * direct-only — a transitive closure would mark nearly every function
- * (anything reaching a compile or setup path) and drown E3L015 in
- * noise, while the hot functions' own direct callees are exactly the
- * steady-state surface the rule is guarding.
- */
-class CallSummary
-{
-  public:
-    /** Merge one function's summary (any-of blocks, all-of allocates). */
-    void add(const FunctionSummary &fn);
-
-    /** Close `blocks` over repo-local calls (fixpoint). */
-    void finalize();
-
-    bool blocks(const std::string &name) const;
-    bool allocates(const std::string &name) const;
-
-  private:
-    std::map<std::string, FunctionSummary> byName_;
-};
-
-struct FileContext;
-
-/** Recover function definitions and walk their bodies. */
-std::vector<FlowFunction> parseFunctions(const FileContext &ctx);
-
-/**
- * Code index of the close matching the open paren/brace/bracket at
- * @p openIdx, or ctx.code.size() when unbalanced.
- */
-size_t matchClose(const FileContext &ctx, size_t openIdx);
-
-/**
- * Half-open (bodyBegin, bodyEnd) code-index ranges of lambda bodies in
- * @p fn. Lock-scope reasoning treats these as deferred: a call written
- * inside a lambda under a live guard usually runs on another thread
- * (or after the guard died), so E3L014 skips them.
- */
-std::vector<std::pair<size_t, size_t>>
-lambdaBodies(const FileContext &ctx, const FlowFunction &fn);
-
-/** True when code token @p i directly allocates (new/malloc/growth). */
-bool directAllocationAt(const FileContext &ctx, size_t i);
-
-/** True when code token @p i is a directly blocking call. */
-bool directBlockingAt(const FileContext &ctx, size_t i);
-
-/** First-pass harvest: one FunctionSummary per definition in @p source. */
-std::vector<FunctionSummary>
-summarizeSource(const std::string &path, const std::string &source);
-
 /** Everything a rule sees about one file. */
 struct FileContext
 {
@@ -205,10 +82,6 @@ struct FileContext
     std::vector<Token> tokens;
     /** Indices into tokens with comments filtered out. */
     std::vector<size_t> code;
-    /** Recovered function definitions. */
-    std::vector<FlowFunction> functions;
-    /** Cross-TU call summary; never null inside rule checks. */
-    const CallSummary *summary = nullptr;
 
     const Token &codeTok(size_t i) const { return tokens[code[i]]; }
 
@@ -220,10 +93,9 @@ struct FileContext
     std::set<int> waivedLines(const std::string &waiverToken) const;
 };
 
-/** Tokenize + parse @p source into a rule-ready context. */
+/** Tokenize @p source into a rule-ready context. */
 FileContext buildFileContext(const std::string &path,
-                             const std::string &source,
-                             const CallSummary *summary);
+                             const std::string &source);
 
 /** A single lint rule over one file's token stream. */
 class Rule
@@ -295,20 +167,15 @@ class Policy
 /**
  * The repo's policy: determinism rules scoped to the evolve path
  * (src/neat, src/nn, src/e3, src/runtime, src/persist, src/env),
- * library-exit rule scoped to src/, and the sanctioned homes of rng
+ * library exit/throw rule scoped to src/, and the sanctioned homes of rng
  * primitives exempted.
  */
 Policy defaultPolicy();
 
-/**
- * Lint one in-memory source against the policy. When @p summary is
- * null a single-TU summary is built from the file itself — unit tests
- * stay self-contained; the CLI passes the merged two-pass summary.
- */
+/** Lint one in-memory source against the policy. */
 std::vector<Diagnostic> lintSource(const std::string &path,
                                    const std::string &source,
-                                   const Policy &policy,
-                                   const CallSummary *summary = nullptr);
+                                   const Policy &policy);
 
 /**
  * Lintable files under @p roots (files or directories), as paths

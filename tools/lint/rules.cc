@@ -324,12 +324,13 @@ class HeaderGuard : public Rule
 };
 
 /**
- * E3L008 — e3_fatal in library code.
+ * E3L008 — e3_fatal or throw in library code.
  *
- * Library code (src/) has no business calling exit(): a user-caused
- * error must surface as Result<T>/Status so embedding applications
- * (and the checkpoint-resume path, which degrades errors to warnings)
- * can decide. e3_panic/e3_assert stay legal — an internal invariant
+ * Library code (src/) has no business calling exit() or throwing: a
+ * user-caused error must surface as Result<T>/Status so embedding
+ * applications (and the checkpoint-resume path, which degrades errors
+ * to warnings) can decide. An exception rides a control path no caller
+ * handles. e3_panic/e3_assert stay legal — an internal invariant
  * violation has no meaningful recovery. Pre-existing app-boundary
  * sites carry audited fatal-ok waivers until they are ported.
  */
@@ -338,7 +339,7 @@ class NoFatalInLib : public Rule
   public:
     NoFatalInLib()
         : Rule("E3L008", "no-fatal-in-lib", "fatal-ok",
-               "e3_fatal (exit(1)) in library code; return "
+               "e3_fatal (exit(1)) or throw in library code; return "
                "Result<T>/Status and keep process exit at the app "
                "boundary")
     {
@@ -354,6 +355,10 @@ class NoFatalInLib : public Rule
                 out.push_back(diag(ctx, t.line,
                                    "library code exits the process; "
                                    "return Result<T> instead"));
+            } else if (isIdent(t, "throw")) {
+                out.push_back(diag(ctx, t.line,
+                                   "library code throws; return "
+                                   "Status/Result instead"));
             }
         }
     }
@@ -637,263 +642,6 @@ class ExplicitMemoryOrder : public Rule
 };
 
 /**
- * E3L014 — blocking call while a lock is live.
- *
- * A condvar wait, file/socket I/O, a join or a transitively-blocking
- * repo call under an e3::MutexLock turns every other thread contending
- * for that mutex into a convoy — on the serve path that is tail
- * latency, in the pool it is a deadlock risk. Lock regions are
- * lexical (declaration to end of enclosing scope, the guard's
- * destructor point). The one sanctioned shape is the condvar wait
- * loop itself: `cv.wait(lock)` with exactly that single non-pair lock
- * live releases the mutex inside wait by contract.
- */
-class BlockingUnderLock : public Rule
-{
-  public:
-    BlockingUnderLock()
-        : Rule("E3L014", "blocking-under-lock", "blocking-ok",
-               "blocking call (condvar wait, file/socket I/O, join, "
-               "or a transitively blocking repo function) while an "
-               "e3::MutexLock/MutexLockPair is live")
-    {
-    }
-
-    void
-    check(const FileContext &ctx, std::vector<Diagnostic> &out) const
-        override
-    {
-        for (const FlowFunction &fn : ctx.functions) {
-            if (fn.locks.empty())
-                continue;
-            // A call written inside a lambda under a live guard is
-            // deferred work: it usually runs on another thread or
-            // after the guard died (thread bodies, pool tasks), so it
-            // is not "under" this lock.
-            const auto lambdas = lambdaBodies(ctx, fn);
-            for (size_t i = fn.bodyBegin; i < fn.bodyEnd; ++i) {
-                const Token &t = ctx.codeTok(i);
-                if (t.kind != TokKind::Identifier ||
-                    i + 1 >= fn.bodyEnd ||
-                    !isPunct(ctx.codeTok(i + 1), "("))
-                    continue;
-                const bool deferred = std::any_of(
-                    lambdas.begin(), lambdas.end(),
-                    [&](const std::pair<size_t, size_t> &body) {
-                        return i > body.first && i < body.second;
-                    });
-                if (deferred)
-                    continue;
-                size_t heldLocks = 0;
-                bool livePair = false;
-                for (const LockRegion &lock : fn.locks) {
-                    if (i >= lock.begin && i < lock.end) {
-                        ++heldLocks;
-                        livePair = livePair || lock.pair;
-                    }
-                }
-                if (heldLocks == 0)
-                    continue;
-                const bool member =
-                    isPunct(ctx.codeTok(i - 1), ".") ||
-                    isPunct(ctx.codeTok(i - 1), "->");
-                const bool waitFamily =
-                    member && (t.text == "wait" ||
-                               t.text == "wait_for" ||
-                               t.text == "wait_until");
-                if (waitFamily) {
-                    // cv.wait(lock) releases its single lock inside;
-                    // a second live lock (or a pair) stays held.
-                    if (heldLocks > 1 || livePair) {
-                        out.push_back(diag(
-                            ctx, t.line,
-                            "condvar '" + t.text +
-                                "' with more than its own lock "
-                                "live; the extra lock stays held "
-                                "for the whole wait"));
-                    }
-                    continue;
-                }
-                const bool blocking =
-                    directBlockingAt(ctx, i) ||
-                    (ctx.summary && ctx.summary->blocks(t.text));
-                if (blocking) {
-                    out.push_back(diag(
-                        ctx, t.line,
-                        "blocking call '" + t.text +
-                            "' while a lock is live in the "
-                            "enclosing scope"));
-                }
-            }
-        }
-    }
-};
-
-/**
- * E3L015 — allocation inside an E3_HOT function.
- *
- * Functions marked E3_HOT (common/hot.hh) are the per-step inference
- * surface: activateBatch/activateLane, the env stepLane, the serve
- * batch evaluate. One malloc there is a latency spike on the edge
- * target and a throughput bug under load. Direct new/malloc/container
- * growth fires, as does a call to a repo function whose summary says
- * it directly allocates; deeper (transitive) allocation is left to
- * the callee's own E3_HOT marking, by design.
- */
-class AllocInHotPath : public Rule
-{
-  public:
-    AllocInHotPath()
-        : Rule("E3L015", "alloc-in-hot-path", "alloc-ok",
-               "new/malloc/container growth (or a call to a directly "
-               "allocating repo function) inside an E3_HOT function")
-    {
-    }
-
-    void
-    check(const FileContext &ctx, std::vector<Diagnostic> &out) const
-        override
-    {
-        for (const FlowFunction &fn : ctx.functions) {
-            if (!fn.hot)
-                continue;
-            for (size_t i = fn.bodyBegin; i < fn.bodyEnd; ++i) {
-                const Token &t = ctx.codeTok(i);
-                if (directAllocationAt(ctx, i)) {
-                    out.push_back(diag(
-                        ctx, t.line,
-                        "'" + t.text + "' allocates inside E3_HOT '" +
-                            fn.name + "'"));
-                    continue;
-                }
-                if (t.kind == TokKind::Identifier &&
-                    i + 1 < fn.bodyEnd &&
-                    isPunct(ctx.codeTok(i + 1), "(") &&
-                    t.text != fn.name && ctx.summary &&
-                    ctx.summary->allocates(t.text)) {
-                    out.push_back(diag(
-                        ctx, t.line,
-                        "E3_HOT '" + fn.name + "' calls '" + t.text +
-                            "', which allocates"));
-                }
-            }
-        }
-    }
-};
-
-/**
- * E3L016 — throw escaping library code.
- *
- * src/ reports errors as Status/Result; a throw that leaves a library
- * function rides an invisible control path the callers (and the
- * checkpoint-resume degrade-to-warning story) do not handle. A throw
- * inside a try in the same function is fine — that is the sanctioned
- * local-validation shape (see common/ini.cc).
- */
-class ThrowEscapesLibrary : public Rule
-{
-  public:
-    ThrowEscapesLibrary()
-        : Rule("E3L016", "throw-escapes-library", "throw-ok",
-               "a throw in src/ outside any try of the same "
-               "function escapes as an exception instead of a "
-               "Status/Result")
-    {
-    }
-
-    void
-    check(const FileContext &ctx, std::vector<Diagnostic> &out) const
-        override
-    {
-        for (const FlowFunction &fn : ctx.functions) {
-            for (size_t site : fn.throwSites) {
-                const bool covered = std::any_of(
-                    fn.tryRanges.begin(), fn.tryRanges.end(),
-                    [&](const std::pair<size_t, size_t> &range) {
-                        return site > range.first &&
-                               site < range.second;
-                    });
-                if (!covered) {
-                    out.push_back(diag(
-                        ctx, ctx.codeTok(site).line,
-                        "throw in '" + fn.name +
-                            "' escapes the function; return "
-                            "Status/Result instead"));
-                }
-            }
-        }
-    }
-};
-
-/**
- * E3L017 — phase-level entry points without a TraceSpan.
- *
- * The observability contract (DESIGN.md §6) is that every phase-level
- * subsystem entry emits a span, so a stalled generation or a slow
- * checkpoint shows up in the trace rather than in a debugger. The
- * table below names the entry points; a listed function with no
- * TraceSpan anywhere in its body fires.
- */
-class MissingSpan : public Rule
-{
-  public:
-    MissingSpan()
-        : Rule("E3L017", "missing-span", "span-ok",
-               "a phase-level subsystem entry point with no "
-               "obs::TraceSpan on any path")
-    {
-    }
-
-    struct Entry
-    {
-        const char *path;
-        const char *function;
-    };
-
-    static const std::vector<Entry> &
-    table()
-    {
-        static const std::vector<Entry> t = {
-            {"src/e3/platform.cc", "run"},
-            {"src/runtime/parallel_eval.cc", "evaluate"},
-            {"src/serve/server.cc", "evaluateBatch"},
-            {"src/persist/checkpoint.cc", "writeCheckpoint"},
-            {"src/persist/checkpoint.cc", "loadLatestCheckpoint"},
-            {"src/persist/checkpoint.cc", "loadLatestChampion"},
-            {"tests/fixtures/lint/e3l017_violation.cc",
-             "handleRequest"},
-            {"tests/fixtures/lint/e3l017_clean.cc", "handleRequest"},
-        };
-        return t;
-    }
-
-    void
-    check(const FileContext &ctx, std::vector<Diagnostic> &out) const
-        override
-    {
-        for (const Entry &entry : table()) {
-            if (ctx.path != entry.path)
-                continue;
-            for (const FlowFunction &fn : ctx.functions) {
-                if (fn.name != entry.function)
-                    continue;
-                bool hasSpan = false;
-                for (size_t i = fn.bodyBegin;
-                     i < fn.bodyEnd && !hasSpan; ++i)
-                    hasSpan = isIdent(ctx.codeTok(i), "TraceSpan");
-                if (!hasSpan) {
-                    out.push_back(diag(
-                        ctx, fn.line,
-                        "'" + fn.name +
-                            "' is a phase-level entry point but "
-                            "opens no TraceSpan"));
-                }
-            }
-        }
-    }
-};
-
-/**
  * E3L018 — stale waivers.
  *
  * A waiver that no longer suppresses anything is worse than dead code:
@@ -942,10 +690,6 @@ allRules()
         r.push_back(std::make_unique<NoRawMutex>());
         r.push_back(std::make_unique<NoRawThread>());
         r.push_back(std::make_unique<ExplicitMemoryOrder>());
-        r.push_back(std::make_unique<BlockingUnderLock>());
-        r.push_back(std::make_unique<AllocInHotPath>());
-        r.push_back(std::make_unique<ThrowEscapesLibrary>());
-        r.push_back(std::make_unique<MissingSpan>());
         r.push_back(std::make_unique<StaleWaiver>());
         return r;
     }();
