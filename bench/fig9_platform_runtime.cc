@@ -31,14 +31,14 @@ namespace {
 /**
  * Wall-clock scaling of the src/runtime parallel evaluator: the same
  * CartPole pop=200 run (bit-identical traces by construction) at
- * 1/2/4/... worker threads, plus the async evolve/evaluate overlap.
+ * 1/2/4/... worker threads.
  */
 void
 runtimeScalingSection()
 {
     TextTable table("Parallel evaluation runtime (real wall-clock, "
                     "cartpole pop=200)");
-    table.header({"threads", "mode", "wall(s)", "speedup", "best",
+    table.header({"threads", "wall(s)", "speedup", "best",
                   "tasks stolen"});
 
     ExperimentOptions base;
@@ -46,16 +46,14 @@ runtimeScalingSection()
     base.episodesPerEval = 3;
     base.maxGenerations = 8;
 
-    auto cell = [&](size_t threads, bool async, double baseline) {
+    auto cell = [&](size_t threads, double baseline) {
         ExperimentOptions o = base;
         o.threads = threads;
-        o.asyncOverlap = async;
         Stopwatch watch;
         const RunResult r =
             runExperiment("cartpole", BackendKind::Cpu, o);
         const double wall = watch.seconds();
         table.row({TextTable::num(static_cast<long long>(threads)),
-                   async ? "async" : "sync",
                    TextTable::num(wall, 3),
                    baseline > 0.0
                        ? TextTable::num(baseline / wall, 2) + "x"
@@ -66,14 +64,12 @@ runtimeScalingSection()
         return wall;
     };
 
-    const double serialWall = cell(1, false, 0.0);
+    const double serialWall = cell(1, 0.0);
     const size_t hw =
         std::max<size_t>(std::thread::hardware_concurrency(), 1);
     for (size_t threads = 2; threads <= 8 && threads <= 2 * hw;
-         threads *= 2) {
-        cell(threads, false, serialWall);
-        cell(threads, true, serialWall);
-    }
+         threads *= 2)
+        cell(threads, serialWall);
     std::cout << table << '\n';
 }
 

@@ -23,14 +23,13 @@ runtimeConfigOf(const PlatformConfig &cfg)
 {
     runtime::RuntimeConfig rt;
     rt.threads = std::max<size_t>(cfg.threads, 1);
-    rt.asyncOverlap = cfg.asyncOverlap;
     return rt;
 }
 
 /**
  * Canonical string hashed into the checkpoint fingerprint. Only the
  * knobs that shape functional evolution belong here, every NEAT
- * setting included: threads, async overlap, generation caps and time
+ * setting included: threads, generation caps and time
  * budgets are deliberately excluded so a run may be resumed with more
  * generations or a different worker count and still replay
  * bit-identically.
@@ -102,8 +101,7 @@ E3Platform::E3Platform(const PlatformConfig &cfg,
 
 void
 E3Platform::evaluateFunctional(Population &pop, GenerationTrace &trace,
-                               int generation,
-                               std::map<int, SpeciesEvalSummary> &summaries)
+                               int generation)
 {
     const size_t n = pop.genomes().size();
 
@@ -169,6 +167,7 @@ E3Platform::evaluateFunctional(Population &pop, GenerationTrace &trace,
         // against the very defs it was compiled from before any lane
         // activates — E3V301–E3V306, or E3V301–E3V305 for a recurrent
         // plan (verifyBatchPlan).
+        obs::TraceSpan span("verify_plan");
         verify::Report report =
             verify::verifyBatchPlan(batch->plan(), defs, compileOpts);
         if (!report.empty()) {
@@ -196,38 +195,6 @@ E3Platform::evaluateFunctional(Population &pop, GenerationTrace &trace,
     }
     plan.policy = rolloutPolicy(*batch, spec_);
     plan.resetLane = [&batch](size_t lane) { batch->resetLane(lane); };
-
-    // Async overlap: one lane group per species, so the evolve phase's
-    // per-species summaries (fitness mean/extrema, member ranking) are
-    // computed the moment that species' lanes finish — while the rest
-    // of the population is still rolling out.
-    summaries.clear();
-    std::map<int, size_t> laneOf;
-    if (cfg_.asyncOverlap) {
-        for (size_t i = 0; i < n; ++i)
-            laneOf.emplace(keys[i], i);
-        for (const auto &[sid, sp] : pop.speciesSet().species()) {
-            runtime::EvalPlan::Group group;
-            group.id = sid;
-            group.lanes.reserve(sp.members.size());
-            for (int key : sp.members)
-                group.lanes.push_back(laneOf.at(key));
-            plan.groups.push_back(std::move(group));
-            // Slots preallocated here; group callbacks fill them
-            // concurrently without mutating the map's structure.
-            summaries.emplace(sid, SpeciesEvalSummary{});
-        }
-        plan.onGroupDone =
-            [&](const runtime::EvalPlan::Group &group,
-                const std::vector<double> &laneFitness) {
-                const auto &members =
-                    pop.speciesSet().species().at(group.id).members;
-                summaries.at(group.id) = Reproduction::summarizeSpecies(
-                    members, [&](int key) {
-                        return laneFitness[laneOf.at(key)];
-                    });
-            };
-    }
 
     runtime::EvalOutcome outcome;
     {
@@ -384,8 +351,7 @@ E3Platform::run()
     for (int gen = startGen; gen < cfg_.maxGenerations; ++gen) {
         obs::TraceSpan genSpan("generation");
         GenerationTrace trace;
-        std::map<int, SpeciesEvalSummary> summaries;
-        evaluateFunctional(pop, trace, gen, summaries);
+        evaluateFunctional(pop, trace, gen);
         trace.validate();
 
         // --- modeled timing ---
@@ -450,7 +416,7 @@ E3Platform::run()
             host_.evolveSeconds(neatCfg_.populationSize));
         {
             obs::TraceSpan span("evolve");
-            pop.advance(summaries.empty() ? nullptr : &summaries);
+            pop.advance();
         }
         if (checkpointing && cfg_.checkpointEvery > 0 &&
             (gen + 1) % cfg_.checkpointEvery == 0) {

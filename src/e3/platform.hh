@@ -69,9 +69,9 @@ struct PlatformConfig
     size_t threads = 1;
 
     /**
-     * Overlap the evolve phase's per-species fitness summaries with
-     * the tail of evaluation (CLAN-style async mode). Functionally
-     * identical to the synchronous path; only wall-clock differs.
+     * Ignored: the evolve phase runs after evaluation finishes. Kept
+     * only so hostbench's evolve driver compiles; goes once that
+     * driver may change.
      */
     bool asyncOverlap = false;
 
@@ -147,7 +147,7 @@ struct RunResult
      * runtime consumed: (total draws, FNV-1a hash of the draw
      * sequences) folded in canonical (generation, episode round,
      * lane) order. Identical configs must produce identical digests
-     * at every worker count — serial vs 2/4/8-thread vs async — which
+     * at every worker count — serial vs 2/4/8 threads — which
      * is exactly what the determinism-sentinel test and CI job assert.
      */
     RngAudit rngAudit;
@@ -212,14 +212,10 @@ class E3Platform
      * Functionally evaluate the current population through the
      * parallel runtime: one episode round per episodesPerEval, fitness
      * = mean episode reward. Fills the trace's definitions, their
-     * NetStats (genomes() order) and episode lengths. In
-     * async-overlap mode, @p summaries receives every species'
-     * evaluation summary (computed while the evaluate tail drained);
-     * it is left empty otherwise.
+     * NetStats (genomes() order) and episode lengths.
      */
     void evaluateFunctional(Population &pop, GenerationTrace &trace,
-                            int generation,
-                            std::map<int, SpeciesEvalSummary> &summaries);
+                            int generation);
 };
 
 } // namespace e3

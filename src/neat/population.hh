@@ -98,9 +98,9 @@ class Population
      * One "evolve" step: stagnation, reproduction, speciation.
      * @pre every genome has been evaluated
      * @param summaries optional per-species evaluation summaries
-     *        (keyed by species id) precomputed while evaluation was
-     *        still draining — see SpeciesEvalSummary; results are
-     *        bit-identical with or without them
+     *        (keyed by species id) precomputed by the caller — see
+     *        SpeciesEvalSummary; results are bit-identical with or
+     *        without them
      */
     void advance(const std::map<int, SpeciesEvalSummary> *summaries =
                      nullptr);

@@ -59,8 +59,8 @@ Reproduction::reproduce(const NeatConfig &cfg, SpeciesSet &speciesSet,
                   "genome ", key, " reproduced before evaluation");
     }
 
-    // Summaries may arrive precomputed (async evolve/evaluate overlap)
-    // or be computed here — the same function either way.
+    // Summaries may arrive precomputed or be computed here — the same
+    // function either way.
     std::map<int, SpeciesEvalSummary> local;
     if (!summaries) {
         for (const auto &[sid, sp] : speciesSet.species()) {

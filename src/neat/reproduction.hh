@@ -22,11 +22,10 @@ namespace e3 {
 /**
  * The fitness-dependent but RNG-free prefix of "evolve" for one
  * species: everything reproduce() needs that can be computed the
- * moment the species' own members finish evaluating — before the rest
- * of the population is done. The parallel runtime computes these on
- * workers while the evaluate tail is still running (the async
- * evolve/evaluate overlap); reproduce() computes identical summaries
- * inline when none are supplied, so both paths are bit-identical.
+ * moment the species' own members finish evaluating. A caller may
+ * supply them precomputed (hostbench's evolve driver does);
+ * reproduce() computes identical summaries inline when none are
+ * supplied, so both paths are bit-identical.
  */
 struct SpeciesEvalSummary
 {

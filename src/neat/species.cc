@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "common/logging.hh"
-#include "neat/distance_cache.hh"
 
 namespace e3 {
 
@@ -27,10 +26,6 @@ SpeciesSet::speciate(const std::map<int, Genome> &population,
     for (const auto &[key, genome] : population)
         unspeciated.push_back(key);
 
-    // Distances are queried repeatedly for the same pairs across the
-    // two phases; memoize them (genome keys are globally unique).
-    DistanceCache distances(cfg);
-
     // Phase 1: each existing species adopts the closest unspeciated
     // genome to its previous representative.
     std::map<int, int> newRepresentative; // species id -> genome key
@@ -38,8 +33,8 @@ SpeciesSet::speciate(const std::map<int, Genome> &population,
         double bestDist = std::numeric_limits<double>::infinity();
         int bestKey = -1;
         for (int key : unspeciated) {
-            const double d = distances.distance(sp.representative,
-                                                population.at(key));
+            const double d =
+                sp.representative.distance(population.at(key), cfg);
             if (d < bestDist) {
                 bestDist = d;
                 bestKey = key;
@@ -71,8 +66,7 @@ SpeciesSet::speciate(const std::map<int, Genome> &population,
         double bestDist = std::numeric_limits<double>::infinity();
         Species *best = nullptr;
         for (auto &[sid, sp] : species_) {
-            const double d =
-                distances.distance(sp.representative, genome);
+            const double d = sp.representative.distance(genome, cfg);
             if (d < cfg.compatibilityThreshold && d < bestDist) {
                 bestDist = d;
                 best = &sp;

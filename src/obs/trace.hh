@@ -5,8 +5,8 @@
  * The paper's headline artifacts (Fig. 1/3 timing profiles, Fig. 9
  * runtime breakdown, Fig. 6/7 utilization) are observability products.
  * This recorder makes every run replayable: scoped spans on real
- * threads capture where wall-clock goes once --threads/--async
- * interleave evolve and evaluate, and *virtual* tracks replay the INAX
+ * threads capture where wall-clock goes once --threads spreads
+ * evaluation over workers, and *virtual* tracks replay the INAX
  * model's per-PU/PE busy cycles on a modeled-time axis. The output
  * loads directly in Perfetto (https://ui.perfetto.dev) or
  * chrome://tracing.

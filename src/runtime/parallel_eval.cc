@@ -1,7 +1,6 @@
 #include "runtime/parallel_eval.hh"
 
 #include <algorithm>
-#include <atomic>
 
 #include "common/hot.hh"
 #include "common/logging.hh"
@@ -55,20 +54,6 @@ ParallelEval::evaluate(const EvalPlan &plan)
     e3_assert(plan.policy || plan.act, "evaluation plan needs a policy");
     e3_assert(!plan.episodeSeeds.empty(),
               "evaluation plan needs at least one episode round");
-    // groupOf[lane] = index of the one group that lists the lane.
-    constexpr size_t kNoGroup = ~size_t{0};
-    std::vector<size_t> groupOf(plan.lanes, kNoGroup);
-    for (size_t g = 0; g < plan.groups.size(); ++g) {
-        const EvalPlan::Group &group = plan.groups[g];
-        for (size_t lane : group.lanes) {
-            e3_assert(lane < plan.lanes, "group ", group.id,
-                      " references lane ", lane, " of ", plan.lanes);
-            e3_assert(groupOf[lane] == kNoGroup, "lane ", lane,
-                      " is in group ", plan.groups[groupOf[lane]].id,
-                      " and group ", group.id);
-            groupOf[lane] = g;
-        }
-    }
 
     EvalOutcome out;
     if (plan.lanes == 0)
@@ -108,31 +93,9 @@ ParallelEval::evaluate(const EvalPlan &plan)
         };
     }
 
-    auto runGroup = [&](const EvalPlan::Group &group) {
-        obs::TraceSpan span("species_summary", obs::TraceDetail::Task);
-        plan.onGroupDone(group, out.fitness);
-    };
-
-    // Async overlap: each group counts down its unfinished lanes, and
-    // the worker whose lane reaches zero runs the group's callback at
-    // once, while other groups are still rolling out. acq_rel makes
-    // every fitness the group's lanes wrote visible to that worker.
-    // A lane that throws never counts down, so its group's callback
-    // does not run.
-    const bool overlap = pool_ && cfg_.asyncOverlap && plan.onGroupDone;
-    std::vector<std::atomic<size_t>> unfinished(
-        overlap ? plan.groups.size() : 0);
-    for (size_t g = 0; g < unfinished.size(); ++g)
-        unfinished[g].store(plan.groups[g].lanes.size(),
-                            std::memory_order_relaxed);
     auto runLaneAt = [&](size_t i) {
         runLane(plan, policy, venvs, actions.lane(i), out, i);
-        const size_t g = groupOf[i];
-        if (overlap && g != kNoGroup &&
-            unfinished[g].fetch_sub(1, std::memory_order_acq_rel) == 1)
-            runGroup(plan.groups[g]);
     };
-
     if (pool_) {
         pool_->parallelFor(plan.lanes, runLaneAt);
     } else {
@@ -140,14 +103,10 @@ ParallelEval::evaluate(const EvalPlan &plan)
             runLaneAt(i);
     }
 
-    // Fan-in, on the calling thread. Callbacks the countdown did not
-    // run (no overlap, or a group with no lanes) run here in group
-    // order.
+    // Fan-in, on the calling thread: every lane's fitness is final.
     if (plan.onGroupDone) {
-        for (const EvalPlan::Group &group : plan.groups) {
-            if (!overlap || group.lanes.empty())
-                runGroup(group);
-        }
+        for (const EvalPlan::Group &group : plan.groups)
+            plan.onGroupDone(group, out.fitness);
     }
 
     // Determinism sentinel: fold every lane's stream digest in fixed

@@ -11,13 +11,6 @@
  * never share mutable state, and results land in per-lane slots. Any
  * worker count, including the serial threads<=1 path, produces the
  * same bits.
- *
- * Async overlap (CLAN-style): callers may group lanes (one group per
- * NEAT species) and attach a group callback. The callback runs on a
- * worker as soon as the last lane of its group finishes — while other
- * groups are still evaluating — which lets the fitness-dependent but
- * RNG-free prefix of "evolve" (per-species fitness summaries and
- * member ranking) overlap the evaluate tail.
  */
 
 #ifndef E3_RUNTIME_PARALLEL_EVAL_HH
@@ -39,10 +32,9 @@ struct RuntimeConfig
     size_t threads = 1;
 
     /**
-     * Overlap per-group (per-species) evolve-side summary work with
-     * the evaluate tail: a group's callback runs on the worker that
-     * finishes its last lane. Functionally identical to the
-     * non-overlapped path; only wall-clock differs.
+     * Ignored: group callbacks always run on the calling thread after
+     * fan-in. Kept only so hostbench's traced evolve driver compiles;
+     * goes once that driver may change.
      */
     bool asyncOverlap = false;
 };
@@ -83,23 +75,18 @@ struct EvalPlan
      */
     std::function<void(size_t lane)> resetLane;
 
-    /** A set of lanes whose completion unlocks follow-up work. */
+    /** A set of lanes handed to onGroupDone after fan-in. */
     struct Group
     {
         int id = 0;                ///< caller's key (e.g. species id)
         std::vector<size_t> lanes; ///< member lane indices
     };
-    /** Disjoint: no lane belongs to two groups. */
     std::vector<Group> groups;
 
     /**
-     * Runs once per group after all its lanes finished — in async
-     * overlap mode on the worker that finished the group's last lane,
-     * otherwise (and for a group with no lanes) on the calling thread
-     * after fan-in, in group order. The per-lane mean fitness of the
-     * group's lanes is final when called; other lanes may still be
-     * running. Must read only its own lanes and write only
-     * group-private state. Skipped for a group whose lane threw.
+     * Runs once per group on the calling thread after fan-in, in group
+     * order, with every lane's final mean fitness. Skipped when a lane
+     * threw.
      */
     std::function<void(const Group &group,
                        const std::vector<double> &laneFitness)>
@@ -133,15 +120,14 @@ class ParallelEval
     EvalOutcome evaluate(const EvalPlan &plan);
 
     size_t threads() const { return cfg_.threads; }
-    bool asyncOverlap() const { return cfg_.asyncOverlap; }
 
     /** Pool utilization counters accumulated so far (empty if serial). */
     Counters counters() const;
 
     /**
      * The determinism sentinel: RNG stream digests of every
-     * evaluate() call so far, folded in submission order. Serial,
-     * 2/4/8-thread and async runs of the same experiment must return
+     * evaluate() call so far, folded in submission order. Serial and
+     * 2/4/8-thread runs of the same experiment must return
      * identical digests — compare them across configurations (the
      * determinism-sentinel test and CI job do) to catch
      * scheduling-dependent draws at the source.

@@ -480,13 +480,13 @@ TEST(CheckpointDir, RetentionKeepsNewestK)
 // Whole-platform resume: the kill-at-generation-k experiment. An
 // interrupted run restarted from its checkpoint must reproduce the
 // uninterrupted run's trace bit-identically — per field, per
-// generation — across thread counts and async overlap.
+// generation — across thread counts.
 // ---------------------------------------------------------------------
 
 namespace {
 
 ExperimentOptions
-persistOptions(size_t threads, bool asyncOverlap)
+persistOptions(size_t threads)
 {
     ExperimentOptions opt;
     opt.seed = 3;
@@ -494,7 +494,6 @@ persistOptions(size_t threads, bool asyncOverlap)
     opt.episodesPerEval = 2;
     opt.maxGenerations = 20;
     opt.threads = threads;
-    opt.asyncOverlap = asyncOverlap;
     return opt;
 }
 
@@ -526,22 +525,20 @@ expectIdenticalTraces(const std::vector<GenerationPoint> &a,
 void
 expectResumeMatchesStraight(const std::string &env,
                             const std::string &tag, int killAt,
-                            size_t threadsA, bool asyncA,
-                            size_t threadsB, bool asyncB)
+                            size_t threadsA, size_t threadsB)
 {
     const RunResult straight =
-        runExperiment(env, BackendKind::Cpu,
-                      persistOptions(threadsA, asyncA));
+        runExperiment(env, BackendKind::Cpu, persistOptions(threadsA));
     ASSERT_FALSE(straight.trace.empty());
 
-    const std::string dir = scratchDir("resume_" + tag);
-    ExperimentOptions interrupted = persistOptions(threadsA, asyncA);
+    const std::string dir = scratchDir("resume_" + env + "_" + tag);
+    ExperimentOptions interrupted = persistOptions(threadsA);
     interrupted.maxGenerations = killAt;
     interrupted.checkpointDir = dir;
     interrupted.checkpointEvery = 3;
     runExperiment(env, BackendKind::Cpu, interrupted);
 
-    ExperimentOptions resumed = persistOptions(threadsB, asyncB);
+    ExperimentOptions resumed = persistOptions(threadsB);
     resumed.checkpointDir = dir;
     resumed.checkpointEvery = 3;
     resumed.resume = true;
@@ -558,34 +555,31 @@ expectResumeMatchesStraight(const std::string &env,
 
 TEST(PersistResume, CartpoleBitIdenticalSerial)
 {
-    expectResumeMatchesStraight("cartpole", "serial", 10, 1, false, 1,
-                                false);
+    expectResumeMatchesStraight("cartpole", "serial", 10, 1, 1);
 }
 
 TEST(PersistResume, CartpoleBitIdenticalThreaded)
 {
-    expectResumeMatchesStraight("cartpole", "threaded", 10, 4, false, 4,
-                                false);
+    expectResumeMatchesStraight("cartpole", "threaded", 10, 4, 4);
 }
 
 TEST(PersistResume, LunarLanderBitIdenticalSerial)
 {
-    expectResumeMatchesStraight("lunar_lander", "serial", 10, 1, false,
-                                1, false);
+    expectResumeMatchesStraight("lunar_lander", "serial", 10, 1, 1);
 }
 
+// The name predates the removal of the async overlap mode; both legs
+// now run on 4 workers.
 TEST(PersistResume, LunarLanderBitIdenticalThreadedAsync)
 {
-    expectResumeMatchesStraight("lunar_lander", "async", 10, 4, true, 4,
-                                true);
+    expectResumeMatchesStraight("lunar_lander", "threaded", 10, 4, 4);
 }
 
 TEST(PersistResume, ResumeAtDifferentThreadCount)
 {
-    // Interrupted serial, resumed on 4 async workers: the trace is a
-    // pure function of (config, seed), so nothing may change.
-    expectResumeMatchesStraight("lunar_lander", "cross_threads", 10, 1,
-                                false, 4, true);
+    // Interrupted serial, resumed on 4 workers: the trace is a pure
+    // function of (config, seed), so nothing may change.
+    expectResumeMatchesStraight("lunar_lander", "cross_threads", 10, 1, 4);
 }
 
 TEST(PersistResume, EarlyKillBeforeFirstCheckpointStartsFresh)
@@ -594,13 +588,13 @@ TEST(PersistResume, EarlyKillBeforeFirstCheckpointStartsFresh)
     // fresh start and still matches the straight run.
     const std::string dir = scratchDir("resume_none");
     ASSERT_TRUE(ensureDirectory(dir).ok());
-    ExperimentOptions resumed = persistOptions(1, false);
+    ExperimentOptions resumed = persistOptions(1);
     resumed.checkpointDir = dir;
     resumed.resume = true;
     const RunResult result =
         runExperiment("cartpole", BackendKind::Cpu, resumed);
     const RunResult straight = runExperiment(
-        "cartpole", BackendKind::Cpu, persistOptions(1, false));
+        "cartpole", BackendKind::Cpu, persistOptions(1));
     expectIdenticalTraces(straight.trace, result.trace,
                           "fresh-start fallback");
 }
@@ -608,7 +602,7 @@ TEST(PersistResume, EarlyKillBeforeFirstCheckpointStartsFresh)
 TEST(PersistResume, MismatchedConfigFallsBackToFreshStart)
 {
     const std::string dir = scratchDir("resume_mismatch");
-    ExperimentOptions first = persistOptions(1, false);
+    ExperimentOptions first = persistOptions(1);
     first.maxGenerations = 6;
     first.checkpointDir = dir;
     first.checkpointEvery = 2;
@@ -616,14 +610,14 @@ TEST(PersistResume, MismatchedConfigFallsBackToFreshStart)
 
     // Different seed => different fingerprint => warn + fresh start,
     // reproducing the straight seed-4 run from generation 0.
-    ExperimentOptions resumed = persistOptions(1, false);
+    ExperimentOptions resumed = persistOptions(1);
     resumed.seed = 4;
     resumed.checkpointDir = dir;
     resumed.resume = true;
     const RunResult result =
         runExperiment("cartpole", BackendKind::Cpu, resumed);
 
-    ExperimentOptions straightOpt = persistOptions(1, false);
+    ExperimentOptions straightOpt = persistOptions(1);
     straightOpt.seed = 4;
     const RunResult straight =
         runExperiment("cartpole", BackendKind::Cpu, straightOpt);
@@ -645,7 +639,7 @@ resumeUnderNeatConfig(const std::string &tag,
                       const std::optional<std::string> &resumeConfig)
 {
     const std::string dir = scratchDir("neat_" + tag);
-    ExperimentOptions first = persistOptions(1, false);
+    ExperimentOptions first = persistOptions(1);
     first.maxGenerations = 4;
     first.checkpointDir = dir;
     first.checkpointEvery = 2;
@@ -661,7 +655,7 @@ resumeUnderNeatConfig(const std::string &tag,
         runExperiment("lunar_lander", BackendKind::Cpu, resumed);
     const std::string err = ::testing::internal::GetCapturedStderr();
 
-    ExperimentOptions straight = persistOptions(1, false);
+    ExperimentOptions straight = persistOptions(1);
     straight.maxGenerations = 6;
     straight.neatConfigPath = resumeConfig;
     expectIdenticalTraces(

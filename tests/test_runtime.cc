@@ -1,18 +1,17 @@
 /**
  * @file
  * src/runtime: worker pool lifecycle, exception propagation, work
- * stealing, the group callbacks of the async overlap, and the
- * determinism contract — the parallel evaluator must produce
- * bit-identical results to the serial path for every thread count,
- * with and without async overlap.
+ * stealing, the fan-in group callbacks, and the determinism contract —
+ * the parallel evaluator must produce bit-identical results to the
+ * serial path for every thread count.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <future>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "e3/experiment.hh"
@@ -115,12 +114,11 @@ namespace {
 
 /** Evaluate a tiny cartpole population with a fixed linear policy. */
 EvalOutcome
-evalCartpole(size_t threads, bool asyncOverlap)
+evalCartpole(size_t threads)
 {
     const EnvSpec &spec = envSpec("cartpole");
     RuntimeConfig cfg;
     cfg.threads = threads;
-    cfg.asyncOverlap = asyncOverlap;
     ParallelEval runtime(cfg);
 
     EvalPlan plan;
@@ -191,10 +189,10 @@ TEST(ParallelEval, RecurrentRoundDoesNotDependOnTheRoundBefore)
 
 TEST(ParallelEval, BitIdenticalAcrossThreadCounts)
 {
-    const EvalOutcome serial = evalCartpole(1, false);
+    const EvalOutcome serial = evalCartpole(1);
     ASSERT_EQ(serial.fitness.size(), 24u);
     for (size_t threads : {2u, 4u, 8u}) {
-        const EvalOutcome parallel = evalCartpole(threads, false);
+        const EvalOutcome parallel = evalCartpole(threads);
         EXPECT_EQ(serial.fitness, parallel.fitness)
             << threads << " threads";
         EXPECT_EQ(serial.episodeLengths, parallel.episodeLengths)
@@ -208,16 +206,13 @@ TEST(ParallelEval, RngAuditIdenticalAcrossThreadCounts)
     // digest is folded in fixed lane order, so any scheduling-
     // dependent RNG consumption shows up as a digest mismatch even
     // when fitness happens to agree.
-    const EvalOutcome serial = evalCartpole(1, false);
+    const EvalOutcome serial = evalCartpole(1);
     EXPECT_GT(serial.rngAudit.draws, 0u);
     for (size_t threads : {2u, 4u, 8u}) {
-        const EvalOutcome parallel = evalCartpole(threads, false);
+        const EvalOutcome parallel = evalCartpole(threads);
         EXPECT_EQ(serial.rngAudit, parallel.rngAudit)
             << threads << " threads";
     }
-    const EvalOutcome async = evalCartpole(4, true);
-    EXPECT_EQ(serial.rngAudit, async.rngAudit)
-        << "4 threads + async overlap";
 }
 
 namespace {
@@ -241,117 +236,82 @@ cartpolePlan(size_t lanes)
 
 TEST(ParallelEval, GroupCallbackSeesFinalGroupFitness)
 {
-    for (size_t threads : {1u, 4u}) {
-        for (bool async : {false, true}) {
-            SCOPED_TRACE(std::to_string(threads) + " threads" +
-                         (async ? " + async overlap" : ""));
-            RuntimeConfig cfg;
-            cfg.threads = threads;
-            cfg.asyncOverlap = async;
-            ParallelEval runtime(cfg);
-
-            EvalPlan plan = cartpolePlan(12);
-            plan.groups = {{1, {0, 1, 2, 3}},
-                           {2, {4, 5, 6, 7}},
-                           {3, {8, 9, 10, 11}},
-                           {4, {}}};
-            // Each callback writes only its own group's slots.
-            std::vector<double> groupMeans(5, -1.0);
-            std::vector<int> calls(5, 0);
-            plan.onGroupDone = [&](const EvalPlan::Group &group,
-                                   const std::vector<double> &laneFitness) {
-                const auto gid = static_cast<size_t>(group.id);
-                ++calls[gid];
-                if (group.lanes.empty())
-                    return;
-                double sum = 0.0;
-                for (size_t lane : group.lanes)
-                    sum += laneFitness[lane];
-                groupMeans[gid] =
-                    sum / static_cast<double>(group.lanes.size());
-            };
-
-            const EvalOutcome out = runtime.evaluate(plan);
-            for (size_t gid = 1; gid <= 4; ++gid)
-                EXPECT_EQ(calls[gid], 1) << "group " << gid;
-            for (size_t gid = 1; gid <= 3; ++gid) {
-                double sum = 0.0;
-                for (size_t lane = (gid - 1) * 4; lane < gid * 4; ++lane)
-                    sum += out.fitness[lane];
-                EXPECT_DOUBLE_EQ(groupMeans[gid], sum / 4.0)
-                    << "group " << gid;
-            }
-        }
-    }
-}
-
-TEST(ParallelEval, AsyncGroupCallbackRunsBeforeFanIn)
-{
-    // Lane 1 waits for group 1's callback, which can only run before
-    // fan-in when async overlap hands it to the worker that finished
-    // lane 0. Without overlap the wait times out.
-    for (bool async : {false, true}) {
+    // The last case sets the ignored asyncOverlap knob, as hostbench's
+    // traced evolve driver does: callbacks still run after fan-in, on
+    // the thread that called evaluate().
+    struct Case
+    {
+        size_t threads;
+        bool asyncOverlap;
+    };
+    for (const Case c : {Case{1, false}, Case{4, false}, Case{4, true}}) {
+        SCOPED_TRACE(std::to_string(c.threads) + " threads" +
+                     (c.asyncOverlap ? ", asyncOverlap set" : ""));
         RuntimeConfig cfg;
-        cfg.threads = 2;
-        cfg.asyncOverlap = async;
+        cfg.threads = c.threads;
+        cfg.asyncOverlap = c.asyncOverlap;
         ParallelEval runtime(cfg);
 
-        std::promise<void> group1Done;
-        std::shared_future<void> gate = group1Done.get_future().share();
-        bool waited = false;
-        bool sawGroup1 = false;
-        EvalPlan plan = cartpolePlan(2);
-        plan.act = [&, act = plan.act](size_t lane,
-                                       const Observation &obs) {
-            if (lane == 1 && !waited) {
-                waited = true;
-                sawGroup1 = gate.wait_for(std::chrono::seconds(1)) ==
-                            std::future_status::ready;
-            }
-            return act(lane, obs);
-        };
-        plan.groups = {{1, {0}}, {2, {1}}};
+        EvalPlan plan = cartpolePlan(12);
+        plan.groups = {{1, {0, 1, 2, 3}},
+                       {2, {4, 5, 6, 7}},
+                       {3, {8, 9, 10, 11}},
+                       {4, {}}};
+        const std::thread::id caller = std::this_thread::get_id();
+        std::vector<double> groupMeans(5, -1.0);
+        std::vector<int> calls(5, 0);
+        std::vector<bool> onCaller(5, false);
         plan.onGroupDone = [&](const EvalPlan::Group &group,
-                               const std::vector<double> &) {
-            if (group.id == 1)
-                group1Done.set_value();
+                               const std::vector<double> &laneFitness) {
+            const auto gid = static_cast<size_t>(group.id);
+            ++calls[gid];
+            onCaller[gid] = std::this_thread::get_id() == caller;
+            if (group.lanes.empty())
+                return;
+            double sum = 0.0;
+            for (size_t lane : group.lanes)
+                sum += laneFitness[lane];
+            groupMeans[gid] = sum / static_cast<double>(group.lanes.size());
         };
 
-        runtime.evaluate(plan);
-        EXPECT_TRUE(waited);
-        EXPECT_EQ(sawGroup1, async) << (async ? "async" : "no async");
+        const EvalOutcome out = runtime.evaluate(plan);
+        for (size_t gid = 1; gid <= 4; ++gid) {
+            EXPECT_EQ(calls[gid], 1) << "group " << gid;
+            EXPECT_TRUE(onCaller[gid]) << "group " << gid;
+        }
+        for (size_t gid = 1; gid <= 3; ++gid) {
+            double sum = 0.0;
+            for (size_t lane = (gid - 1) * 4; lane < gid * 4; ++lane)
+                sum += out.fitness[lane];
+            EXPECT_DOUBLE_EQ(groupMeans[gid], sum / 4.0) << "group " << gid;
+        }
     }
 }
 
 TEST(ParallelEval, ThrowingLaneSkipsItsGroupCallback)
 {
     for (size_t threads : {1u, 4u}) {
-        for (bool async : {false, true}) {
-            SCOPED_TRACE(std::to_string(threads) + " threads" +
-                         (async ? " + async overlap" : ""));
-            RuntimeConfig cfg;
-            cfg.threads = threads;
-            cfg.asyncOverlap = async;
-            ParallelEval runtime(cfg);
+        SCOPED_TRACE(std::to_string(threads) + " threads");
+        RuntimeConfig cfg;
+        cfg.threads = threads;
+        ParallelEval runtime(cfg);
 
-            EvalPlan plan = cartpolePlan(8);
-            plan.act = [act = plan.act](size_t lane,
-                                        const Observation &obs) {
-                if (lane == 5)
-                    throw std::runtime_error("lane 5");
-                return act(lane, obs);
-            };
-            plan.groups = {{1, {0, 1, 2, 3}}, {2, {4, 5, 6, 7}}};
-            std::atomic<bool> group2Ran{false};
-            plan.onGroupDone = [&](const EvalPlan::Group &group,
-                                   const std::vector<double> &) {
-                if (group.id == 2)
-                    group2Ran.store(true);
-            };
+        EvalPlan plan = cartpolePlan(8);
+        plan.act = [act = plan.act](size_t lane, const Observation &obs) {
+            if (lane == 5)
+                throw std::runtime_error("lane 5");
+            return act(lane, obs);
+        };
+        plan.groups = {{1, {0, 1, 2, 3}}, {2, {4, 5, 6, 7}}};
+        bool group2Ran = false;
+        plan.onGroupDone = [&](const EvalPlan::Group &group,
+                               const std::vector<double> &) {
+            if (group.id == 2)
+                group2Ran = true;
+        };
 
-            EXPECT_THROW(runtime.evaluate(plan), std::runtime_error);
-            EXPECT_FALSE(group2Ran.load());
-        }
+        EXPECT_THROW(runtime.evaluate(plan), std::runtime_error);
+        EXPECT_FALSE(group2Ran);
     }
 }
 
@@ -359,7 +319,7 @@ namespace {
 
 /** One platform run; returns the full generation trace. */
 std::vector<GenerationPoint>
-traceOf(const std::string &env, size_t threads, bool asyncOverlap,
+traceOf(const std::string &env, size_t threads,
         BackendKind backend = BackendKind::Cpu)
 {
     ExperimentOptions opt;
@@ -368,7 +328,6 @@ traceOf(const std::string &env, size_t threads, bool asyncOverlap,
     opt.episodesPerEval = 2;
     opt.maxGenerations = 20;
     opt.threads = threads;
-    opt.asyncOverlap = asyncOverlap;
     return runExperiment(env, backend, opt).trace;
 }
 
@@ -398,28 +357,24 @@ expectIdenticalTraces(const std::vector<GenerationPoint> &a,
 
 TEST(RuntimeDeterminism, CartpoleTraceIdenticalAcrossThreadCounts)
 {
-    const auto serial = traceOf("cartpole", 1, false);
+    const auto serial = traceOf("cartpole", 1);
     ASSERT_FALSE(serial.empty());
     for (size_t threads : {2u, 4u, 8u}) {
         expectIdenticalTraces(
-            serial, traceOf("cartpole", threads, false),
+            serial, traceOf("cartpole", threads),
             "cartpole, " + std::to_string(threads) + " threads");
     }
-    expectIdenticalTraces(serial, traceOf("cartpole", 4, true),
-                          "cartpole, 4 threads + async overlap");
 }
 
 TEST(RuntimeDeterminism, LunarLanderTraceIdenticalAcrossThreadCounts)
 {
-    const auto serial = traceOf("lunar_lander", 1, false);
+    const auto serial = traceOf("lunar_lander", 1);
     ASSERT_FALSE(serial.empty());
     for (size_t threads : {2u, 4u, 8u}) {
         expectIdenticalTraces(
-            serial, traceOf("lunar_lander", threads, false),
+            serial, traceOf("lunar_lander", threads),
             "lunar_lander, " + std::to_string(threads) + " threads");
     }
-    expectIdenticalTraces(serial, traceOf("lunar_lander", 4, true),
-                          "lunar_lander, 4 threads + async overlap");
 }
 
 TEST(RuntimeDeterminism, MountainCarBlockDealingIdenticalAcrossSchedules)
@@ -427,51 +382,33 @@ TEST(RuntimeDeterminism, MountainCarBlockDealingIdenticalAcrossSchedules)
     // Lanes are dealt to workers in contiguous blocks whose boundaries
     // move with the worker count; mountain_car's lanes mostly run to
     // the step cap, so every block is long and contended. Every
-    // (threads, async) schedule must replay the serial trace.
-    const auto serial =
-        traceOf("mountain_car", 1, false, BackendKind::Inax);
+    // worker count must replay the serial trace.
+    const auto serial = traceOf("mountain_car", 1, BackendKind::Inax);
     ASSERT_FALSE(serial.empty());
-    for (size_t threads : {1u, 2u, 4u, 8u}) {
-        for (bool async : {false, true}) {
-            expectIdenticalTraces(
-                serial,
-                traceOf("mountain_car", threads, async,
-                        BackendKind::Inax),
-                "mountain_car/inax, " + std::to_string(threads) +
-                    " threads" + (async ? " + async overlap" : ""));
-        }
+    for (size_t threads : {2u, 4u, 8u}) {
+        expectIdenticalTraces(
+            serial, traceOf("mountain_car", threads, BackendKind::Inax),
+            "mountain_car/inax, " + std::to_string(threads) + " threads");
     }
 }
 
 TEST(RuntimeDeterminism, RngAuditIdenticalAcrossFullRuns)
 {
     // End-to-end sentinel: a whole evolve run folds every evaluation's
-    // audit into RunResult::rngAudit. Serial, threaded, and async runs
-    // must report the same (draws, hash) digest.
-    auto auditOf = [](size_t threads, bool asyncOverlap) {
+    // audit into RunResult::rngAudit. Serial and threaded runs must
+    // report the same (draws, hash) digest.
+    auto auditOf = [](size_t threads) {
         ExperimentOptions opt;
         opt.seed = 3;
         opt.populationSize = 64;
         opt.episodesPerEval = 2;
         opt.maxGenerations = 8;
         opt.threads = threads;
-        opt.asyncOverlap = asyncOverlap;
         return runExperiment("cartpole", BackendKind::Cpu, opt).rngAudit;
     };
-    const RngAudit serial = auditOf(1, false);
+    const RngAudit serial = auditOf(1);
     EXPECT_GT(serial.draws, 0u);
     for (size_t threads : {2u, 4u, 8u}) {
-        EXPECT_EQ(serial, auditOf(threads, false))
-            << threads << " threads";
+        EXPECT_EQ(serial, auditOf(threads)) << threads << " threads";
     }
-    EXPECT_EQ(serial, auditOf(4, true)) << "4 threads + async overlap";
-}
-
-TEST(RuntimeDeterminism, AsyncOverlapMatchesSerialOnSerialFallback)
-{
-    // threads=1 with async overlap requested: the serial fallback must
-    // still run the group callbacks and produce the same trace.
-    expectIdenticalTraces(traceOf("cartpole", 1, false),
-                          traceOf("cartpole", 1, true),
-                          "cartpole, serial async fallback");
 }

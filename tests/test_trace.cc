@@ -456,6 +456,7 @@ TEST(Trace, PhaseEntryPointsEmitTheirSpans)
         EXPECT_FALSE(named(evolve, span).empty()) << span;
     }
     EXPECT_EQ(named(evolve, "checkpoint_load").size(), 2u);
+    EXPECT_TRUE(named(evolve, "verify_plan").empty());
 
     // The server loads its champion in create(); trace only the
     // request.
@@ -472,6 +473,16 @@ TEST(Trace, PhaseEntryPointsEmitTheirSpans)
     EXPECT_EQ((*server)->infer(request).status, serve::StatusCode::Ok);
     EXPECT_EQ(named(stopAndParse(), "serve.batch").size(), 1u);
     std::filesystem::remove_all(dir);
+
+    // The --verify gate certifies each generation's compiled plan
+    // inside its own span.
+    traceStart(TraceDetail::Task);
+    ExperimentOptions verified;
+    verified.populationSize = 16;
+    verified.maxGenerations = 1;
+    verified.verifyGenomes = true;
+    runExperiment("lunar_lander", BackendKind::Cpu, verified);
+    EXPECT_EQ(named(stopAndParse(), "verify_plan").size(), 1u);
 }
 
 } // namespace

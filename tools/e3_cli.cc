@@ -236,7 +236,6 @@ cmdRun(const Args &args)
                     kMaxGenerations));
     options.threads = static_cast<size_t>(
         args.getInt("threads", 1, 1, kMaxThreads));
-    options.asyncOverlap = args.getFlag("async");
     options.verifyGenomes = args.getFlag("verify");
 
     const EnvSpec &spec = requireEnvSpec(envName);
@@ -293,15 +292,14 @@ cmdRun(const Args &args)
 
     if (!quiet) {
         std::printf("running %s on %s (pop %zu, %zu episode(s)/eval, "
-                    "seed %llu, %zu thread(s)%s)\n",
+                    "seed %llu, %zu thread(s))\n",
                     envName.c_str(),
                     BackendRegistry::instance()
                         .displayName(backend)
                         .c_str(),
                     options.populationSize, options.episodesPerEval,
                     static_cast<unsigned long long>(options.seed),
-                    options.threads,
-                    options.asyncOverlap ? ", async overlap" : "");
+                    options.threads);
     }
 
     Result<RunResult> run = runExperiment(envName, backend, options);
@@ -357,7 +355,7 @@ cmdRun(const Args &args)
     }
 
     // Determinism-sentinel digest: the same experiment must write the
-    // same two numbers at every --threads/--async setting, so CI can
+    // same two numbers at every --threads setting, so CI can
     // `cmp` the files across worker counts.
     if (!auditPath.empty()) {
         char buf[64];
@@ -797,6 +795,11 @@ cmdServe(const Args &args)
         obs::traceStart(detail);
     }
 
+    // Handlers go in before the port file can appear: a supervisor
+    // that signals as soon as it sees the file still gets the clean
+    // shutdown (summary line, --metrics file).
+    std::signal(SIGINT, serveSignalHandler);
+    std::signal(SIGTERM, serveSignalHandler);
     Result<std::unique_ptr<serve::ChampionServer>> server =
         serve::ChampionServer::create(options);
     if (!server.ok())
@@ -823,8 +826,6 @@ cmdServe(const Args &args)
             e3_fatal(st.message());
     }
 
-    std::signal(SIGINT, serveSignalHandler);
-    std::signal(SIGTERM, serveSignalHandler);
     const auto started = std::chrono::steady_clock::now();
     while (!serveStopRequested.load()) {
         if (serveSeconds > 0.0 &&
@@ -895,7 +896,7 @@ usage(std::FILE *out)
         "  e3_cli run --env <name> --backend cpu|gpu|inax\n"
         "         [--pu N] [--pe N] [--pop N] [--generations N]\n"
         "         [--episodes N] [--seed N] [--csv file]\n"
-        "         [--threads N] [--async 0|1] [--audit file]\n"
+        "         [--threads N] [--audit file]\n"
         "         [--checkpoint-dir dir] [--checkpoint-every N]\n"
         "         [--checkpoint-keep K] [--resume]\n"
         "         [--neat-config file.ini] [--save champion.genome]\n"

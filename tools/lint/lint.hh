@@ -3,7 +3,7 @@
  * e3_lint — a fast, dependency-free determinism linter for this repo.
  *
  * The platform's headline invariant is that a NEAT run is bit-identical
- * across thread counts, async overlap, and checkpoint/resume. End-to-end
+ * across thread counts and checkpoint/resume. End-to-end
  * trace-equality tests guard the invariant after the fact; this linter
  * guards it at the source: it statically bans the classic ways
  * nondeterminism sneaks into a codebase (wall-clock seeding, libc rand,

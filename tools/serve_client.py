@@ -13,6 +13,11 @@ bounds it), and that its summary reads ``served 100 requests (100 ok,
     serve_client.py --cli build/tools/e3_cli -- \\
         --env cartpole --checkpoint-dir ckpt --serve-seconds 3
 
+With ``--sigterm`` it sends no request: it polls for the port file
+without sleeping, signals SIGTERM the moment the file appears, and
+checks for a clean shutdown instead, that is exit 0, the ``served 0
+requests`` summary and a ``--metrics`` file.
+
 Wire format (src/serve/protocol.hh): each frame is a u32 payload length
 and the payload, all little-endian. A request payload is four fields,
 u32 kind | u64 request id | u64 fingerprint | u32 observation count,
@@ -24,6 +29,7 @@ message bytes.
 import argparse
 import os
 import re
+import signal
 import socket
 import struct
 import subprocess
@@ -75,20 +81,55 @@ def read_response(sock):
     return status, request_id, list(action)
 
 
-def wait_for_file(path, proc, timeout):
+def wait_for_file(path, proc, timeout, poll_s=0.05):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
         if os.path.exists(path) and os.path.getsize(path) > 0:
             return True
         if proc.poll() is not None:
             return False
-        time.sleep(0.05)
+        time.sleep(poll_s)
     return False
+
+
+def pipeline(port, banner, shapes):
+    """Send the pipelined burst; (bad answers, ids answered) or None."""
+    champion = re.search(r"champion ([0-9a-f]{16})\s+(\S+)", banner)
+    if champion is None:
+        print("serve_client: no champion line in:\n" + banner,
+              file=sys.stderr)
+        return None
+    fingerprint = int(champion.group(1), 16)
+    inputs, outputs = shapes[champion.group(2)]
+
+    ids = list(range(1, REQUESTS + 1))
+    burst = b"".join(
+        request_frame(i, fingerprint,
+                      [0.01 * i + 0.1 * k for k in range(inputs)])
+        for i in ids)
+    answered = set()
+    failures = 0
+    with socket.create_connection(("127.0.0.1", port),
+                                  timeout=TIMEOUT_S) as sock:
+        sock.sendall(burst)
+        for _ in ids:
+            status, request_id, action = read_response(sock)
+            if (status != STATUS_OK or request_id not in ids or
+                    request_id in answered or len(action) != outputs):
+                failures += 1
+                print("serve_client: bad answer: status %d id %d "
+                      "actions %d" % (status, request_id, len(action)),
+                      file=sys.stderr)
+            answered.add(request_id)
+    return failures, answered
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--cli", required=True, help="e3_cli binary")
+    parser.add_argument("--sigterm", action="store_true",
+                        help="signal SIGTERM as soon as the port file "
+                             "appears and expect a clean shutdown")
     parser.add_argument("serve_args", nargs="+",
                         help="e3_cli serve arguments (after --)")
     args = parser.parse_args()
@@ -97,49 +138,29 @@ def main():
     with tempfile.TemporaryDirectory() as scratch:
         port_file = os.path.join(scratch, "serve.port")
         stdout_path = os.path.join(scratch, "serve.out")
+        metrics_path = os.path.join(scratch, "serve_metrics.csv")
+        command = [args.cli, "serve", *args.serve_args, "--port", "0",
+                   "--port-file", port_file]
+        if args.sigterm:
+            command += ["--metrics", metrics_path]
         with open(stdout_path, "w") as stdout:
-            proc = subprocess.Popen(
-                [args.cli, "serve", *args.serve_args, "--port", "0",
-                 "--port-file", port_file], stdout=stdout)
+            proc = subprocess.Popen(command, stdout=stdout)
         try:
-            if not wait_for_file(port_file, proc, TIMEOUT_S):
+            if not wait_for_file(port_file, proc, TIMEOUT_S,
+                                 0 if args.sigterm else 0.05):
                 print("serve_client: no port file; server exited %s"
                       % proc.poll(), file=sys.stderr)
                 return 1
-            with open(port_file) as f:
-                port = int(f.read().strip())
-            with open(stdout_path) as f:
-                banner = f.read()
-            champion = re.search(r"champion ([0-9a-f]{16})\s+(\S+)",
-                                 banner)
-            if champion is None:
-                print("serve_client: no champion line in:\n" + banner,
-                      file=sys.stderr)
-                return 1
-            fingerprint = int(champion.group(1), 16)
-            inputs, outputs = shapes[champion.group(2)]
-
-            ids = list(range(1, REQUESTS + 1))
-            burst = b"".join(
-                request_frame(i, fingerprint,
-                              [0.01 * i + 0.1 * k for k in range(inputs)])
-                for i in ids)
-            answered = set()
-            failures = 0
-            with socket.create_connection(("127.0.0.1", port),
-                                          timeout=TIMEOUT_S) as sock:
-                sock.sendall(burst)
-                for _ in ids:
-                    status, request_id, action = read_response(sock)
-                    if (status != STATUS_OK or request_id not in ids or
-                            request_id in answered or
-                            len(action) != outputs):
-                        failures += 1
-                        print("serve_client: bad answer: status %d id %d "
-                              "actions %d" % (status, request_id,
-                                              len(action)),
-                              file=sys.stderr)
-                    answered.add(request_id)
+            if args.sigterm:
+                proc.send_signal(signal.SIGTERM)
+                result = (0, set())
+            else:
+                with open(port_file) as f:
+                    port = int(f.read().strip())
+                with open(stdout_path) as f:
+                    result = pipeline(port, f.read(), shapes)
+                if result is None:
+                    return 1
             proc.wait(timeout=TIMEOUT_S)
         finally:
             if proc.poll() is None:
@@ -147,13 +168,24 @@ def main():
                 proc.wait()
         with open(stdout_path) as f:
             transcript = f.read()
+        metrics_written = (os.path.exists(metrics_path) and
+                           os.path.getsize(metrics_path) > 0)
 
     sys.stdout.write(transcript)
-    summary = "served %d requests (%d ok," % (REQUESTS, REQUESTS)
+    expected = 0 if args.sigterm else REQUESTS
+    summary = "served %d requests (%d ok," % (expected, expected)
     if proc.returncode != 0 or summary not in transcript:
         print("serve_client: server exit %d, expected '%s'"
               % (proc.returncode, summary), file=sys.stderr)
         return 1
+    if args.sigterm:
+        if not metrics_written:
+            print("serve_client: no --metrics file after SIGTERM",
+                  file=sys.stderr)
+            return 1
+        print("serve_client: SIGTERM at the port file shut down cleanly")
+        return 0
+    failures, answered = result
     if failures or len(answered) != REQUESTS:
         print("serve_client: %d bad answers, %d of %d ids answered"
               % (failures, len(answered), REQUESTS), file=sys.stderr)
